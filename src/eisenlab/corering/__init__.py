@@ -8,6 +8,7 @@ from .linalg import (
     howell_solve,
     kernel_of_free_summand,
     kernel_spanning_set,
+    matmul_mod,
     restrict_operator,
     unit_echelon,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "kernel_of_free_summand",
     "kernel_spanning_set",
     "lower_convex_hull",
+    "matmul_mod",
     "newton_polygon",
     "restrict_operator",
     "smallest_generator",

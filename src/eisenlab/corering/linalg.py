@@ -11,8 +11,11 @@ valuation.  Two elimination flavours are used:
   ``restrict_operator``) for systems whose cokernel is known to be free;
   leftover rows are asserted to vanish, certifying that assumption.
 
-Matrix entries must stay below 2^31 so int64 accumulation cannot overflow
-at the dimensions used here.
+Entries are residues in [0, p^M) with p^M < 2^31.  A product of two
+entries fits int64, but a k-term dot product needs k * (p^M - 1)^2 < 2^63,
+which fails for example at p^M = 5^12 once k > 154; every matrix product
+therefore goes through ``matmul_mod``, which checks that bound and falls
+back to exact Python integers.
 """
 
 from __future__ import annotations
@@ -33,8 +36,18 @@ def _as_matrix(A, mod: Modulus) -> np.ndarray:
     return M
 
 
-def matmul(A: np.ndarray, B: np.ndarray, mod: Modulus) -> np.ndarray:
-    return (A @ B) % mod.pM
+def matmul_mod(A, B, mod: Modulus) -> np.ndarray:
+    """A @ B mod p^M, exact at every size.
+
+    int64 when every dot product fits, i.e. k * (p^M - 1)^2 < 2^63 for the
+    inner dimension k; otherwise object-dtype (Python int) arithmetic.
+    """
+    pM = mod.pM
+    A = np.asarray(A, dtype=np.int64) % pM
+    B = np.asarray(B, dtype=np.int64) % pM
+    if A.shape[-1] * (pM - 1) ** 2 < 1 << 63:
+        return (A @ B) % pM
+    return ((A.astype(object) @ B.astype(object)) % pM).astype(np.int64)
 
 
 def _full_pivot_forward(A: np.ndarray, b, mod: Modulus):
@@ -245,7 +258,7 @@ def restrict_operator(T: np.ndarray, basis: np.ndarray, mod: Modulus) -> np.ndar
     p = mod.p
     basis = _as_matrix(basis, mod)
     k = basis.shape[1]
-    TB = (np.asarray(T, dtype=np.int64) @ basis) % pM
+    TB = matmul_mod(T, basis, mod)
     A = np.hstack([basis, TB])
     m = A.shape[0]
     r = 0

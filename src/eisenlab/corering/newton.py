@@ -147,6 +147,63 @@ def _fp_ext_euclid(a: list[int], b: list[int], p: int):
     return scale(r0), scale(s0), scale(t0)
 
 
+def _fp_factor(coeffs: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
+    """Factor a monic polynomial over F_p into (irreducible, multiplicity).
+
+    Trial division by monic irreducibles in degree order; fine for the tiny
+    degrees (<= 8) seen here.
+    """
+    f = _fp_trim([c % p for c in coeffs], p)
+    assert f[-1] % p == 1, "factor target must be monic"
+    out: list[tuple[tuple[int, ...], int]] = []
+
+    def monic_polys(d):
+        for mask in range(p**d):
+            cs = []
+            x = mask
+            for _ in range(d):
+                cs.append(x % p)
+                x //= p
+            yield cs + [1]
+
+    irreducibles_cache: dict[int, list[list[int]]] = {}
+
+    def irreducibles(d):
+        if d in irreducibles_cache:
+            return irreducibles_cache[d]
+        irr = []
+        for cand in monic_polys(d):
+            if all(
+                _fp_divmod(cand, q, p)[1] != [0]
+                for dd in range(1, d // 2 + 1)
+                for q in irreducibles(dd)
+            ):
+                irr.append(cand)
+        irreducibles_cache[d] = irr
+        return irr
+
+    d = 1
+    while len(f) - 1 > 0:
+        if d > (len(f) - 1) // 2:
+            out.append((tuple(f), 1))  # remainder is irreducible
+            break
+        for q in irreducibles(d):
+            mult = 0
+            while True:
+                quo, rem = _fp_divmod(f, q, p)
+                if rem == [0]:
+                    f = quo
+                    mult += 1
+                else:
+                    break
+            if mult:
+                out.append((tuple(q), mult))
+            if len(f) - 1 == 0:
+                break
+        d += 1
+    return out
+
+
 def hensel_lift_coprime(F: PadicPoly, g0: list[int], h0: list[int]):
     """Lift a coprime factorization F = g0 * h0 (mod p) to mod p^M.
 

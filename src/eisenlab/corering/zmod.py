@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 INF = math.inf
 
@@ -270,7 +270,3 @@ class PadicPoly:
     def _check(self, other: "PadicPoly"):
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
-
-
-def poly_from_ints(coeffs: Sequence[int], p: int, M: int) -> PadicPoly:
-    return PadicPoly(coeffs, Modulus(p, M))

@@ -15,18 +15,15 @@ from .eisenstein import (
     smallest_good_prime,
 )
 from .manin import (
-    HeckeMatrix,
     ManinSpace,
     build_manin_space,
     genus_x0,
-    hecke_matrix,
     heilbronn_matrices,
 )
 
 __all__ = [
     "ConsistencyError",
     "EisensteinReport",
-    "HeckeMatrix",
     "ManinSpace",
     "MismatchError",
     "NoGoodPrime",
@@ -38,7 +35,6 @@ __all__ = [
     "eisenstein_local_factor",
     "generator_check",
     "genus_x0",
-    "hecke_matrix",
     "heilbronn_matrices",
     "rank_consistency_check",
     "smallest_good_prime",

@@ -1,9 +1,9 @@
 """Eisenstein-local invariants of the cuspidal Hecke algebra at (N, p).
 
-Pipeline: build weight-2 Manin symbols mod p^M, restrict Hecke operators to
-the star-fixed part V+, and cut out the Eisenstein-local component W as the
-intersection of stabilized generalized kernels of T_q - q - 1 over small
-primes q.  A single operator is not enough: a non-Eisenstein eigenform can
+Pipeline: build the plus quotient V+ of weight-2 Manin symbols mod p^M,
+take Hecke operators on it, and cut out the Eisenstein-local component W
+as the intersection of stabilized generalized kernels of T_q - q - 1 over
+small primes q.  A single operator is not enough: a non-Eisenstein eigenform can
 be congruent to the Eisenstein series at one T_q by accident (e.g. at
 (N, p) = (751, 5) the operator T_2 - 3 has a spurious kernel line), and the
 intersection removes exactly those.
@@ -27,10 +27,14 @@ from ..corering.linalg import (
     berkowitz_charpoly,
     howell_solve,
     kernel_of_free_summand,
+    matmul_mod,
     restrict_operator,
 )
 from ..corering.newton import (
     NewtonPolygon,
+    _fp_divmod,
+    _fp_factor,
+    _fp_mul,
     hensel_lift_coprime,
     hensel_split_distinguished,
     newton_polygon,
@@ -122,9 +126,16 @@ def _stabilized_power(B: np.ndarray, mod: Modulus) -> np.ndarray:
     P = B % mod.pM
     K = 1
     while K < target:
-        P = (P @ P) % mod.pM
+        P = matmul_mod(P, P, mod)
         K *= 2
     return P
+
+
+def _eisenstein_shift(space: ManinSpace, q: int, W: np.ndarray) -> np.ndarray:
+    """T_q - q - 1 on the span of W, a T_q-stable free summand of V+."""
+    mod = space.modulus
+    TqW = restrict_operator(space.hecke_on_plus(q), W, mod)
+    return (TqW - (q + 1) * np.eye(W.shape[1], dtype=np.int64)) % mod.pM
 
 
 def _certify(B_plus, W, mod, t):
@@ -168,22 +179,16 @@ def _localize(
     Refinements act on the small intermediate space, so only the first
     kernel is computed at full size.
     """
-    pM = mod.pM
     W = kernel_of_free_summand(_stabilized_power(B_plus, mod), mod)
     audit = [(ell, W.shape[1])]
     cert = _certify(B_plus, W, mod, t)
-    # embed W into the full relation quotient to restrict further operators
-    W_full = (space.plus_basis @ W) % pM
     q = 2
     while cert is None and q < q_bound and W.shape[1] > 1:
         if q != space.N and q != ell:
-            Tq = space.hecke_full(q)
-            Bq = (Tq - (q + 1) * np.eye(space.dim, dtype=np.int64)) % pM
-            BqW = restrict_operator(Bq, W_full, mod)
+            BqW = _eisenstein_shift(space, q, W)
             ker = kernel_of_free_summand(_stabilized_power(BqW, mod), mod)
             if ker.shape[1] < W.shape[1]:
-                W = (W @ ker) % pM
-                W_full = (W_full @ ker) % pM
+                W = matmul_mod(W, ker, mod)
                 cert = _certify(B_plus, W, mod, t)
             audit.append((q, W.shape[1]))
         q = sympy.nextprime(q)
@@ -271,65 +276,6 @@ def eisenstein_local_factor(
 # -- slope components --------------------------------------------------------
 
 
-def _fp_factor(coeffs: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
-    """Factor a monic polynomial over F_p into (irreducible, multiplicity).
-
-    Trial division by monic irreducibles in degree order; fine for the tiny
-    degrees (<= 8) seen here.
-    """
-    from ..corering.newton import _fp_divmod, _fp_trim
-
-    f = _fp_trim([c % p for c in coeffs], p)
-    assert f[-1] % p == 1, "factor target must be monic"
-    out: list[tuple[tuple[int, ...], int]] = []
-
-    def monic_polys(d):
-        for mask in range(p**d):
-            cs = []
-            x = mask
-            for _ in range(d):
-                cs.append(x % p)
-                x //= p
-            yield cs + [1]
-
-    irreducibles_cache: dict[int, list[list[int]]] = {}
-
-    def irreducibles(d):
-        if d in irreducibles_cache:
-            return irreducibles_cache[d]
-        irr = []
-        for cand in monic_polys(d):
-            if all(
-                _fp_divmod(cand, q, p)[1] != [0]
-                for dd in range(1, d // 2 + 1)
-                for q in irreducibles(dd)
-            ):
-                irr.append(cand)
-        irreducibles_cache[d] = irr
-        return irr
-
-    d = 1
-    while len(f) - 1 > 0:
-        if d > (len(f) - 1) // 2:
-            out.append((tuple(f), 1))  # remainder is irreducible
-            break
-        for q in irreducibles(d):
-            mult = 0
-            while True:
-                quo, rem = _fp_divmod(f, q, p)
-                if rem == [0]:
-                    f = quo
-                    mult += 1
-                else:
-                    break
-            if mult:
-                out.append((tuple(q), mult))
-            if len(f) - 1 == 0:
-                break
-        d += 1
-    return out
-
-
 def component_slopes(np_poly: NewtonPolygon, f: PadicPoly) -> list[SlopeComponent]:
     """Slope decomposition of the local algebra from the Newton polygon of f.
 
@@ -380,8 +326,10 @@ def component_slopes(np_poly: NewtonPolygon, f: PadicPoly) -> list[SlopeComponen
         for g0, mult in factors[:-1]:
             gm = [1]
             for _ in range(mult):
-                gm = _fp_mul_list(gm, list(g0), p)
-            hbar = _fp_quotient(rest.mod_p(), gm, p)
+                gm = _fp_mul(gm, list(g0), p)
+            hbar, rem = _fp_divmod(rest.mod_p(), gm, p)
+            if rem != [0]:
+                raise ArithmeticError("expected exact division mod p")
             G, H = hensel_lift_coprime(rest, gm, hbar)
             out.append(SlopeComponent(slope, G.degree, mult == 1))
             rest = H.monic_scaled()
@@ -389,21 +337,6 @@ def component_slopes(np_poly: NewtonPolygon, f: PadicPoly) -> list[SlopeComponen
         out.append(SlopeComponent(slope, rest.degree, mult == 1))
     assert sum(cmp.degree for cmp in out) == f.degree
     return out
-
-
-def _fp_mul_list(a, b, p):
-    from ..corering.newton import _fp_mul
-
-    return _fp_mul(a, b, p)
-
-
-def _fp_quotient(num, den, p):
-    from ..corering.newton import _fp_divmod
-
-    q, r = _fp_divmod(num, den, p)
-    if r != [0]:
-        raise ArithmeticError("expected exact division mod p")
-    return q
 
 
 # -- structural checks -------------------------------------------------------
@@ -423,16 +356,13 @@ def generator_check(report: EisensteinReport, ellp: int) -> bool:
         raise ValueError("report carries no workspace; recompute eisenstein_local_factor")
     space: ManinSpace = report._workspace["space"]
     mod = space.modulus
-    W_full = (space.plus_basis @ report._workspace["W"]) % mod.pM
     Y = report._workspace["Y"]
     dimW = Y.shape[0]
-    Tq = space.hecke_full(ellp)
-    Bq = (Tq - (ellp + 1) * np.eye(space.dim, dtype=np.int64)) % mod.pM
-    Bq_W = restrict_operator(Bq, W_full, mod)
+    Bq_W = _eisenstein_shift(space, ellp, report._workspace["W"])
     # solve sum_i c_i Y^i = Bq_W
     pows = [np.eye(dimW, dtype=np.int64)]
     for _ in range(dimW - 1):
-        pows.append((pows[-1] @ Y) % mod.pM)
+        pows.append(matmul_mod(pows[-1], Y, mod))
     A = np.stack([P.reshape(-1) for P in pows], axis=1)
     x = howell_solve(A, Bq_W.reshape(-1), mod)
     if x is None:

@@ -1,46 +1,38 @@
-"""Weight-2 Manin symbols for Gamma_0(N), N prime, over Z/p^M.
+"""The plus quotient of weight-2 Manin symbols for Gamma_0(N), N prime, over Z/p^M.
 
-The presentation is the classical one: free module on P^1(Z/N) modulo the
-two-term relations x + x|sigma = 0 and three-term relations
-x + x|tau + x|tau^2 = 0, where sigma = [[0,-1],[1,0]] and
-tau = [[0,-1],[1,-1]] act on (c:d) on the right.  Since p > 3, the quotient
-is a free Z/p^M-module and every relation can be eliminated with unit
-pivots; leftover rows are asserted to vanish.
+Hecke operators are read on V+ = V / (1 - star)V, the weight-2 modular
+symbols modulo the star involution (c:d)|star = (-c:d).  It is free of rank
+g+1 over Z/p^M and is built directly (Cremona, *Algorithms for Modular
+Elliptic Curves*, 2.2-2.4): the free module on P^1(Z/N) modulo
 
-Symbols are indexed 0 <-> (0:1) and 1+d <-> (1:d).  Sigma pairs are folded
-by substitution first; only the three-term relations enter the dense
-elimination, on roughly (N+1)/2 representative columns.
+* x + x|sigma = 0, sigma = [[0,-1],[1,0]], (c:d)|sigma = (d:-c);
+* x - x|star = 0;
+* x + x|tau + x|tau^2 = 0, tau = [[0,-1],[1,-1]], (c:d)|tau = (d:-c-d).
+
+The first two are folded by substitution.  Sigma and star generate a Klein
+four-group on P^1; each orbit becomes one column, represented by its
+smallest point, and its members carry the sign of the group element that
+reaches them (-1 for sigma and sigma*star).  An orbit reached with both
+signs is zero, since 2 is a unit (p > 3).  Each tau-orbit then gives one
+relation row with at most 3 entries, and the rows are solved by sparse
+Gauss-Jordan with unit pivots chosen Markowitz style.  Rows left without a
+unit pivot must vanish, and the quotient rank must be exactly g+1; together
+these certify that V+ is free of the expected rank.
+
+Points are indexed 0 <-> (0:1) and 1+d <-> (1:d).  T_ell acts through
+Merel's (1994) family of Heilbronn matrices of determinant ell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
 
 import numpy as np
 
-from ..corering.linalg import restrict_operator, unit_echelon
+from ..corering.linalg import kernel_of_free_summand, matmul_mod, restrict_operator
 from ..corering.zmod import Modulus
 
 _HEILBRONN_CACHE: dict[int, list[tuple[int, int, int, int]]] = {}
-
-
-def _solve_unit_square(Mk: np.ndarray, rows: np.ndarray, p: int, pM: int) -> np.ndarray:
-    """Solve Mk @ X = rows over Z/pM for an invertible (unit-pivot) Mk."""
-    k = Mk.shape[0]
-    aug = np.hstack([Mk % pM, rows % pM])
-    for i in range(k):
-        nz = np.nonzero(aug[i:, i] % p)[0]
-        if len(nz) == 0:
-            raise ArithmeticError("pivot minor is singular mod p")
-        sel = i + int(nz[0])
-        if sel != i:
-            aug[[i, sel]] = aug[[sel, i]]
-        aug[i] = (aug[i] * pow(int(aug[i, i]), -1, pM)) % pM
-        colvals = aug[:, i].copy()
-        colvals[i] = 0
-        aug -= np.outer(colvals, aug[i])
-        aug %= pM
-    return aug[:, k:]
 
 
 def genus_x0(N: int) -> int:
@@ -70,13 +62,66 @@ def heilbronn_matrices(n: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
-class ManinSpace:
-    """Manin-symbol presentation of weight-2 modular symbols mod p^M.
+def _sparse_eliminate(rows: list[dict[int, int]], p: int, pM: int) -> dict[int, dict[int, int]]:
+    """Sparse Gauss-Jordan over Z/pM with unit pivots only; `rows` (dicts
+    column -> nonzero residue) are reduced in place.
 
-    Exposes the full relation quotient V (rank 2g+1), the star involution,
-    the boundary functionals to the two cusps {0, oo}, the plus quotient
-    V+ (rank g+1, realized as the star-fixed summand; 2 is a unit), and the
-    cuspidal plus subspace (rank g).
+    Each step takes the shortest row that holds a unit, and in it the unit
+    entry whose column meets the fewest rows.  Returns {pivot column: row},
+    every row scaled to 1 at its pivot and free of all other pivot columns.
+    A row with no unit entry keeps none under elimination (only multiples
+    of p are added to it), so if it is nonzero at the end the cokernel has
+    p-torsion and ArithmeticError is raised.
+    """
+    col_rows: dict[int, set[int]] = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, set()).add(r)
+    heap = [(len(row), r) for r, row in enumerate(rows)]
+    heapq.heapify(heap)
+    pivots: dict[int, dict[int, int]] = {}
+    used: set[int] = set()
+    while heap:
+        length, r = heapq.heappop(heap)
+        if r in used or length != len(rows[r]):
+            continue  # stale entry; the row was pushed again when it changed
+        units = [c for c, v in rows[r].items() if v % p]
+        if not units:
+            continue
+        c = min(units, key=lambda j: len(col_rows[j]))
+        inv = pow(rows[r][c], -1, pM)
+        row = rows[r] = {j: v * inv % pM for j, v in rows[r].items()}
+        used.add(r)
+        pivots[c] = row
+        for r2 in col_rows.pop(c):
+            if r2 == r:
+                continue
+            other = rows[r2]
+            f = other.pop(c)
+            for j, v in row.items():
+                if j == c:
+                    continue
+                w = (other.get(j, 0) - f * v) % pM
+                if w:
+                    if j not in other:
+                        col_rows[j].add(r2)
+                    other[j] = w
+                elif j in other:
+                    del other[j]
+                    col_rows[j].discard(r2)
+            if r2 not in used:
+                heapq.heappush(heap, (len(other), r2))
+    if any(rows[r] for r in range(len(rows)) if r not in used):
+        raise ArithmeticError("three-term relations have p-torsion cokernel")
+    return pivots
+
+
+class ManinSpace:
+    """The plus quotient V+ (rank g+1) of weight-2 modular symbols mod p^M.
+
+    Exposes the Hecke operators on V+, the boundary functional to the cusp
+    oo (the cusp 0 carries its negative), and the cuspidal plus subspace,
+    its kernel (rank g).
     """
 
     def __init__(self, N: int, modulus: Modulus):
@@ -85,334 +130,132 @@ class ManinSpace:
         self.N = N
         self.modulus = modulus
         self.genus = genus_x0(N)
-        self._build_relations()
-        self._build_star_and_boundary()
-
-    # -- indexing ----------------------------------------------------------
-
-    def symbol_index(self, c: int, d: int) -> int:
-        """Index of the canonical representative of (c:d) in P^1(Z/N)."""
-        N = self.N
-        c %= N
-        d %= N
-        if c == 0:
-            if d == 0:
-                raise ValueError("(0:0) is not a point of P^1")
-            return 0
-        return 1 + (d * self._inv[c]) % N
-
-    def symbol_of_index(self, i: int) -> tuple[int, int]:
-        return (0, 1) if i == 0 else (1, i - 1)
-
-    # -- construction ------------------------------------------------------
-
-    def _build_relations(self):
-        N, mod = self.N, self.modulus
-        pM, p = mod.pM, mod.p
-        npts = N + 1
-
         inv = np.zeros(N, dtype=np.int64)
         inv[1] = 1
         for c in range(2, N):
             # inv[c] = -(N // c) * inv[N % c] mod N
             inv[c] = (-(N // c) * inv[N % c]) % N
         self._inv = inv
+        self._build_relations()
+        self._build_boundary()
 
-        # sigma: (c:d) -> (d:-c); fold pairs, kill fixed points (2x = 0)
-        rep = np.full(npts, -1, dtype=np.int64)  # representative column, -1 = zero
-        sign = np.zeros(npts, dtype=np.int64)
-        rep_cols: list[int] = []
+    def _index(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Indices of the points (c:d) of P^1(Z/N), elementwise."""
+        N = self.N
+        c = c % N
+        return np.where(c == 0, 0, 1 + (d % N) * self._inv[c] % N)
+
+    def _build_relations(self):
+        N, pM, p = self.N, self.modulus.pM, self.modulus.p
+        npts = N + 1
+        c = np.ones(npts, dtype=np.int64)
+        c[0] = 0
+        d = np.arange(-1, N, dtype=np.int64)
+        d[0] = 1
+
+        # fold the Klein four-group {1, sigma, star, sigma*star}
+        orbit = np.stack(
+            [np.arange(npts), self._index(d, -c), self._index(-c, d), self._index(d, c)]
+        ).T.tolist()
+        orbit_sign = (1, -1, 1, -1)
+        rep = np.full(npts, -1, dtype=np.int64)  # -1 unvisited
+        sign = np.zeros(npts, dtype=np.int64)  # 0 on zero orbits
+        rep_points: list[int] = []
         for i in range(npts):
-            if sign[i] != 0 or rep[i] != -1:
+            if rep[i] != -1:
                 continue
-            c, d = self.symbol_of_index(i)
-            j = self.symbol_index(d, -c)
-            if j == i:  # sigma-fixed: x = -x and 2 is a unit
-                rep[i] = -1
-                sign[i] = 0
-            else:
-                col = len(rep_cols)
-                rep_cols.append(i)
-                rep[i], sign[i] = col, 1
-                rep[j], sign[j] = col, -1
-        nreps = len(rep_cols)
+            signs: dict[int, int] = {}
+            if any(signs.setdefault(j, s) != s for j, s in zip(orbit[i], orbit_sign)):
+                rep[orbit[i]] = 0  # x = -x and 2 is a unit
+                continue
+            for j, s in signs.items():
+                rep[j], sign[j] = len(rep_points), s
+            rep_points.append(i)
+        ncols = len(rep_points)
 
-        # three-term relations on representatives, one row per tau-orbit
+        # three-term relations on the representatives, one row per tau-orbit
+        tau = np.stack([self._index(d, -c - d), self._index(-c - d, c)]).T.tolist()
+        rep_l, sign_l = rep.tolist(), sign.tolist()
         rows: list[dict[int, int]] = []
-        seen = np.zeros(npts, dtype=bool)
+        seen = [False] * npts
         for i in range(npts):
             if seen[i]:
                 continue
-            c, d = self.symbol_of_index(i)
-            j = self.symbol_index(d, -c - d)
-            k = self.symbol_index(-c - d, c)
+            j, k = tau[i]
             seen[i] = seen[j] = seen[k] = True
             row: dict[int, int] = {}
             for s in (i, j, k):
-                if sign[s] != 0:
-                    row[rep[s]] = row.get(rep[s], 0) + int(sign[s])
-            row = {cidx: v % pM for cidx, v in row.items() if v % pM != 0}
+                if sign_l[s]:
+                    row[rep_l[s]] = row.get(rep_l[s], 0) + sign_l[s]
+            row = {col: v % pM for col, v in row.items() if v % pM}
             if row:
                 rows.append(row)
 
-        A = np.zeros((len(rows), nreps), dtype=np.int64)
-        for ri, row in enumerate(rows):
-            for cidx, v in row.items():
-                A[ri, cidx] = v
-
-        R, pivcols, freecols = self._eliminate(A, p, pM)
-        nb = len(freecols)
-        if nb != 2 * self.genus + 1:
+        pivots = _sparse_eliminate(rows, p, pM)
+        free = [col for col in range(ncols) if col not in pivots]
+        if len(free) != self.genus + 1:
             raise ArithmeticError(
-                f"relation rank off: got dim {nb}, expected {2 * self.genus + 1}"
+                f"plus quotient has rank {len(free)}, expected {self.genus + 1}"
             )
 
-        # expression of every representative over the free basis
-        expr = np.zeros((nreps, nb), dtype=np.int64)
-        fc_pos = {c: k for k, c in enumerate(freecols)}
-        for c in freecols:
-            expr[c, fc_pos[c]] = 1
-        for rowi, c in enumerate(pivcols):
-            expr[c] = (-R[rowi][freecols]) % pM
+        # coordinates of every orbit over the free columns
+        expr = np.zeros((ncols, len(free)), dtype=np.int64)
+        position = {col: k for k, col in enumerate(free)}
+        for k, col in enumerate(free):
+            expr[col, k] = 1
+        for col, row in pivots.items():
+            for j, v in row.items():
+                if j != col:
+                    expr[col, position[j]] = -v % pM
 
-        self.dim = nb
+        self.dim = len(free)
+        self.relation_rank = len(pivots)
         self._rep = rep
         self._sign = sign
         self._expr = expr
-        self._basis_symbols = [rep_cols[c] for c in freecols]
-        self.relation_rank = (npts - nreps) + len(pivcols)
+        basis = np.array([rep_points[col] for col in free], dtype=np.int64)
+        self._basis_c = np.where(basis == 0, 0, 1)
+        self._basis_d = np.where(basis == 0, 1, basis - 1)
 
-    @staticmethod
-    def _eliminate(A: np.ndarray, p: int, pM: int, block: int | None = None):
-        """Unit-pivot Gauss-Jordan tuned for the three-term relation matrix.
-
-        Large systems go through panel-blocked updates: a panel of pivot
-        columns is factored unblocked, then the trailing matrix is updated
-        with one C @ X product in float64, which is exact because every
-        intermediate stays below 2^53 (block * pM^2 is checked).  Small
-        systems, and moduli too large for that window, use the plain
-        rank-1-update loop.
-        """
-        m, n = A.shape
-        if block is None:
-            block = 64 if n >= 512 else 1
-        if block > 1 and block * pM * pM < (1 << 53):
-            return ManinSpace._eliminate_blocked(A, p, pM, block)
-        deferred = (m + 1) * pM * pM < (1 << 62)
-        if not deferred and 2 * pM * pM >= (1 << 62):
-            raise ValueError("modulus too large for int64 elimination")
-        pivcols: list[int] = []
-        r = 0
-        for c in range(n):
-            if r >= m:
-                break
-            col = A[r:, c] % p
-            nz = np.nonzero(col)[0]
-            if len(nz) == 0:
-                continue
-            sel = r + int(nz[0])
-            if sel != r:
-                A[[r, sel]] = A[[sel, r]]
-            A[r] %= pM
-            A[r] = (A[r] * pow(int(A[r, c]), -1, pM)) % pM
-            colvals = A[:, c] % pM
-            colvals[r] = 0
-            A -= colvals[:, None] * A[r]
-            if not deferred:
-                A %= pM
-            pivcols.append(c)
-            r += 1
-        A %= pM
-        if np.any(A[r:] != 0):
-            raise ArithmeticError("three-term relations have p-torsion cokernel")
-        return A[:r], pivcols, [c for c in range(n) if c not in set(pivcols)]
-
-    @staticmethod
-    def _eliminate_blocked(A: np.ndarray, p: int, pM: int, block: int):
-        """Right-looking blocked Gauss-Jordan over Z/pM with unit pivots.
-
-        Per panel: pick up to `block` pivot (row, column) pairs by a
-        left-looking pass over candidate columns (each reduced against the
-        pivots already in the panel), then clear all of them from the whole
-        matrix with one update A -= C @ X, where X = M^{-1} A[rows] and M
-        is the k x k pivot minor (invertible by construction).  The product
-        runs in float64, exactly, because block * pM^2 < 2^53.
-        """
-        m, n = A.shape
-        A = A.astype(np.float64) % pM
-        pivcols: list[int] = []
-        settled_rows: list[int] = []
-        used = np.zeros(m, dtype=bool)
-        c0 = 0
-        while c0 < n and len(settled_rows) < m:
-            panel_cols: list[int] = []
-            panel_rows: list[int] = []
-            panel_vecs: list[np.ndarray] = []  # normalized reduced columns
-            probe = c0
-            while probe < n and len(panel_cols) < block:
-                col = A[:, probe].astype(np.int64) % pM
-                for prow, pvec in zip(panel_rows, panel_vecs):
-                    coef = int(col[prow])
-                    if coef:
-                        col = (col - coef * pvec) % pM
-                unit_rows = np.nonzero((col % p) != 0)[0]
-                row = next((int(i) for i in unit_rows if not used[i]), None)
-                if row is None:
-                    probe += 1
-                    continue
-                col = (col * pow(int(col[row]), -1, pM)) % pM
-                panel_cols.append(probe)
-                panel_rows.append(row)
-                panel_vecs.append(col)
-                used[row] = True
-                probe += 1
-            if not panel_cols:
-                break
-            Mk = A[np.ix_(panel_rows, panel_cols)].astype(np.int64) % pM
-            rows = A[panel_rows].astype(np.int64) % pM
-            X = _solve_unit_square(Mk, rows, p, pM)
-            C = A[:, panel_cols].astype(np.int64) % pM
-            for idx, row in enumerate(panel_rows):
-                C[row, idx] -= 1  # so the pivot rows land exactly on X
-            A -= C.astype(np.float64) @ X.astype(np.float64)
-            A %= pM
-            for idx, row in enumerate(panel_rows):
-                A[row] = X[idx]
-            pivcols.extend(panel_cols)
-            settled_rows.extend(panel_rows)
-            c0 = probe
-        A = A.astype(np.int64) % pM
-        leftover = np.ones(m, dtype=bool)
-        leftover[settled_rows] = False
-        if np.any(A[leftover] != 0):
-            raise ArithmeticError("three-term relations have p-torsion cokernel")
-        return A[settled_rows], pivcols, [c for c in range(n) if c not in set(pivcols)]
-
-    def expr_of_symbol(self, c: int, d: int) -> np.ndarray:
-        """Coordinates of the Manin symbol (c:d) over the free basis."""
-        i = self.symbol_index(c, d)
-        s = int(self._sign[i])
-        if s == 0:
-            return np.zeros(self.dim, dtype=np.int64)
-        v = self._expr[self._rep[i]]
-        return v if s == 1 else (-v) % self.modulus.pM
-
-    def _build_star_and_boundary(self):
-        pM = self.modulus.pM
-        nb = self.dim
-        star = np.zeros((nb, nb), dtype=np.int64)
-        for k, symidx in enumerate(self._basis_symbols):
-            c, d = self.symbol_of_index(symidx)
-            star[:, k] = self.expr_of_symbol(-c, d)
-        if np.any((star @ star) % pM != np.eye(nb, dtype=np.int64)):
-            raise ArithmeticError("star involution does not square to identity")
-        self.star = star
-
-        # boundary: only (0:1) and (1:0) hit the cusps, with opposite signs
-        e01 = self.expr_of_symbol(0, 1)
-        e10 = self.expr_of_symbol(1, 0)
-        d_inf = (e01 - e10) % pM  # coefficient at cusp [oo]
-        d_zero = (e10 - e01) % pM  # coefficient at cusp [0]
-        self.boundary = np.vstack([d_zero, d_inf])
-
-        # plus part: image of the idempotent (1 + star)/2
-        inv2 = pow(2, -1, pM)
-        eplus = ((np.eye(nb, dtype=np.int64) + star) * inv2) % pM
-        self.plus_basis = self._independent_columns(eplus)
-        if self.plus_basis.shape[1] != self.genus + 1:
-            raise ArithmeticError(
-                f"plus quotient has rank {self.plus_basis.shape[1]}, expected {self.genus + 1}"
-            )
-
-        # cuspidal plus: kernel of the (rank-1) boundary functional on V+
-        dn = (d_inf @ self.plus_basis) % pM
-        self._boundary_on_plus = dn
-        k = self.plus_basis.shape[1]
-        p = self.modulus.p
-        units = [j for j in range(k) if dn[j] % p != 0]
-        if not units:
-            raise ArithmeticError("boundary functional vanishes on the plus part")
-        j0 = units[0]
-        ipiv = pow(int(dn[j0]), -1, pM)
-        cols = []
-        for j in range(k):
-            if j == j0:
-                continue
-            v = np.zeros(k, dtype=np.int64)
-            v[j] = 1
-            v[j0] = (-dn[j] * ipiv) % pM
-            cols.append(v)
-        self.cuspidal_plus_in_plus = np.array(cols, dtype=np.int64).T % pM
-        self.cuspidal_dimension = 2 * self.genus
-
-    def _independent_columns(self, A: np.ndarray) -> np.ndarray:
-        """Columns of A forming a unit-pivot basis of its column span."""
+    def _build_boundary(self):
+        # the symbol (c:d) = g{0, oo} has boundary [a/c] - [b/d]; for N prime
+        # a cusp x/y is oo when N | y and 0 otherwise
         mod = self.modulus
-        R, pivcols, _ = unit_echelon(A.T, mod)
-        # rows of A.T = columns of A; echelon pivots identify a spanning set
-        # via a second pass: select columns greedily
-        pM, p = mod.pM, mod.p
-        m, n = A.shape
-        chosen: list[int] = []
-        reducers: list[tuple[int, np.ndarray]] = []
-        for j in range(n):
-            v = A[:, j].copy() % pM
-            for prow, rv in reducers:
-                coef = v[prow] % pM
-                if coef:
-                    v = (v - coef * rv) % pM
-            nz = np.nonzero(v % p)[0]
-            if len(nz) == 0:
-                continue
-            prow = int(nz[0])
-            v = (v * pow(int(v[prow]), -1, pM)) % pM
-            reducers.append((prow, v))
-            chosen.append(j)
-        return A[:, chosen] % pM
+        c, d = self._basis_c % self.N, self._basis_d % self.N
+        self.boundary = ((c == 0).astype(np.int64) - (d == 0)) % mod.pM
+        self.cuspidal_plus_in_plus = kernel_of_free_summand(self.boundary[None, :], mod)
+        if self.cuspidal_plus_in_plus.shape[1] != self.genus:
+            raise ArithmeticError("boundary functional is not a unit functional on V+")
 
     # -- Hecke action ------------------------------------------------------
 
+    def hecke_images(self, ell: int, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Columns: T_ell of each Manin symbol (c[k]:d[k]), in the basis of V+."""
+        if ell % self.N == 0:
+            raise ValueError(f"ell = {ell} is divisible by N = {self.N}")
+        c = np.asarray(c, dtype=np.int64)
+        d = np.asarray(d, dtype=np.int64)
+        out = np.zeros((self.dim, len(c)), dtype=np.int64)
+        for (a, b, cc, dd) in heilbronn_matrices(ell):
+            i = self._index(c * a + d * cc, c * b + d * dd)
+            out += (self._expr[self._rep[i]] * self._sign[i][:, None]).T
+        return out % self.modulus.pM
+
     def hecke_full(self, ell: int) -> np.ndarray:
-        """Matrix of T_ell on the full relation quotient V (rank 2g+1)."""
-        if ell == self.N:
-            raise ValueError(f"ell = N = {ell} is not allowed")
-        N, pM = self.N, self.modulus.pM
-        nb = self.dim
-        T = np.zeros((nb, nb), dtype=np.int64)
-        for k, symidx in enumerate(self._basis_symbols):
-            c, d = self.symbol_of_index(symidx)
-            acc = np.zeros(nb, dtype=np.int64)
-            for (a, b, cc, dd) in heilbronn_matrices(ell):
-                c2 = (c * a + d * cc) % N
-                d2 = (c * b + d * dd) % N
-                if c2 == 0 and d2 == 0:
-                    continue
-                i = self.symbol_index(c2, d2)
-                s = int(self._sign[i])
-                if s == 1:
-                    acc += self._expr[self._rep[i]]
-                elif s == -1:
-                    acc -= self._expr[self._rep[i]]
-            T[:, k] = acc % pM
-        return T
+        """Matrix of T_ell on V+ (rank g+1)."""
+        return self.hecke_images(ell, self._basis_c, self._basis_d)
 
     def hecke_on_plus(self, ell: int) -> np.ndarray:
-        """Matrix of T_ell on the plus part V+ (rank g+1).
+        """Matrix of T_ell on V+, certified on the Eisenstein boundary.
 
-        Asserts the Eisenstein boundary eigenvalue: the boundary functional
-        is an eigenvector of the transpose action with eigenvalue ell + 1.
+        The boundary functional must be an eigenvector of the transpose
+        action with eigenvalue ell + 1.
         """
         mod = self.modulus
         T = self.hecke_full(ell)
-        if np.any((T @ self.star - self.star @ T) % mod.pM != 0):
-            raise ArithmeticError(f"T_{ell} does not commute with the star involution")
-        lhs = (self.boundary @ T) % mod.pM
-        rhs = ((ell + 1) * self.boundary) % mod.pM
-        if np.any(lhs != rhs):
-            raise ArithmeticError(
-                f"T_{ell} is not {ell}+1 on the Eisenstein boundary line"
-            )
-        return restrict_operator(T, self.plus_basis, mod)
+        if np.any(matmul_mod(self.boundary, T, mod) != (ell + 1) * self.boundary % mod.pM):
+            raise ArithmeticError(f"T_{ell} is not {ell}+1 on the Eisenstein boundary line")
+        return T
 
     def hecke_on_cuspidal_plus(self, ell: int) -> np.ndarray:
         """Matrix of T_ell on the cuspidal plus quotient (rank g)."""
@@ -422,19 +265,3 @@ class ManinSpace:
 
 def build_manin_space(N: int, modulus: Modulus) -> ManinSpace:
     return ManinSpace(N, modulus)
-
-
-@dataclass
-class HeckeMatrix:
-    """T_ell on the cuspidal plus quotient, reduced to the working modulus."""
-
-    ell: int
-    matrix: np.ndarray = field(repr=False)
-
-    def commutes_with(self, other: "HeckeMatrix", modulus: Modulus) -> bool:
-        a, b = self.matrix, other.matrix
-        return bool(np.all((a @ b - b @ a) % modulus.pM == 0))
-
-
-def hecke_matrix(space: ManinSpace, ell: int) -> HeckeMatrix:
-    return HeckeMatrix(ell=ell, matrix=space.hecke_on_cuspidal_plus(ell))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable
 
@@ -83,7 +84,36 @@ class ResultRecord:
         return cls(**data)
 
 
+def _repair_tail(path: str) -> None:
+    """Cut an unterminated last line, left by an interrupted write, back to
+    the last newline, so that the next append starts a line of its own.  A
+    last line that is a whole record and only lacks its newline gets one."""
+    try:
+        fh = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        data = fh.read()
+        keep = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[keep:])
+        except ValueError:
+            fh.truncate(keep)
+        else:
+            fh.write(b"\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
 def append_records(path: str, records: Iterable[ResultRecord]) -> None:
+    _repair_tail(path)
     with open(path, "a", encoding="utf-8") as fh:
         for rec in records:
             fh.write(rec.to_json() + "\n")
@@ -92,12 +122,20 @@ def append_records(path: str, records: Iterable[ResultRecord]) -> None:
 
 
 def read_records(path: str) -> list[ResultRecord]:
+    """All records in `path`.  A torn last line (no newline, not valid JSON)
+    is skipped with a warning; a malformed line anywhere else raises."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+        for raw in fh:
+            line = raw.strip()
+            if not line:
+                continue
+            try:
                 out.append(ResultRecord.from_json(line))
+            except json.JSONDecodeError:
+                if raw.endswith("\n"):
+                    raise
+                warnings.warn(f"{path}: skipping torn last line from an interrupted write")
     return out
 
 

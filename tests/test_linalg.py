@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eisenlab.corering import (
     Modulus,
@@ -10,6 +12,7 @@ from eisenlab.corering import (
     howell_solve,
     kernel_of_free_summand,
     kernel_spanning_set,
+    matmul_mod,
     restrict_operator,
     unit_echelon,
 )
@@ -179,3 +182,45 @@ def test_berkowitz_matches_integer_oracle(p, M, n):
         got = berkowitz_charpoly(A, mod).coeffs
         want = [c % mod.pM for c in _charpoly_integer(A)]
         assert got == want
+
+
+# -- exact products -------------------------------------------------------------
+
+
+def _matmul_reference(A, B, pM):
+    """Product in Python ints, reduced mod pM (independent oracle)."""
+    cols = list(zip(*B.tolist()))
+    return [[sum(a * b for a, b in zip(row, col)) % pM for col in cols] for row in A.tolist()]
+
+
+@pytest.mark.parametrize("n", [154, 155])
+def test_matmul_mod_at_int64_edge(n):
+    # 154 * (5^12 - 1)^2 < 2^63 <= 155 * (5^12 - 1)^2: a plain int64 product
+    # of these all-(p^M - 1) operands wraps at n = 155
+    mod = Modulus(5, 12)
+    A = np.full((3, n), mod.pM - 1, dtype=np.int64)
+    A[1] = rng.integers(0, mod.pM, n)
+    B = np.full((n, 2), mod.pM - 1, dtype=np.int64)
+    assert matmul_mod(A, B, mod).tolist() == _matmul_reference(A, B, mod.pM)
+
+
+_WIDE_MODULI = [(p, M) for p in (5, 7, 11, 13) for M in range(1, 14) if 1 << 24 <= p**M < 1 << 31]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pm=st.sampled_from(_WIDE_MODULI),
+    over=st.booleans(),
+    m=st.integers(1, 3),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_mod_matches_python_ints(pm, over, m, n, seed):
+    # inner dimension right at the int64 bound k * (p^M - 1)^2 < 2^63, or one past it
+    mod = Modulus(*pm)
+    pM = mod.pM
+    k = ((1 << 63) - 1) // (pM - 1) ** 2 + over
+    gen = np.random.default_rng(seed)
+    A = np.where(gen.random((m, k)) < 0.5, pM - 1, gen.integers(0, pM, (m, k)))
+    B = np.where(gen.random((k, n)) < 0.5, pM - 1, gen.integers(0, pM, (k, n)))
+    assert matmul_mod(A, B, mod).tolist() == _matmul_reference(A, B, pM)

@@ -1,8 +1,33 @@
 import numpy as np
 import pytest
+import sympy
 
 from eisenlab.corering import Modulus, berkowitz_charpoly
 from eisenlab.hecke import build_manin_space, genus_x0, heilbronn_matrices
+from eisenlab.hecke.manin import _sparse_eliminate
+
+
+def _points(N):
+    return [(0, 1)] + [(1, d) for d in range(N)]
+
+
+def _surviving_orbits(N):
+    """Orbits of {1, sigma, star, sigma*star} on P^1(Z/N) without a sign clash."""
+
+    def canonical(c, d):
+        c, d = c % N, d % N
+        return (0, 1) if c == 0 else (1, d * pow(c, -1, N) % N)
+
+    seen, count = set(), 0
+    for c, d in _points(N):
+        if (c, d) in seen:
+            continue
+        signs, clash = {}, False
+        for (x, y), s in (((c, d), 1), ((d, -c), -1), ((-c, d), 1), ((d, c), -1)):
+            clash |= signs.setdefault(canonical(x, y), s) != s
+        seen |= set(signs)
+        count += not clash
+    return count
 
 
 def test_genus_values():
@@ -25,12 +50,32 @@ def test_space_dimensions():
     mod = Modulus(5, 2)
     for N, g in [(11, 1), (31, 2), (37, 2), (61, 4)]:
         sp = build_manin_space(N, mod)
-        assert sp.dim == 2 * g + 1
-        assert sp.plus_basis.shape[1] == g + 1
-        assert sp.cuspidal_plus_in_plus.shape[1] == g
-        assert sp.cuspidal_dimension == 2 * g
-        # rank-nullity over the presentation
-        assert sp.dim == (N + 1) - sp.relation_rank
+        assert sp.dim == g + 1
+        assert sp.cuspidal_plus_in_plus.shape == (g + 1, g)
+        # rank-nullity over the folded presentation
+        assert sp.dim == _surviving_orbits(N) - sp.relation_rank
+
+
+def test_plus_rank_sweep():
+    # the constructor raises unless leftover rows vanish and the rank is g+1
+    for p in (5, 7):
+        mod = Modulus(p, 3)
+        for N in sympy.primerange(11, 500):
+            sp = build_manin_space(N, mod)
+            assert sp.dim == genus_x0(N) + 1
+            assert sp.cuspidal_plus_in_plus.shape[1] == genus_x0(N)
+
+
+def test_sparse_eliminate_detects_torsion():
+    # a row with no unit entry stays nonzero: the cokernel has 5-torsion
+    with pytest.raises(ArithmeticError):
+        _sparse_eliminate([{0: 1, 1: 1}, {1: 5, 2: 10}], 5, 25)
+    # a dependent row reduces to zero; pivot rows are in reduced form
+    pivots = _sparse_eliminate([{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 3, 2: 1}], 5, 25)
+    assert len(pivots) == 2
+    for col, row in pivots.items():
+        assert row[col] == 1
+        assert not (set(row) - {col}) & set(pivots)
 
 
 def test_small_N_rejected():
@@ -38,12 +83,12 @@ def test_small_N_rejected():
         build_manin_space(7, Modulus(5, 2))
 
 
-def test_star_is_involution_and_commutes():
-    mod = Modulus(5, 3)
-    sp = build_manin_space(31, mod)
-    assert np.array_equal((sp.star @ sp.star) % mod.pM, np.eye(sp.dim, dtype=np.int64))
-    T2 = sp.hecke_full(2)
-    assert np.array_equal((T2 @ sp.star) % mod.pM, (sp.star @ T2) % mod.pM)
+def test_t2_commutes_with_star_on_symbols():
+    # T_2 of (c:d) and of (c:d)|star = (-c:d) agree in the plus quotient
+    for N in (31, 37):
+        sp = build_manin_space(N, Modulus(5, 3))
+        c, d = np.array(_points(N)).T
+        assert np.array_equal(sp.hecke_images(2, c, d), sp.hecke_images(2, -c, d))
 
 
 def test_hecke_commutativity_first_primes():
@@ -67,11 +112,12 @@ def test_t2_eigenvalue_on_x0_11():
 
 
 def test_t_ell_is_ell_plus_one_on_boundary():
-    # hecke_on_plus asserts the Eisenstein boundary eigenvalue internally
     mod = Modulus(5, 2)
     sp = build_manin_space(31, mod)
     for ell in (2, 3, 7):
-        sp.hecke_on_plus(ell)
+        T = sp.hecke_full(ell)
+        assert np.array_equal((sp.boundary @ T) % mod.pM, (ell + 1) * sp.boundary % mod.pM)
+        sp.hecke_on_plus(ell)  # asserts the same internally
 
 
 def test_hecke_rejects_ell_equal_N():

@@ -95,3 +95,47 @@ def test_invariants_only_marker():
     assert not rec.invariants_only
     rec.e = None
     assert rec.invariants_only
+
+
+def test_read_records_skips_torn_last_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    append_records(str(path), [_sample_record()])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"N": 191, "p":')  # simulated crash mid-write
+    with pytest.warns(UserWarning, match="torn last line"):
+        rows = read_records(str(path))
+    assert [r.N for r in rows] == [181]
+
+
+def test_read_records_rejects_malformed_middle_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    append_records(str(path), [_sample_record()])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"N": 191, "p":\n')
+    rec = _sample_record()
+    rec.N = 211
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(rec.to_json() + "\n")
+    with pytest.raises(json.JSONDecodeError):
+        read_records(str(path))
+
+
+def test_append_after_torn_tail_loses_no_row(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    append_records(str(path), [_sample_record()])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"N": 191, "p":')  # simulated crash mid-write
+    rec2 = _sample_record()
+    rec2.N = 191
+    append_records(str(path), [rec2])
+    assert [r.N for r in read_records(str(path))] == [181, 191]
+    assert path.read_text(encoding="utf-8").endswith("\n")
+
+
+def test_append_keeps_whole_last_record_without_newline(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(_sample_record().to_json(), encoding="utf-8")  # crash before the newline
+    rec2 = _sample_record()
+    rec2.N = 191
+    append_records(str(path), [rec2])
+    assert [r.N for r in read_records(str(path))] == [181, 191]
