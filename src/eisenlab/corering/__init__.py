@@ -3,6 +3,7 @@ discrete logs, Newton polygons, and Hensel lifting."""
 
 from .dlog import DlogTable, build_dlog_table, is_power, smallest_generator
 from .linalg import (
+    FullPivotFactor,
     berkowitz_charpoly,
     howell_membership,
     howell_solve,
@@ -26,6 +27,7 @@ from .zmod import AtLeast, INF, Modulus, PadicPoly, ZmodElem, valuation_p
 __all__ = [
     "AtLeast",
     "DlogTable",
+    "FullPivotFactor",
     "INF",
     "Modulus",
     "NewtonPolygon",

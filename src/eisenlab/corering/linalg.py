@@ -4,9 +4,13 @@ Z/p^M is a chain ring: every element is unit * p^v, and Gaussian
 elimination stays exact as long as pivots are chosen with minimal
 valuation.  Two elimination flavours are used:
 
-* full valuation pivoting (``howell_solve``, ``howell_membership``,
-  ``kernel_spanning_set``) decides arbitrary linear systems, tracking
-  unit/non-unit pivots in the Howell style;
+* full valuation pivoting decides arbitrary linear systems, tracking
+  unit/non-unit pivots in the Howell style.  It is one elimination,
+  ``FullPivotFactor``: factor once, then solve many right-hand sides or
+  read off a kernel spanning set.  The multipliers are stored in the
+  eliminated lower triangle, so a factor costs one copy of A.
+  ``howell_solve``, ``howell_membership`` and ``kernel_spanning_set`` are
+  one-shot wrappers around it;
 * unit-pivot-only reduction (``unit_echelon``, ``kernel_of_free_summand``,
   ``restrict_operator``) for systems whose cokernel is known to be free;
   leftover rows are asserted to vanish, certifying that assumption.
@@ -50,81 +54,155 @@ def matmul_mod(A, B, mod: Modulus) -> np.ndarray:
     return ((A.astype(object) @ B.astype(object)) % pM).astype(np.int64)
 
 
-def _full_pivot_forward(A: np.ndarray, b, mod: Modulus):
-    """Forward elimination with minimum-valuation full pivoting.
+def _valuations(x: np.ndarray, p: int) -> np.ndarray:
+    """p-adic valuation of every entry of a vector of nonzero residues."""
+    v = np.zeros(x.shape, dtype=np.int64)
+    while True:
+        divisible = x % p == 0
+        if not divisible.any():
+            return v
+        v += divisible
+        x = np.where(divisible, x // p, x)
 
-    Returns (A, b, colperm, pivots, r) where pivots[k] is the valuation of
-    the k-th pivot, normalized to exactly p^v at position (k, k) in the
-    permuted matrix; every entry of the remaining submatrix at step k is
-    divisible by p^pivots[k].
+
+def _first_not_divisible(sub: np.ndarray, d: int) -> int:
+    """Row-major flat index of the first entry of sub not divisible by d,
+    or -1 if there is none.
+
+    Rows are scanned in doubling chunks, so a hit near the top of a tall
+    block costs a few rows rather than a pass over the whole block.
     """
-    p, Mprec, pM = mod.p, mod.M, mod.pM
-    m, n = A.shape
-    colperm = list(range(n))
-    pivots: list[int] = []
-    r = 0
-    for _ in range(min(m, n)):
-        sub = A[r:, r:]
-        if sub.size == 0:
-            break
-        cand = None
-        for v in range(Mprec):
-            mask = (sub % (p ** (v + 1))) != 0
-            if mask.any():
-                i, j = np.argwhere(mask)[0]
-                cand = (int(i) + r, int(j) + r, v)
-                break
-        if cand is None:
-            break
-        pi, pj, v = cand
-        A[[r, pi]] = A[[pi, r]]
-        if b is not None:
-            b[[r, pi]] = b[[pi, r]]
-        if pj != r:
-            A[:, [r, pj]] = A[:, [pj, r]]
-            colperm[r], colperm[pj] = colperm[pj], colperm[r]
-        unit = int(A[r, r]) // (p**v)
-        inv_u = pow(unit % pM, -1, pM)
-        A[r] = (A[r] * inv_u) % pM
-        if b is not None:
-            b[r] = (b[r] * inv_u) % pM
-        q = A[r + 1 :, r] // (p**v)
-        A[r + 1 :] = (A[r + 1 :] - q[:, None] * A[r]) % pM
-        if b is not None:
-            b[r + 1 :] = (b[r + 1 :] - q * b[r]) % pM
-        pivots.append(v)
-        r += 1
-    return A, b, colperm, pivots, r
+    start, step = 0, 32
+    while start < sub.shape[0]:
+        hits = np.flatnonzero(sub[start : start + step] % d)
+        if hits.size:
+            return start * sub.shape[1] + int(hits[0])
+        start += step
+        step *= 2
+    return -1
+
+
+class FullPivotFactor:
+    """Minimum-valuation full-pivot elimination of A over Z/p^M, done once.
+
+    The pivot at each step is the first entry of minimal valuation, in
+    row-major order of the trailing block; it is normalized to exactly p^v
+    by scaling its row by the inverse unit.  The factor is kept in place as
+    LAPACK getrf does: the upper triangle holds U (diagonal p^v), the
+    eliminated lower triangle holds the multipliers, and the row and column
+    permutations travel with whole rows and columns.  ``solve`` replays the
+    elimination on a right-hand side; ``kernel`` completes one generator per
+    free column and per non-unit pivot by back-substitution.
+    """
+
+    def __init__(self, A, mod: Modulus):
+        self.mod = mod
+        p, pM = mod.p, mod.pM
+        LU = _as_matrix(A, mod)  # a fresh array: reducing mod p^M copies A
+        m, n = LU.shape
+        rows = np.arange(m)
+        cols = np.arange(n)
+        self.valuations: list[int] = []  # valuation of the k-th pivot
+        self._unit_inverses: list[int] = []  # row k of U was scaled by this
+        for r in range(min(m, n)):
+            sub = LU[r:, r:]
+            # pivot valuations never decrease, so the last one is the floor
+            v = self.valuations[-1] if self.valuations else 0
+            k = _first_not_divisible(sub, p ** (v + 1))
+            if k < 0:
+                nonzero = np.flatnonzero(sub)
+                if nonzero.size == 0:
+                    break
+                vals = _valuations(sub.ravel()[nonzero], p)
+                first = int(np.argmin(vals))
+                k, v = int(nonzero[first]), int(vals[first])
+            pi, pj = r + k // sub.shape[1], r + k % sub.shape[1]
+            if pi != r:
+                LU[[r, pi]] = LU[[pi, r]]
+                rows[[r, pi]] = rows[[pi, r]]
+            if pj != r:
+                LU[:, [r, pj]] = LU[:, [pj, r]]
+                cols[[r, pj]] = cols[[pj, r]]
+            pv = p**v
+            inv_u = pow(int(LU[r, r]) // pv, -1, pM)
+            LU[r, r:] = (LU[r, r:] * inv_u) % pM
+            q = LU[r + 1 :, r] // pv
+            LU[r + 1 :, r] = q
+            live = np.flatnonzero(q)
+            if live.size:
+                rr = r + 1 + live
+                LU[rr, r + 1 :] = (LU[rr, r + 1 :] - q[live, None] * LU[r, r + 1 :]) % pM
+            self.valuations.append(v)
+            self._unit_inverses.append(inv_u)
+        self.rank = len(self.valuations)
+        self._lu, self._rows, self._cols = LU, rows, cols
+
+    def solve(self, b) -> np.ndarray | None:
+        """A witness x with A x = b, or None when b is not in the column span.
+
+        Back-substitution with free variables zero succeeds exactly when the
+        system is solvable: each pivot p^v must divide its residual, which
+        any solution forces.
+        """
+        pM = self.mod.pM
+        LU, r = self._lu, self.rank
+        m, n = LU.shape
+        b = np.asarray(b, dtype=np.int64).reshape(-1) % pM
+        if b.shape[0] != m:
+            raise ValueError(f"shape mismatch: A is {m}x{n}, b has {b.shape[0]}")
+        y = b[self._rows]
+        for k in range(r):
+            y[k] = (y[k] * self._unit_inverses[k]) % pM
+            y[k + 1 :] = (y[k + 1 :] - LU[k + 1 :, k] * y[k]) % pM
+        if y[r:].any():
+            return None
+        x = self._complete(np.zeros(n, dtype=np.int64), r - 1, y)
+        if x is None:
+            return None
+        out = np.empty_like(x)
+        out[self._cols] = x
+        return out
+
+    def kernel(self) -> np.ndarray:
+        """Columns spanning {x : A x = 0} (not necessarily minimally).
+
+        One generator per free column and one generator p^(M-v) * e_k per
+        pivot of positive valuation v.
+        """
+        p, M = self.mod.p, self.mod.M
+        r = self.rank
+        n = self._lu.shape[1]
+        seeds = [(j, 1, r - 1) for j in range(r, n)]
+        seeds += [(k, p ** (M - v), k - 1) for k, v in enumerate(self.valuations) if v]
+        out = np.zeros((n, len(seeds)), dtype=np.int64)
+        for col, (j, entry, top) in enumerate(seeds):
+            x = np.zeros(n, dtype=np.int64)
+            x[j] = entry
+            if self._complete(x, top) is None:
+                raise ArithmeticError("kernel generator completion must divide")
+            out[self._cols, col] = x
+        return out
+
+    def _complete(self, x: np.ndarray, top: int, rhs: np.ndarray | None = None):
+        """Back-substitute U x = rhs (0 when None) for x[top], ..., x[0] in
+        place, in pivot order; None if a pivot fails to divide its residual."""
+        p, pM = self.mod.p, self.mod.pM
+        LU = self._lu
+        for k in range(top, -1, -1):
+            resid = -_dot_mod(LU[k, k + 1 :], x[k + 1 :], pM)
+            if rhs is not None:
+                resid += int(rhs[k])
+            resid %= pM
+            pv = p ** self.valuations[k]
+            if resid % pv:
+                return None
+            x[k] = resid // pv
+        return x
 
 
 def howell_solve(A, b, mod: Modulus):
-    """Solve A x = b over Z/p^M; return a witness vector or None.
-
-    With full valuation pivoting, back-substitution (free variables zero)
-    succeeds exactly when the system is solvable: each pivot p^v must
-    divide its residual, which any solution forces.
-    """
-    A = _as_matrix(A, mod).copy()
-    m, n = A.shape
-    pM, p = mod.pM, mod.p
-    b = np.asarray(b, dtype=np.int64).reshape(-1).copy() % pM
-    if b.shape[0] != m:
-        raise ValueError(f"shape mismatch: A is {m}x{n}, b has {b.shape[0]}")
-    A, b, colperm, pivots, r = _full_pivot_forward(A, b, mod)
-    if np.any(b[r:] % pM != 0):
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for k in range(r - 1, -1, -1):
-        v = pivots[k]
-        resid = (int(b[k]) - _dot_mod(A[k, k + 1 :], x[k + 1 :], pM)) % pM
-        pv = p**v
-        if resid % pv != 0:
-            return None
-        x[k] = (resid // pv) % pM
-    out = np.zeros(n, dtype=np.int64)
-    for pos, orig in enumerate(colperm):
-        out[orig] = x[pos]
-    return out
+    """Solve A x = b over Z/p^M; return a witness vector or None."""
+    return FullPivotFactor(A, mod).solve(b)
 
 
 def _dot_mod(u: np.ndarray, v: np.ndarray, pM: int) -> int:
@@ -144,53 +222,12 @@ def howell_membership(A, b, mod: Modulus):
     Returns (True, witness) with A @ witness = b, or (False, None).
     """
     x = howell_solve(A, b, mod)
-    if x is None:
-        return False, None
-    return True, x
+    return (x is not None), x
 
 
 def kernel_spanning_set(A, mod: Modulus) -> np.ndarray:
-    """Columns spanning {x : A x = 0} over Z/p^M.
-
-    One generator per free column and one generator p^(M-v) * e_k per
-    pivot of positive valuation v, each completed by back-substitution.
-    The set spans the kernel (not necessarily minimally).
-    """
-    A = _as_matrix(A, mod).copy()
-    m, n = A.shape
-    pM, p, Mprec = mod.pM, mod.p, mod.M
-    A, _, colperm, pivots, r = _full_pivot_forward(A, None, mod)
-
-    def complete(x: np.ndarray, top: int) -> np.ndarray | None:
-        for k in range(top, -1, -1):
-            v = pivots[k]
-            resid = (-_dot_mod(A[k, k + 1 :], x[k + 1 :], pM)) % pM
-            if resid % (p**v) != 0:
-                return None
-            x[k] = (resid // (p**v)) % pM
-        return x
-
-    gens = []
-    for j in range(r, n):
-        x = np.zeros(n, dtype=np.int64)
-        x[j] = 1
-        x = complete(x, r - 1)
-        assert x is not None, "free-column completion must divide"
-        gens.append(x)
-    for k in range(r):
-        v = pivots[k]
-        if v == 0:
-            continue
-        x = np.zeros(n, dtype=np.int64)
-        x[k] = p ** (Mprec - v)
-        x = complete(x, k - 1)
-        assert x is not None, "pivot-column completion must divide"
-        gens.append(x)
-    out = np.zeros((n, len(gens)), dtype=np.int64)
-    for col, x in enumerate(gens):
-        for pos, orig in enumerate(colperm):
-            out[orig, col] = x[pos]
-    return out
+    """Columns spanning {x : A x = 0} over Z/p^M."""
+    return FullPivotFactor(A, mod).kernel()
 
 
 def unit_echelon(A, mod: Modulus, require_exhaustive: bool = True):

@@ -154,7 +154,8 @@ def _fp_factor(coeffs: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
     degrees (<= 8) seen here.
     """
     f = _fp_trim([c % p for c in coeffs], p)
-    assert f[-1] % p == 1, "factor target must be monic"
+    if f[-1] % p != 1:
+        raise ArithmeticError("factor target must be monic")
     out: list[tuple[tuple[int, ...], int]] = []
 
     def monic_polys(d):
@@ -231,7 +232,8 @@ def hensel_lift_coprime(F: PadicPoly, g0: list[int], h0: list[int]):
         GH = PadicPoly(G, mod) * PadicPoly(H, mod)
         err = (F - GH).coeffs
         err = err + [0] * (F.degree + 1 - len(err))
-        assert all(x % pk == 0 for x in err), "hensel drift"
+        if any(x % pk for x in err):
+            raise ArithmeticError("hensel drift")
         c = [(x // pk) % p for x in err]
         # correction: dG_corr = (t*c mod g0), dH_corr = s*c + (t*c div g0)*h0
         tc = _fp_mul(t, c, p)
@@ -273,8 +275,10 @@ def hensel_split_distinguished(Q: PadicPoly):
     if e >= n:
         return Q, PadicPoly.one(mod)
     f, u = hensel_lift_coprime(Q, [0] * e + [1], Qp[e:])
-    assert f.is_distinguished(), "distinguished factor drifted"
-    assert mod.is_unit(u.coeffs[0]), "cofactor constant is not a unit"
+    if not f.is_distinguished():
+        raise ArithmeticError("distinguished factor drifted")
+    if not mod.is_unit(u.coeffs[0]):
+        raise ArithmeticError("cofactor constant is not a unit")
     return f, u
 
 

@@ -42,7 +42,7 @@ from ..corering.newton import (
     unit_window_factor,
 )
 from ..corering.zmod import AtLeast, Modulus, PadicPoly, valuation_p
-from ..invariants import is_good_prime
+from ..invariants import is_good_prime, smallest_good_primes
 from .manin import ManinSpace, build_manin_space
 
 
@@ -107,12 +107,10 @@ def default_precision(t: int) -> int:
 
 
 def smallest_good_prime(N: int, p: int, bound: int = 1000) -> int:
-    ell = 2
-    while ell < bound:
-        if ell != N and is_good_prime(ell, N, p):
-            return ell
-        ell = sympy.nextprime(ell)
-    raise NoGoodPrime(f"no good prime below {bound} for (N, p) = ({N}, {p})")
+    found = smallest_good_primes(N, p, 1, bound)
+    if not found:
+        raise NoGoodPrime(f"no good prime below {bound} for (N, p) = ({N}, {p})")
+    return found[0]
 
 
 def _stabilized_power(B: np.ndarray, mod: Modulus) -> np.ndarray:
@@ -245,7 +243,8 @@ def eisenstein_local_factor(
     e = f.degree
 
     tseq_full = t_sequence(Q)  # [AtLeast(M), t_1, ..., t_{e+1}]
-    assert isinstance(tseq_full[0], AtLeast)
+    if not isinstance(tseq_full[0], AtLeast):
+        raise ConsistencyError("local charpoly has a nonzero constant term mod p^M")
     t_seq = []
     for v in tseq_full[1:]:
         if isinstance(v, AtLeast):
@@ -315,7 +314,8 @@ def component_slopes(np_poly: NewtonPolygon, f: PadicPoly) -> list[SlopeComponen
             V = F
         else:
             V = unit_window_factor(F, i1, i2)
-        assert V.is_monic() and V.degree == L
+        if not (V.is_monic() and V.degree == L):
+            raise ConsistencyError(f"slope-{h} window factor is not monic of degree {L}")
         factors = _fp_factor(V.coeffs, p)
         if len(factors) == 1:
             g0, mult = factors[0]
@@ -335,7 +335,8 @@ def component_slopes(np_poly: NewtonPolygon, f: PadicPoly) -> list[SlopeComponen
             rest = H.monic_scaled()
         g0, mult = factors[-1]
         out.append(SlopeComponent(slope, rest.degree, mult == 1))
-    assert sum(cmp.degree for cmp in out) == f.degree
+    if sum(cmp.degree for cmp in out) != f.degree:
+        raise ConsistencyError("slope components do not add up to deg f")
     return out
 
 

@@ -165,37 +165,58 @@ def _sylow_projection(z: GroupRingElement, dlog: DlogTable, t: int) -> np.ndarra
     return out % z.ps
 
 
-def _aug_power_membership_sylow(vec: np.ndarray, p: int, s: int, t: int, r: int) -> bool:
-    """Is vec (coefficients over u^k) in I^r inside (Z/p^s)[u]/(u^(p^t)-1)?
+def _v_coordinates(vec: np.ndarray, p: int, s: int, t: int) -> np.ndarray:
+    """sum_k vec[k] u^k rewritten in v = u - 1: d[j] = sum_k vec[k] C(k, j) mod p^s.
+
+    Pascal rows mod p^s come from the additive recurrence, exact in int64.
+    """
+    pt, ps = p**t, p**s
+    d = np.zeros(pt, dtype=np.int64)
+    row = np.zeros(pt, dtype=np.int64)  # row[j] = C(k, j) mod p^s
+    row[0] = 1
+    for c in vec:
+        c = int(c) % ps
+        if c:
+            d = (d + c * row) % ps
+        row[1:] = (row[1:] + row[:-1]) % ps
+    return d
+
+
+def _v_powers(p: int, s: int, t: int, count: int) -> np.ndarray:
+    """Rows v^k mod rho for k < count, rho = (1+v)^(p^t) - 1 over Z/p^s."""
+    pt, ps = p**t, p**s
+    rho = np.array([0] + [comb(pt, j) % ps for j in range(1, pt)], dtype=np.int64)
+    out = np.zeros((count, pt), dtype=np.int64)
+    cur = np.zeros(pt, dtype=np.int64)
+    cur[0] = 1
+    for k in range(count):
+        out[k] = cur
+        top = int(cur[-1])
+        cur = np.concatenate(([0], cur[:-1]))
+        if top:
+            cur = (cur - top * rho) % ps
+    return out
+
+
+def _sylow_membership(vec: np.ndarray, p: int, s: int, t: int, r_max: int):
+    """member(r) for r <= r_max: is vec (coefficients over u^k) in I^r
+    inside (Z/p^s)[u]/(u^(p^t)-1)?
 
     Substituting u = 1 + v turns the ring into (Z/p^s)[v]/rho with
     rho = (1+v)^(p^t) - 1; I = (v), and I^r is the column span of
-    {v^(r+k) mod rho}.  Decided by howell membership.
+    {v^(r+k) mod rho}.  The v-coordinates of vec and the powers of v are
+    computed once; each r is decided by howell membership.
     """
     pt = p**t
-    ps = p**s
     mod = Modulus(p, s)
-    # vec in v-coordinates: d[j] = sum_k vec[k] * C(k, j)
-    d = [0] * pt
-    for k, c in enumerate(vec):
-        c = int(c) % ps
-        if c:
-            for j in range(k + 1):
-                d[j] = (d[j] + c * (comb(k, j) % ps)) % ps
-    d = np.array(d, dtype=np.int64)
-    rho = [0] + [comb(pt, j) % ps for j in range(1, pt + 1)]  # (1+v)^(p^t) - 1
-    cur = [1] + [0] * (pt - 1)
-    pows = [cur[:]]
-    for _ in range(r + pt):
-        nxt = [0] + cur[:-1]
-        top = (cur[-1]) % ps
-        if top:
-            nxt = [(x - top * rho[j]) % ps for j, x in enumerate(nxt)]
-        cur = nxt
-        pows.append(cur[:])
-    A = np.array(pows[r : r + pt], dtype=np.int64).T % ps
-    ok, _ = howell_membership(A, d, mod)
-    return ok
+    d = _v_coordinates(vec, p, s, t)
+    pows = _v_powers(p, s, t, r_max + pt)
+
+    def member(r: int) -> bool:
+        ok, _ = howell_membership(pows[r : r + pt].T, d, mod)
+        return ok
+
+    return member
 
 
 def _aug_power_membership_full(
@@ -233,13 +254,21 @@ class ZetaReport:
     sylow_zero: bool = False
 
 
-def ord_zeta(N: int, p: int, s: int, cap: int | None = None, cross_check: bool | None = None):
+def ord_zeta(
+    N: int,
+    p: int,
+    s: int,
+    cap: int | None = None,
+    cross_check: bool | None = None,
+    proj: np.ndarray | None = None,
+):
     """Largest r < cap with zeta in I_G^r, else AtLeast(cap).
 
     Computes in the Sylow-p quotient ring (the complement factor of the
     group ring lies in I_G^r for every r >= 1, so only the Sylow part
-    matters).  The full group-ring membership oracle is run as a
-    cross-check for moderate N (always, when cross_check is None and
+    matters).  ``proj`` is that Sylow projection of zeta mod p^s when the
+    caller already holds it.  The full group-ring membership oracle is run
+    as a cross-check for moderate N (always, when cross_check is None and
     N <= 400; forced on/off otherwise).
     """
     t = valuation_p(N - 1, p)
@@ -249,15 +278,17 @@ def ord_zeta(N: int, p: int, s: int, cap: int | None = None, cross_check: bool |
         raise ValueError(f"s = {s} exceeds v_p(N-1) = {t}")
     if cap is None:
         cap = p**t + 1
-    z = zeta_element(N, p, s)
     dlog = build_dlog_table(N)
-    proj = _sylow_projection(z, dlog, t)
+    if proj is None:
+        proj = _sylow_projection(zeta_element(N, p, s), dlog, t)
     if not proj.any():
         return AtLeast(cap)
+    do_full = cross_check if cross_check is not None else (N - 1 <= _FULL_ORACLE_LIMIT)
+    z = zeta_element(N, p, s) if do_full else None
+    sylow_member = _sylow_membership(proj, p, s, t, cap)
 
     def member(r: int) -> bool:
-        ok = _aug_power_membership_sylow(proj, p, s, t, r)
-        do_full = cross_check if cross_check is not None else (N - 1 <= _FULL_ORACLE_LIMIT)
+        ok = sylow_member(r)
         if do_full:
             ok_full = _aug_power_membership_full(z, dlog, r)
             if ok_full != ok:
@@ -281,18 +312,16 @@ def ord_zeta(N: int, p: int, s: int, cap: int | None = None, cross_check: bool |
 
 
 def zeta_report(N: int, p: int, s_max: int, cap: int | None = None) -> ZetaReport:
-    t = valuation_p(N - 1, p)
+    t = int(valuation_p(N - 1, p))
     if cap is None:
-        cap = p**int(t) + 1
+        cap = p**t + 1
+    dlog = build_dlog_table(N)
     ords: dict[int, int | AtLeast] = {}
     sylow_zero = False
     for s in range(1, s_max + 1):
-        o = ord_zeta(N, p, s, cap)
-        ords[s] = o
-        if isinstance(o, AtLeast):
-            z = zeta_element(N, p, s)
-            proj = _sylow_projection(z, build_dlog_table(N), int(t))
-            sylow_zero = sylow_zero or not proj.any()
+        proj = _sylow_projection(zeta_element(N, p, s), dlog, t)
+        ords[s] = ord_zeta(N, p, s, cap, proj=proj)
+        sylow_zero = sylow_zero or not proj.any()
     return ZetaReport(N=N, p=p, ord_s=ords, cap=cap, sylow_zero=sylow_zero)
 
 

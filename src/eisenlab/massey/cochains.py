@@ -11,9 +11,11 @@ multiplication.  The inhomogeneous differential is the standard one:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from ..corering.linalg import howell_membership, kernel_spanning_set
+from ..corering.linalg import FullPivotFactor
 from ..corering.zmod import Modulus
 from .groups import FiniteGroup
 
@@ -24,6 +26,9 @@ class CoeffModule:
     kind "scalar": values in Z/p^s, g acting by the unit char[g].
     kind "matrix": values in M_2(Z/p^s), g acting by rho(g) (.) rho(g)^-1,
     paired by matrix multiplication.
+
+    The action data (``char``, ``rho``, ``rho_inv``) is read-only, so the
+    factored coboundary D^1 cached on the module cannot go stale.
     """
 
     def __init__(self, group: FiniteGroup, modulus: Modulus, kind: str,
@@ -43,6 +48,7 @@ class CoeffModule:
                 for h in range(n):
                     if (char[g] * char[h] - char[group.mul(g, h)]) % q != 0:
                         raise ValueError("character is not a homomorphism")
+            char.setflags(write=False)
             self.char = char
             self.value_shape: tuple[int, ...] = ()
         elif kind == "matrix":
@@ -63,6 +69,8 @@ class CoeffModule:
                     dtype=np.int64,
                 )
                 self.rho_inv[g] = (adj * dinv) % q
+            rho.setflags(write=False)
+            self.rho_inv.setflags(write=False)
             self.value_shape = (2, 2)
         else:
             raise ValueError(f"unknown module kind {kind!r}")
@@ -87,6 +95,18 @@ class CoeffModule:
     def value_size(self) -> int:
         return 1 if self.kind == "scalar" else 4
 
+    @functools.cached_property
+    def coboundary_factor(self) -> FullPivotFactor:
+        """D^1: C^1 -> C^2 on flattened tables, built and factored once."""
+        return FullPivotFactor(_coboundary_matrix(self), self.modulus)
+
+    @functools.cached_property
+    def cocycle_span(self) -> np.ndarray:
+        """Columns spanning Z^1(G, V) = ker D^1 (read-only)."""
+        K = self.coboundary_factor.kernel()
+        K.setflags(write=False)
+        return K
+
     def is_diagonal(self) -> bool:
         return self.kind == "matrix" and not np.any(self.rho[:, 0, 1]) and not np.any(
             self.rho[:, 1, 0]
@@ -96,6 +116,18 @@ class CoeffModule:
         if not self.is_diagonal():
             raise ValueError("module is not End of a diagonal representation")
         return self.rho[:, 0, 0].copy(), self.rho[:, 1, 1].copy()
+
+    @functools.cached_property
+    def slot_modules(self) -> list[list["CoeffModule"]]:
+        """[s-1][t-1]: the scalar module of the (s,t) slot, twisted by
+        chi_s * chi_t^(-1); built once, so each slot factors its D^1 once."""
+        chars = self.diagonal_characters()
+        mod = self.modulus
+        inverses = [np.array([mod.inv(int(c)) for c in chi], dtype=np.int64) for chi in chars]
+        return [
+            [CoeffModule.scalar(self.group, mod, (chi_s * inv_t) % mod.pM) for inv_t in inverses]
+            for chi_s in chars
+        ]
 
     def act(self, g: int, values: np.ndarray) -> np.ndarray:
         """Apply g to an array of values (leading axes arbitrary)."""
@@ -133,6 +165,9 @@ class CoeffModule:
             raise ValueError("module mismatch")
         if self.kind == "scalar" and other.kind == "scalar":
             char = (self.char * other.char) % self.modulus.pM
+            for module in (self, other):  # reuse a module, and its factored D^1
+                if np.array_equal(char, module.char):
+                    return module
             return CoeffModule.scalar(self.group, self.modulus, char)
         if self.kind == "matrix" and np.array_equal(self.rho, other.rho):
             return self
@@ -202,12 +237,7 @@ class Cochain:
         Only valid over End of a diagonal representation, where the (s,t)
         slot transforms by the character chi_s * chi_t^(-1).
         """
-        chi1, chi2 = self.module.diagonal_characters()
-        chars = (chi1, chi2)
-        mod = self.module.modulus
-        inv_t = np.array([mod.inv(int(c)) for c in chars[t - 1]], dtype=np.int64)
-        char = (chars[s - 1] * inv_t) % mod.pM
-        scalar_mod = CoeffModule.scalar(self.module.group, mod, char)
+        scalar_mod = self.module.slot_modules[s - 1][t - 1]
         return Cochain(scalar_mod, self.degree, self.table[..., s - 1, t - 1])
 
 
@@ -282,9 +312,8 @@ def vanishes_in_h2(z: Cochain):
         raise ValueError("input must be a 2-cochain")
     if not is_cocycle(z):
         raise ValueError("input is not a 2-cocycle")
-    D = _coboundary_matrix(z.module)
-    ok, x = howell_membership(D, z.table.reshape(-1), z.module.modulus)
-    if not ok:
+    x = z.module.coboundary_factor.solve(z.table.reshape(-1))
+    if x is None:
         return False, None
     n = z.module.group.order
     shape = (n,) + z.module.value_shape
@@ -306,8 +335,7 @@ def _coboundary_matrix(module: CoeffModule) -> np.ndarray:
 
 def random_cocycle(module: CoeffModule, rng) -> Cochain:
     """Random element of Z^1(G, V), uniform over a spanning set."""
-    D = _coboundary_matrix(module)
-    K = kernel_spanning_set(D, module.modulus)
+    K = module.cocycle_span
     q = module.modulus.pM
     coeffs = rng.integers(0, q, K.shape[1])
     v = (K @ coeffs) % q
@@ -319,8 +347,7 @@ def all_cocycles(module: CoeffModule):
     """Every element of Z^1(G, V); only for very small search spaces."""
     from itertools import product as iproduct
 
-    D = _coboundary_matrix(module)
-    K = kernel_spanning_set(D, module.modulus)
+    K = module.cocycle_span
     q = module.modulus.pM
     n = module.group.order
     seen = set()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisenlab.corering import (
+    FullPivotFactor,
     Modulus,
     berkowitz_charpoly,
     howell_membership,
@@ -224,3 +225,101 @@ def test_matmul_mod_matches_python_ints(pm, over, m, n, seed):
     A = np.where(gen.random((m, k)) < 0.5, pM - 1, gen.integers(0, pM, (m, k)))
     B = np.where(gen.random((k, n)) < 0.5, pM - 1, gen.integers(0, pM, (k, n)))
     assert matmul_mod(A, B, mod).tolist() == _matmul_reference(A, B, pM)
+
+
+# -- FullPivotFactor: factor once, solve many ----------------------------------
+
+
+def _planted(gen, m, n, p, M):
+    """m x n matrix over Z/p^M with pivots of planted valuations: X diag(p^d) Y
+    plus sparse noise divisible by a random power of p."""
+    pM = p**M
+    k = int(gen.integers(1, min(m, n) + 1))
+    X = gen.integers(0, pM, (m, k)).tolist()
+    Y = gen.integers(0, pM, (k, n)).tolist()
+    e = gen.integers(0, M + 1, k)
+    e[gen.random(k) < 0.5] = 0  # keep unit pivots common, so solutions have large entries
+    d = [p ** int(v) for v in e]
+    A = [[sum(X[i][l] * d[l] * Y[l][j] for l in range(k)) % pM for j in range(n)] for i in range(m)]
+    scale = p ** int(gen.integers(0, M))
+    for i in range(m):
+        for j in range(n):
+            if gen.random() < 0.15:
+                A[i][j] = (A[i][j] + scale * int(gen.integers(0, pM))) % pM
+    return np.array(A, dtype=np.int64)
+
+
+def _apply(A, x, pM):
+    """A @ x mod pM in Python ints."""
+    return [sum(a * b for a, b in zip(row, x)) % pM for row in A.tolist()]
+
+
+# 5^13 and 7^11 sit just below 2^31: a back-substitution dot product of a
+# dozen entries overflows int64 there and takes _dot_mod's Python-int path
+_FACTOR_MODULI = [(p, M) for p in (5, 7) for M in (1, 2, 3)] + [(5, 13), (7, 11)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    pm=st.sampled_from(_FACTOR_MODULI),
+    m=st.integers(1, 24),
+    n=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_solves_many_like_fresh_solves(pm, m, n, seed):
+    mod = Modulus(*pm)
+    p, pM = mod.p, mod.pM
+    gen = np.random.default_rng(seed)
+    A = _planted(gen, m, n, p, mod.M)
+    F = FullPivotFactor(A, mod)
+    K = F.kernel()
+    assert K.shape[0] == n
+    for col in K.T.tolist():
+        assert _apply(A, col, pM) == [0] * m
+    for trial in range(4):
+        if trial % 2 == 0:  # in the column span by construction
+            b = np.array(_apply(A, gen.integers(0, pM, n).tolist(), pM), dtype=np.int64)
+        else:
+            b = gen.integers(0, pM, m) * p ** int(gen.integers(0, mod.M))
+        x = F.solve(b)
+        fresh = howell_solve(A, b, mod)
+        assert (x is None) == (fresh is None)
+        if trial % 2 == 0:
+            assert x is not None
+        if x is not None:
+            assert np.array_equal(x, fresh)
+            assert _apply(A, x.tolist(), pM) == (b % pM).tolist()
+
+
+def _span(gens, pM, n):
+    """Every Z/pM-combination of the columns of gens, as a set of tuples."""
+    S = np.zeros((1, n), dtype=np.int64)
+    c = np.arange(pM)[None, :, None]
+    for g in gens.T:
+        S = np.unique(((S[:, None, :] + c * g[None, None, :]) % pM).reshape(-1, n), axis=0)
+    return {tuple(v) for v in S.tolist()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pm=st.sampled_from([(5, 1), (7, 1), (5, 2)]),
+    m=st.integers(1, 3),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_decision_and_kernel_exhaustive_tiny(pm, m, n, seed):
+    mod = Modulus(*pm)
+    p, pM = mod.p, mod.pM
+    gen = np.random.default_rng(seed)
+    A = _planted(gen, m, n, p, mod.M)
+    xs = np.array(list(itertools.product(range(pM), repeat=n)), dtype=np.int64)
+    images = (xs @ A.T) % pM
+    F = FullPivotFactor(A, mod)
+    assert _span(F.kernel(), pM, n) == {tuple(x) for x in xs[~images.any(axis=1)].tolist()}
+    reachable = {tuple(v) for v in images.tolist()}
+    bs = list(itertools.product(range(pM), repeat=m))
+    if len(bs) > 400:  # sample, half of them from the image
+        picks = gen.integers(0, len(xs), 100)
+        bs = [tuple(v) for v in gen.integers(0, pM, (100, m)).tolist() + images[picks].tolist()]
+    for b in bs:
+        assert (F.solve(np.array(b)) is not None) == (b in reachable)

@@ -310,3 +310,50 @@ def test_deformation_top_obstruction_both_directions():
                 assert not is_deformation_homomorphism(G, nu_bad, q)
         done += 1
     assert done >= 4
+
+
+def _end_module():
+    G = direct_product(cyclic(5), cyclic(4))
+    chi2 = np.array([pow(2, g % 4, 5) for g in range(G.order)], dtype=np.int64)
+    return CoeffModule.end_of_characters(G, Modulus(5, 1), np.ones(G.order, dtype=np.int64), chi2)
+
+
+def test_coboundary_built_and_factored_once_per_module(monkeypatch):
+    from eisenlab.massey import cochains
+
+    counts = {"built": 0, "factored": 0}
+    build, Factor = cochains._coboundary_matrix, cochains.FullPivotFactor
+
+    def counting_build(module):
+        counts["built"] += 1
+        return build(module)
+
+    class CountingFactor(Factor):
+        def __init__(self, *args, **kwargs):
+            counts["factored"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cochains, "_coboundary_matrix", counting_build)
+    monkeypatch.setattr(cochains, "FullPivotFactor", CountingFactor)
+    End = _end_module()
+    gen = np.random.default_rng(5)
+    for _ in range(4):
+        a, b = random_cocycle(End, gen), random_cocycle(End, gen)
+        z = cup(a, b)
+        assert z.module is End
+        assert z.entry(1, 2).module is z.entry(1, 2).module is End.slot_modules[0][1]
+        vanishes_in_h2(z)
+        dc = coboundary(Cochain.random(End, 1, gen))
+        ok, w = vanishes_in_h2(dc)
+        assert ok and coboundary(w) == dc
+    assert counts == {"built": 1, "factored": 1}
+
+
+def test_module_action_data_is_read_only():
+    End = _end_module()
+    for table in (End.rho, End.rho_inv):
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 2
+    V = CoeffModule.scalar(cyclic(4), Modulus(5, 1), np.array([1, 2, 4, 3]))
+    with pytest.raises(ValueError):
+        V.char[1] = 1

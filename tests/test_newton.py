@@ -221,3 +221,21 @@ def test_newton_polygon_of_polynomial():
     f = PadicPoly([-5, 1], mod) * PadicPoly([-25, 1], mod)
     np_ = newton_polygon(f)
     assert np_.vertices == ((0, 3), (1, 1), (2, 0))
+
+
+def test_fp_factor_rejects_non_monic_even_under_python_O(monkeypatch):
+    import importlib.util
+    import sys
+
+    from eisenlab.corering import newton
+
+    with pytest.raises(ArithmeticError):
+        newton._fp_factor([1, 2], 5)  # 2y + 1 is not monic mod 5
+    # a second copy of the module, compiled as `python -O` compiles it (asserts stripped)
+    spec = importlib.util.spec_from_file_location("eisenlab.corering._newton_opt", newton.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    with open(newton.__file__) as fh:
+        exec(compile(fh.read(), newton.__file__, "exec", optimize=1), module.__dict__)
+    with pytest.raises(ArithmeticError):
+        module._fp_factor([1, 2], 5)
