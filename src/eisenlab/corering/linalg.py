@@ -135,7 +135,10 @@ class FullPivotFactor:
             self.valuations.append(v)
             self._unit_inverses.append(inv_u)
         self.rank = len(self.valuations)
-        self._lu, self._rows, self._cols = LU, rows, cols
+        # stored at the narrowest width holding p^M - 1: a factor may be
+        # kept for the life of its owner (a Massey module's D^1)
+        width = next(dt for dt in (np.int8, np.int16, np.int32) if pM <= np.iinfo(dt).max)
+        self._lu, self._rows, self._cols = LU.astype(width), rows, cols
 
     def solve(self, b) -> np.ndarray | None:
         """A witness x with A x = b, or None when b is not in the column span.
@@ -153,7 +156,7 @@ class FullPivotFactor:
         y = b[self._rows]
         for k in range(r):
             y[k] = (y[k] * self._unit_inverses[k]) % pM
-            y[k + 1 :] = (y[k + 1 :] - LU[k + 1 :, k] * y[k]) % pM
+            y[k + 1 :] = (y[k + 1 :] - LU[k + 1 :, k].astype(np.int64) * y[k]) % pM
         if y[r:].any():
             return None
         x = self._complete(np.zeros(n, dtype=np.int64), r - 1, y)

@@ -136,6 +136,7 @@ class ManinSpace:
             # inv[c] = -(N // c) * inv[N % c] mod N
             inv[c] = (-(N // c) * inv[N % c]) % N
         self._inv = inv
+        self._certified: dict[int, np.ndarray] = {}  # ell -> read-only T_ell
         self._build_relations()
         self._build_boundary()
 
@@ -249,12 +250,17 @@ class ManinSpace:
         """Matrix of T_ell on V+, certified on the Eisenstein boundary.
 
         The boundary functional must be an eigenvector of the transpose
-        action with eigenvalue ell + 1.
+        action with eigenvalue ell + 1.  Each T_ell is built and certified
+        once per space and returned read-only.
         """
+        if ell in self._certified:
+            return self._certified[ell]
         mod = self.modulus
         T = self.hecke_full(ell)
         if np.any(matmul_mod(self.boundary, T, mod) != (ell + 1) * self.boundary % mod.pM):
             raise ArithmeticError(f"T_{ell} is not {ell}+1 on the Eisenstein boundary line")
+        T.setflags(write=False)
+        self._certified[ell] = T
         return T
 
     def hecke_on_cuspidal_plus(self, ell: int) -> np.ndarray:

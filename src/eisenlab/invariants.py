@@ -168,6 +168,11 @@ def _sylow_projection(z: GroupRingElement, dlog: DlogTable, t: int) -> np.ndarra
 def _v_coordinates(vec: np.ndarray, p: int, s: int, t: int) -> np.ndarray:
     """sum_k vec[k] u^k rewritten in v = u - 1: d[j] = sum_k vec[k] C(k, j) mod p^s.
 
+    Substituting u = 1 + v turns (Z/p^s)[u]/(u^(p^t) - 1) into
+    R = (Z/p^s)[v]/(rho), rho = (1+v)^(p^t) - 1, with I = (v).  So d is in
+    I^r exactly when (d mod v^r) lies in rho * (Z/p^s)[v]/(v^r).  Mod p,
+    rho = v^(p^t), so ord_1 is the index of the first entry of d not
+    divisible by p; reduction mod p maps I^r into I^r, so ord_s <= ord_1.
     Pascal rows mod p^s come from the additive recurrence, exact in int64.
     """
     pt, ps = p**t, p**s
@@ -182,41 +187,43 @@ def _v_coordinates(vec: np.ndarray, p: int, s: int, t: int) -> np.ndarray:
     return d
 
 
-def _v_powers(p: int, s: int, t: int, count: int) -> np.ndarray:
-    """Rows v^k mod rho for k < count, rho = (1+v)^(p^t) - 1 over Z/p^s."""
-    pt, ps = p**t, p**s
-    rho = np.array([0] + [comb(pt, j) % ps for j in range(1, pt)], dtype=np.int64)
-    out = np.zeros((count, pt), dtype=np.int64)
-    cur = np.zeros(pt, dtype=np.int64)
-    cur[0] = 1
-    for k in range(count):
-        out[k] = cur
-        top = int(cur[-1])
-        cur = np.concatenate(([0], cur[:-1]))
-        if top:
-            cur = (cur - top * rho) % ps
-    return out
+def _sylow_member(d: np.ndarray, p: int, s: int, r: int) -> bool:
+    """Is the element with v-coordinates d (mod p^s) in I^r?
 
-
-def _sylow_membership(vec: np.ndarray, p: int, s: int, t: int, r_max: int):
-    """member(r) for r <= r_max: is vec (coefficients over u^k) in I^r
-    inside (Z/p^s)[u]/(u^(p^t)-1)?
-
-    Substituting u = 1 + v turns the ring into (Z/p^s)[v]/rho with
-    rho = (1+v)^(p^t) - 1; I = (v), and I^r is the column span of
-    {v^(r+k) mod rho}.  The v-coordinates of vec and the powers of v are
-    computed once; each r is decided by howell membership.
+    Decided in (Z/p^s)[v]/(v^r): column k of the r x r lower-triangular
+    Toeplitz matrix is rho * v^k mod v^r (zero-padded when r > p^t).
     """
-    pt = p**t
-    mod = Modulus(p, s)
-    d = _v_coordinates(vec, p, s, t)
-    pows = _v_powers(p, s, t, r_max + pt)
+    pt, ps = len(d), p**s
+    rho = np.zeros(r, dtype=np.int64)
+    rho[1 : pt + 1] = [comb(pt, j) % ps for j in range(1, min(r, pt + 1))]
+    diag = np.subtract.outer(np.arange(r), np.arange(r))
+    toeplitz = np.where(diag >= 0, rho[diag.clip(0)], 0)
+    target = np.zeros(r, dtype=np.int64)
+    target[:pt] = d[:r]
+    ok, _ = howell_membership(toeplitz, target, Modulus(p, s))
+    return ok
 
-    def member(r: int) -> bool:
-        ok, _ = howell_membership(pows[r : r + pt].T, d, mod)
-        return ok
 
-    return member
+def _sylow_ord(d: np.ndarray, p: int, s: int, cap: int) -> int | AtLeast:
+    """Largest r < cap with d in I^r (d[0] = 0 assumed), else AtLeast(cap).
+
+    ord_1 is read off d mod p; at s >= 2 the bisection runs below
+    min(ord_1 + 1, cap), since ord_s <= ord_1.
+    """
+    nonzero = np.flatnonzero(d % p)
+    ord1 = int(nonzero[0]) if nonzero.size else cap
+    if ord1 >= cap and (s == 1 or _sylow_member(d, p, s, cap)):
+        return AtLeast(cap)
+    if s == 1:
+        return ord1
+    lo, hi = 1, min(ord1 + 1, cap)  # member(lo) true, member(hi) false
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _sylow_member(d, p, s, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _aug_power_membership_full(
@@ -267,9 +274,14 @@ def ord_zeta(
     Computes in the Sylow-p quotient ring (the complement factor of the
     group ring lies in I_G^r for every r >= 1, so only the Sylow part
     matters).  ``proj`` is that Sylow projection of zeta mod p^s when the
-    caller already holds it.  The full group-ring membership oracle is run
-    as a cross-check for moderate N (always, when cross_check is None and
-    N <= 400; forced on/off otherwise).
+    caller already holds it.  With d its v-coordinates (``_v_coordinates``),
+    zeta is in I^r exactly when (d mod v^r) is in rho * (Z/p^s)[v]/(v^r):
+    at s = 1 that is r <= ord_1, the index of the first entry of d not
+    divisible by p; at s >= 2, ord_s <= ord_1 bounds a bisection of r x r
+    Toeplitz solves.  The full group-ring membership oracle certifies the
+    result for moderate N (always, when cross_check is None and N - 1 <= 400;
+    forced on/off otherwise): zeta must lie in I^ord and not in I^(ord+1),
+    or in I^cap for AtLeast(cap).
     """
     t = valuation_p(N - 1, p)
     if t == 0 or t == float("inf"):
@@ -283,32 +295,20 @@ def ord_zeta(
         proj = _sylow_projection(zeta_element(N, p, s), dlog, t)
     if not proj.any():
         return AtLeast(cap)
+    d = _v_coordinates(proj, p, s, t)
+    if d[0]:
+        raise AssertionError(f"ord_s(zeta) = 0 at (N,p,s)=({N},{p},{s}); should be >= 1")
+    out = _sylow_ord(d, p, s, cap)
     do_full = cross_check if cross_check is not None else (N - 1 <= _FULL_ORACLE_LIMIT)
-    z = zeta_element(N, p, s) if do_full else None
-    sylow_member = _sylow_membership(proj, p, s, t, cap)
-
-    def member(r: int) -> bool:
-        ok = sylow_member(r)
-        if do_full:
-            ok_full = _aug_power_membership_full(z, dlog, r)
-            if ok_full != ok:
+    if do_full:
+        z = zeta_element(N, p, s)
+        probes = [(cap, True)] if isinstance(out, AtLeast) else [(out, True), (out + 1, False)]
+        for r, member in probes:
+            if _aug_power_membership_full(z, dlog, r) != member:
                 raise AssertionError(
                     f"Sylow and full-ring I^r membership disagree at r={r}, (N,p,s)=({N},{p},{s})"
                 )
-        return ok
-
-    if not member(1):
-        raise AssertionError(f"ord_s(zeta) = 0 at (N,p,s)=({N},{p},{s}); should be >= 1")
-    if member(cap):
-        return AtLeast(cap)
-    lo, hi = 1, cap  # member(lo) true, member(hi) false
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if member(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return out
 
 
 def zeta_report(N: int, p: int, s_max: int, cap: int | None = None) -> ZetaReport:

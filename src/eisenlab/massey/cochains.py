@@ -36,6 +36,7 @@ class CoeffModule:
         self.group = group
         self.modulus = modulus
         self.kind = kind
+        self._lower_modules: dict[bytes, CoeffModule] = {}  # see with_lower_entry
         q = modulus.pM
         n = group.order
         if kind == "scalar":
@@ -117,6 +118,18 @@ class CoeffModule:
             raise ValueError("module is not End of a diagonal representation")
         return self.rho[:, 0, 0].copy(), self.rho[:, 1, 1].copy()
 
+    def with_lower_entry(self, col: np.ndarray) -> "CoeffModule":
+        """End(nu) for nu = [[chi1, 0], [col, chi2]], chi1 + chi2 the diagonal
+        of self; one module per distinct col, so each factors its D^1 once."""
+        chi1, chi2 = self.diagonal_characters()
+        col = np.asarray(col, dtype=np.int64) % self.modulus.pM
+        key = col.tobytes()
+        if key not in self._lower_modules:
+            nu = np.zeros((self.group.order, 2, 2), dtype=np.int64)
+            nu[:, 0, 0], nu[:, 1, 1], nu[:, 1, 0] = chi1, chi2, col
+            self._lower_modules[key] = CoeffModule.end_of_rep(self.group, self.modulus, nu)
+        return self._lower_modules[key]
+
     @functools.cached_property
     def slot_modules(self) -> list[list["CoeffModule"]]:
         """[s-1][t-1]: the scalar module of the (s,t) slot, twisted by
@@ -157,7 +170,7 @@ class CoeffModule:
             return False
         if self.kind == "matrix":
             return np.array_equal(self.rho, other.rho)
-        return True
+        return np.array_equal(self.char, other.char)
 
     def cup_target(self, other: "CoeffModule") -> "CoeffModule":
         """Module receiving a cup product of cochains in self and other."""

@@ -137,16 +137,11 @@ def shifted_system(D: DefiningSystem) -> tuple[DefiningSystem, Cochain]:
     if r < 3:
         raise ValueError("need a power system of length >= 3")
     chain = D.power_chain  # m_1 ... m_{r-1}
-    mod = D.module.modulus
     G = D.module.group
-    chi1, chi2 = D.module.diagonal_characters()
-    q = mod.pM
+    chi1, _ = D.module.diagonal_characters()
+    q = D.module.modulus.pM
     a21_1 = chain[0].table[:, 1, 0]
-    nu = np.zeros((G.order, 2, 2), dtype=np.int64)
-    nu[:, 0, 0] = chi1
-    nu[:, 1, 1] = chi2
-    nu[:, 1, 0] = (chi1 * a21_1) % q
-    end_nu = CoeffModule.end_of_rep(G, mod, nu)
+    end_nu = D.module.with_lower_entry(chi1 * a21_1)
 
     # Conjugating the order-(r-1) deformation by diag(eps, 1) shifts the
     # (1,2) coordinates down and the (2,1) coordinates up by one eps-degree

@@ -222,3 +222,21 @@ def test_other_published_rank_rows():
     assert eisenstein_local_factor(1321, 11).e == 3
     rep = eisenstein_local_factor(1381, 23).e
     assert rep == 3
+
+
+def test_each_hecke_operator_built_once_per_space(monkeypatch):
+    from eisenlab.hecke.manin import ManinSpace
+
+    built = []
+    hecke_full = ManinSpace.hecke_full
+    monkeypatch.setattr(
+        ManinSpace, "hecke_full", lambda self, ell: built.append((id(self), ell)) or hecke_full(self, ell)
+    )
+    rep = eisenstein_local_factor(181, 5)
+    assert len(built) == len(set(built))
+    assert {2, 3, 5, 7} <= {ell for _, ell in built}
+    space = rep._workspace["space"]
+    T = space.hecke_on_plus(2)
+    assert space.hecke_on_plus(2) is T and len(built) == len(set(built))
+    with pytest.raises(ValueError):
+        T[0, 0] = 1

@@ -1,10 +1,19 @@
 from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
+import sympy
 
-from eisenlab.corering import AtLeast
+from eisenlab import invariants
+from eisenlab.corering import AtLeast, Modulus, build_dlog_table, howell_membership, valuation_p
 from eisenlab.invariants import (
     GroupRingElement,
+    _aug_power_membership_full,
+    _sylow_member,
+    _sylow_ord,
+    _sylow_projection,
+    _v_coordinates,
     is_good_prime,
     lecouturier_check,
     merel_number,
@@ -150,3 +159,167 @@ def test_merel_ord_equivalence_small_sweep():
                 assert merel_power_matches_ord(N, p, 1), (N, p)
                 count += 1
             N += p
+
+
+# -- ord_s by truncated power series ------------------------------------------
+#
+# Reference: the p^t x p^t Howell membership that decided I^r before the
+# power-series criterion.  In (Z/p^s)[v]/(rho), rho = (1+v)^(p^t) - 1, I^r is
+# the column span of {v^(r+k) mod rho : k < p^t}.
+
+
+def _v_powers(p, s, t, count):
+    """Rows v^k mod rho for k < count, rho = (1+v)^(p^t) - 1 over Z/p^s."""
+    pt, ps = p**t, p**s
+    rho = np.array([0] + [comb(pt, j) % ps for j in range(1, pt)], dtype=np.int64)
+    out = np.zeros((count, pt), dtype=np.int64)
+    cur = np.zeros(pt, dtype=np.int64)
+    cur[0] = 1
+    for k in range(count):
+        out[k] = cur
+        top = int(cur[-1])
+        cur = np.concatenate(([0], cur[:-1]))
+        if top:
+            cur = (cur - top * rho) % ps
+    return out
+
+
+def _howell_ord(d, p, s, t, cap):
+    """ord of the Sylow element with v-coordinates d, by p^t x p^t Howell
+    membership and bisection over [1, cap]."""
+    pt = p**t
+    mod = Modulus(p, s)
+    pows = _v_powers(p, s, t, cap + pt)
+
+    def member(r):
+        return howell_membership(pows[r : r + pt].T, d, mod)[0]
+
+    assert member(1)
+    if member(cap):
+        return AtLeast(cap)
+    lo, hi = 1, cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if member(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _pairs(p, bound):
+    """(N, t) for primes N < bound with p | N - 1, t = v_p(N - 1)."""
+    for N in sympy.primerange(p + 2, bound):
+        if (N - 1) % p == 0:
+            yield N, int(valuation_p(N - 1, p))
+
+
+def _zeta_v_coordinates(N, p, s, t):
+    proj = _sylow_projection(zeta_element(N, p, s), build_dlog_table(N), t)
+    return _v_coordinates(proj, p, s, t)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_ord_zeta_matches_howell_oracle(p):
+    for N, t in _pairs(p, 1500):
+        for s in range(1, t + 1):
+            d = _zeta_v_coordinates(N, p, s, t)
+            want = _howell_ord(d, p, s, t, p**t + 1)
+            assert ord_zeta(N, p, s, cross_check=False) == want, (N, p, s)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_full_ring_oracle_agrees_at_every_r(p):
+    for N, t in _pairs(p, invariants._FULL_ORACLE_LIMIT + 2):
+        dlog = build_dlog_table(N)
+        cap = p**t + 1
+        for s in range(1, t + 1):
+            z = zeta_element(N, p, s)
+            d = _zeta_v_coordinates(N, p, s, t)
+            o = ord_zeta(N, p, s, cross_check=False)
+            for r in range(1, cap + 1):
+                member = isinstance(o, AtLeast) or r <= o
+                assert _aug_power_membership_full(z, dlog, r) == member, (N, p, s, r)
+                assert _sylow_member(d, p, s, r) == member, (N, p, s, r)
+
+
+@pytest.mark.parametrize(
+    "N, p, golden",
+    [
+        (3001, 5, {1: 7, 2: 3, 3: 1}),
+        (11251, 5, {1: 1, 2: 1, 3: 1, 4: 1}),
+        (7547, 7, {1: 1, 2: 1, 3: 1}),
+        (8233, 7, {1: 1, 2: 1, 3: 1}),
+    ],
+)
+def test_zeta_report_golden_multi_s(N, p, golden):
+    rep = zeta_report(N, p, len(golden))
+    assert rep.ord_s == golden
+    assert rep.cap == p ** int(valuation_p(N - 1, p)) + 1
+    assert not rep.sylow_zero
+
+
+def _planted(p, t, s, gen):
+    """(label, v-coordinates mod p^s, ord_1) for planted Sylow elements."""
+    pt, ps = p**t, p**s
+    cap = pt + 1
+    for k in sorted({1, 2, p, pt - 1} - {pt}):
+        unit = np.zeros(pt, dtype=np.int64)  # v^k times a unit of R
+        unit[k] = gen.integers(1, p) + p * gen.integers(0, ps)
+        unit[k + 1 :] = gen.integers(0, ps, pt - k - 1)
+        yield f"v^{k}*unit", unit % ps, k
+        yield f"p*v^{k}*unit", p * unit % ps, cap
+    deep = np.zeros(pt, dtype=np.int64)  # zero mod p, not mod p^s when s >= 2
+    deep[1:] = p ** (s - 1) * gen.integers(1, p, pt - 1)
+    yield "p^(s-1)*random", deep % ps, cap
+    yield "v^cap", _v_powers(p, s, t, cap + 1)[cap], cap
+
+
+@pytest.mark.parametrize("p, t", [(5, 1), (5, 2), (5, 3), (7, 2)])
+def test_planted_sylow_vectors(p, t, monkeypatch):
+    probes = []
+    member = invariants._sylow_member
+    monkeypatch.setattr(
+        invariants, "_sylow_member", lambda d, p, s, r: probes.append(r) or member(d, p, s, r)
+    )
+    gen = np.random.default_rng(p * 10 + t)
+    cap = p**t + 1
+    for s in range(1, t + 1):
+        for label, d, ord1 in _planted(p, t, s, gen):
+            probes.clear()
+            got = _sylow_ord(d, p, s, cap)
+            assert got == _howell_ord(d, p, s, t, cap), (label, s)
+            if ord1 < cap:  # v^k * unit: ord_s = ord_1 = k at every s
+                assert got == ord1, (label, s)
+            if s == 1:
+                assert probes == [], label  # read off d mod p, no solve
+            else:
+                assert max(probes, default=1) <= min(ord1 + 1, cap), (label, s, probes)
+            if ord1 >= cap and s > 1:
+                assert probes[0] == cap, label  # AtLeast is decided at cap first
+        assert _sylow_ord(np.zeros(p**t, dtype=np.int64), p, s, cap) == AtLeast(cap)
+    if t > 1:  # v^cap lies in I^cap and is nonzero mod p^t
+        v_cap = _v_powers(p, t, t, cap + 1)[cap]
+        assert v_cap.any() and _sylow_ord(v_cap, p, t, cap) == AtLeast(cap)
+
+
+def test_ord_zeta_certifies_with_full_ring_oracle(monkeypatch):
+    calls = []
+    full = invariants._aug_power_membership_full
+    monkeypatch.setattr(
+        invariants, "_aug_power_membership_full", lambda z, dlog, r: calls.append(r) or full(z, dlog, r)
+    )
+    assert ord_zeta(181, 5, 1) == 3 and calls == [3, 4]
+    calls.clear()
+    assert ord_zeta(3001, 5, 1) == 7 and calls == []  # N - 1 > 400: no oracle
+    o = ord_zeta(421, 5, 1, cross_check=True)
+    assert calls == [o, o + 1]
+    calls.clear()
+    assert ord_zeta(181, 5, 1, cross_check=False) == 3 and calls == []
+    sylow_ord = invariants._sylow_ord
+    for wrong in (2, 4, AtLeast(6)):
+        monkeypatch.setattr(invariants, "_sylow_ord", lambda d, p, s, cap, w=wrong: w)
+        with pytest.raises(AssertionError, match="disagree"):
+            ord_zeta(181, 5, 1)
+    monkeypatch.setattr(invariants, "_sylow_ord", sylow_ord)
+    assert ord_zeta(181, 5, 1) == 3

@@ -357,3 +357,41 @@ def test_module_action_data_is_read_only():
     V = CoeffModule.scalar(cyclic(4), Modulus(5, 1), np.array([1, 2, 4, 3]))
     with pytest.raises(ValueError):
         V.char[1] = 1
+
+
+def test_scalar_cochains_with_different_characters_do_not_mix():
+    G, mod = cyclic(4), Modulus(5, 1)
+    triv = CoeffModule.scalar(G, mod)
+    tw = CoeffModule.scalar(G, mod, np.array([1, 2, 4, 3]))  # the generator acts by 2
+    t = np.arange(4)
+    assert not (Cochain(triv, 1, t) == Cochain(tw, 1, t))
+    with pytest.raises(ValueError):
+        Cochain(triv, 1, t) + Cochain(tw, 1, t)
+    with pytest.raises(ValueError):
+        Cochain(triv, 1, t) - Cochain(tw, 1, t)
+    assert Cochain(tw, 1, t) == Cochain(CoeffModule.scalar(G, mod, np.array([1, 2, 4, 3])), 1, t)
+
+
+def test_shifted_system_builds_each_end_nu_once(monkeypatch):
+    from eisenlab.massey import cochains
+
+    built = []
+    build = cochains._coboundary_matrix
+    monkeypatch.setattr(cochains, "_coboundary_matrix", lambda m: built.append(m) or build(m))
+    End = _end_module()
+    gen = np.random.default_rng(3)
+    shifted = []
+    while len(shifted) < 12:
+        m1 = random_cocycle(End, gen)
+        ok, part = vanishes_in_h2(-cup(m1, m1))
+        if not ok:
+            continue
+        D = DefiningSystem.for_power(m1, [part + random_cocycle(End, gen)])
+        Dp, cp = shifted_system(D)
+        assert shifted_system(D)[0].module is Dp.module
+        vanishes_in_h2(cp)
+        shifted.append(Dp.module)
+    nus = {module.rho.tobytes() for module in shifted}
+    assert len({id(module) for module in shifted}) == len(nus) < len(shifted)
+    built_nus = [m.rho.tobytes() for m in built if m.kind == "matrix" and m is not End]
+    assert sorted(built_nus) == sorted(nus)  # each distinct nu built (and factored) once
