@@ -11,15 +11,24 @@ valuation.  Two elimination flavours are used:
   eliminated lower triangle, so a factor costs one copy of A.
   ``howell_solve``, ``howell_membership`` and ``kernel_spanning_set`` are
   one-shot wrappers around it;
-* unit-pivot-only reduction (``unit_echelon``, ``kernel_of_free_summand``,
-  ``restrict_operator``) for systems whose cokernel is known to be free;
-  leftover rows are asserted to vanish, certifying that assumption.
+* unit-pivot-only Gauss-Jordan for systems whose cokernel is known to be
+  free.  It is one blocked elimination, ``_unit_gauss_jordan``: pivots are
+  found on a panel of columns, and the panel's row operations reach the
+  rest of the matrix as one product.  ``unit_echelon``,
+  ``kernel_of_free_summand`` and ``restrict_operator`` wrap it and raise
+  unless the rows left without a pivot vanish, which certifies that
+  assumption.
 
 Entries are residues in [0, p^M) with p^M < 2^31.  A product of two
-entries fits int64, but a k-term dot product needs k * (p^M - 1)^2 < 2^63,
-which fails for example at p^M = 5^12 once k > 154; every matrix product
-therefore goes through ``matmul_mod``, which checks that bound and falls
-back to exact Python integers.
+entries fits int64, but a k-term dot product need not, e.g. at p^M = 5^12
+once k > 154.  Every matrix product therefore goes through ``matmul_mod``,
+which picks the first of three exact tiers whose bound holds:
+
+* float64 (BLAS) when k * (p^M - 1)^2 < 2^53: every partial sum is an
+  integer below 2^53, so it is exact in any summation order (Dumas,
+  Giorgi and Pernet, FFLAS-FFPACK, TOMS 2008);
+* int64 when k * (p^M - 1)^2 < 2^63;
+* Python integers (object dtype) otherwise.
 """
 
 from __future__ import annotations
@@ -43,13 +52,19 @@ def _as_matrix(A, mod: Modulus) -> np.ndarray:
 def matmul_mod(A, B, mod: Modulus) -> np.ndarray:
     """A @ B mod p^M, exact at every size.
 
-    int64 when every dot product fits, i.e. k * (p^M - 1)^2 < 2^63 for the
-    inner dimension k; otherwise object-dtype (Python int) arithmetic.
+    With k the inner dimension: float64 when k * (p^M - 1)^2 < 2^53, int64
+    when it is < 2^63, otherwise object-dtype (Python int) arithmetic.
     """
     pM = mod.pM
+    square = B is A  # P @ P: reduce and convert the operand once
     A = np.asarray(A, dtype=np.int64) % pM
-    B = np.asarray(B, dtype=np.int64) % pM
-    if A.shape[-1] * (pM - 1) ** 2 < 1 << 63:
+    B = A if square else np.asarray(B, dtype=np.int64) % pM
+    bound = A.shape[-1] * (pM - 1) ** 2
+    if bound < 1 << 53:
+        A = A.astype(np.float64)
+        B = A if square else B.astype(np.float64)
+        return (A @ B).astype(np.int64) % pM
+    if bound < 1 << 63:
         return (A @ B) % pM
     return ((A.astype(object) @ B.astype(object)) % pM).astype(np.int64)
 
@@ -233,6 +248,61 @@ def kernel_spanning_set(A, mod: Modulus) -> np.ndarray:
     return FullPivotFactor(A, mod).kernel()
 
 
+_PANEL = 32
+
+
+def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None) -> list[int]:
+    """Gauss-Jordan of A in place with unit pivots only; returns the pivot
+    columns, found among the first ``stop`` columns (all by default).
+
+    Each column takes the first row at or below the pivot row whose entry is
+    a unit, so the result is the unit-pivot reduced echelon form.  Pivots are
+    found on panels of _PANEL columns.  A copy of the panel is eliminated
+    beside a block E (the right half of G) that writes each row's change in
+    terms of the panel's k pivot rows as they stood when the panel began; E's
+    pivot rows end up holding the inverse of their k x k pivot block.  The
+    new matrix is then E @ A[pivot rows], plus the old rows off the pivots:
+    one product for the whole matrix instead of k rank-1 updates.
+    """
+    p, pM = mod.p, mod.pM
+    m, n = A.shape
+    stop = n if stop is None else stop
+    pivcols: list[int] = []
+    r = 0
+    for c0 in range(0, stop, _PANEL):
+        if r >= m:
+            break
+        c1 = min(c0 + _PANEL, stop)
+        w = c1 - c0
+        G = np.zeros((m, 2 * w), dtype=np.int64)
+        G[:, :w] = A[:, c0:c1]
+        r0 = r
+        for c in range(w):
+            if r >= m:
+                break
+            nz = np.flatnonzero(G[r:, c] % p)
+            if nz.size == 0:
+                continue
+            sel = r + int(nz[0])
+            if sel != r:
+                G[[r, sel]] = G[[sel, r]]
+                A[[r, sel]] = A[[sel, r]]
+            G[r, w + r - r0] = 1
+            G[r] = (G[r] * pow(int(G[r, c]), -1, pM)) % pM
+            colvals = G[:, c].copy()
+            colvals[r] = 0
+            G -= np.outer(colvals, G[r])
+            G %= pM
+            pivcols.append(c0 + c)
+            r += 1
+        if r > r0:
+            update = matmul_mod(G[:, w : w + r - r0], A[r0:r], mod)
+            A[r0:r] = 0
+            A += update
+            A %= pM
+    return pivcols
+
+
 def unit_echelon(A, mod: Modulus, require_exhaustive: bool = True):
     """Row-reduce using only unit pivots.
 
@@ -241,32 +311,12 @@ def unit_echelon(A, mod: Modulus, require_exhaustive: bool = True):
     vanish identically mod p^M, certifying that the row space is a free
     direct summand (no p-torsion relations).
     """
-    pM = mod.pM
-    p = mod.p
-    A = _as_matrix(A, mod).copy()
-    m, n = A.shape
-    pivcols = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        col = A[r:, c] % p
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
-            continue
-        sel = r + int(nz[0])
-        if sel != r:
-            A[[r, sel]] = A[[sel, r]]
-        A[r] = (A[r] * pow(int(A[r, c]), -1, pM)) % pM
-        colvals = A[:, c].copy()
-        colvals[r] = 0
-        A -= np.outer(colvals, A[r])
-        A %= pM
-        pivcols.append(c)
-        r += 1
-    if require_exhaustive and np.any(A[r:] % pM != 0):
+    A = _as_matrix(A, mod)  # a fresh array: reducing mod p^M copies A
+    pivcols = _unit_gauss_jordan(A, mod)
+    r = len(pivcols)
+    if require_exhaustive and A[r:].any():
         raise ArithmeticError("non-unit pivot needed: row space has p-torsion")
-    freecols = [c for c in range(n) if c not in set(pivcols)]
+    freecols = sorted(set(range(A.shape[1])) - set(pivcols))
     return A[:r], pivcols, freecols
 
 
@@ -278,47 +328,26 @@ def kernel_of_free_summand(P, mod: Modulus) -> np.ndarray:
     and the returned basis extends to a basis of the whole module.
     """
     R, pivcols, freecols = unit_echelon(P, mod)
-    n = _as_matrix(P, mod).shape[1]
-    pM = mod.pM
-    basis = np.zeros((n, len(freecols)), dtype=np.int64)
-    for k, c in enumerate(freecols):
-        basis[c, k] = 1
-        for row, pc in enumerate(pivcols):
-            basis[pc, k] = (-R[row, c]) % pM
+    basis = np.zeros((R.shape[1], len(freecols)), dtype=np.int64)
+    basis[freecols, np.arange(len(freecols))] = 1
+    basis[pivcols] = (-R[:, freecols]) % mod.pM
     return basis
 
 
 def restrict_operator(T: np.ndarray, basis: np.ndarray, mod: Modulus) -> np.ndarray:
     """Matrix of T on the column span of ``basis`` (a free summand).
 
-    Solves basis @ X = T @ basis with unit pivots and asserts that T
+    Solves basis @ X = T @ basis with unit pivots and raises unless T
     preserves the span.
     """
-    pM = mod.pM
-    p = mod.p
     basis = _as_matrix(basis, mod)
     k = basis.shape[1]
-    TB = matmul_mod(T, basis, mod)
-    A = np.hstack([basis, TB])
-    m = A.shape[0]
-    r = 0
-    for j in range(k):
-        col = A[r:, j] % p
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
-            raise ArithmeticError("basis does not have unit pivots")
-        sel = r + int(nz[0])
-        if sel != r:
-            A[[r, sel]] = A[[sel, r]]
-        A[r] = (A[r] * pow(int(A[r, j]), -1, pM)) % pM
-        colvals = A[:, j].copy()
-        colvals[r] = 0
-        A -= np.outer(colvals, A[r])
-        A %= pM
-        r += 1
-    if np.any(A[r:, k:] % pM != 0):
+    A = np.hstack([basis, matmul_mod(T, basis, mod)])
+    if len(_unit_gauss_jordan(A, mod, stop=k)) < k:
+        raise ArithmeticError("basis does not have unit pivots")
+    if A[k:, k:].any():
         raise ArithmeticError("operator does not preserve the subspace")
-    return A[:k, k:] % pM
+    return A[:k, k:].copy()
 
 
 def berkowitz_charpoly(A, mod: Modulus) -> PadicPoly:
@@ -337,24 +366,23 @@ def berkowitz_charpoly(A, mod: Modulus) -> PadicPoly:
         return PadicPoly.one(mod)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    if (n + 2) * pM * pM >= (1 << 62):
-        raise ValueError("dimension times modulus^2 too large for int64 charpoly")
     C = np.array([1, -int(A[0, 0])], dtype=np.int64) % pM
     for i in range(1, n):
-        a = int(A[i, i])
-        R = A[i, :i]
-        col = A[:i, i]
+        R = A[i : i + 1, :i]
+        v = A[:i, i : i + 1]
         sub = A[:i, :i]
         toep = np.zeros(i + 1, dtype=np.int64)
-        toep[0] = a
-        v = col.copy()
-        toep[1] = int(R @ v) % pM
+        toep[0] = A[i, i]
+        toep[1] = matmul_mod(R, v, mod)[0, 0]
         for k in range(2, i + 1):
-            v = (sub @ v) % pM
-            toep[k] = int(R @ v) % pM
+            v = matmul_mod(sub, v, mod)
+            toep[k] = matmul_mod(R, v, mod)[0, 0]
+        # the first i + 1 terms of the convolution C * toep, as a lower
+        # triangular Toeplitz product
+        lag = np.subtract.outer(np.arange(i + 1), np.arange(i + 1))
+        conv = matmul_mod(np.where(lag >= 0, toep[lag], 0), C[:, None], mod)[:, 0]
         newC = np.zeros(i + 2, dtype=np.int64)
         newC[: i + 1] = C
-        conv = np.convolve(C, toep) % pM
-        newC[1:] = (newC[1:] - conv[: i + 1]) % pM
+        newC[1:] = (newC[1:] - conv) % pM
         C = newC
     return PadicPoly([int(c) for c in C[::-1]], mod)

@@ -242,9 +242,8 @@ def _aug_power_membership_full(
     for j in range(r + 1):
         term = (comb(r, j) % ps) * (-1) ** (r - j)
         base[j % n] = (int(base[j % n]) + term) % ps
-    cols = np.empty((n, n), dtype=np.int64)
-    for k in range(n):
-        cols[:, k] = np.roll(base, k)
+    # column k is base shifted down by k: cols[i, k] = base[(i - k) mod n]
+    cols = base[np.subtract.outer(np.arange(n), np.arange(n)) % n]
     ok, _ = howell_membership(cols, z.log_vector(dlog), mod)
     return ok
 

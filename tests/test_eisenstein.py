@@ -44,6 +44,15 @@ def test_rank_three_181_5():
     assert ok
 
 
+def test_rank_three_181_5_at_precision_13():
+    # p^M = 5^13 is near 2^31: the local charpoly's products need the exact
+    # Python-int tier, and the answer must not depend on the precision
+    rep = eisenstein_local_factor(181, 5)
+    deep = eisenstein_local_factor(181, 5, precision=13)
+    assert deep.M == 13
+    assert (deep.e, deep.t_seq) == (rep.e, rep.t_seq) == (3, [1, 1, 1, 0])
+
+
 def test_accidental_congruence_751_5():
     # T_2 - 3 alone has a spurious kernel line at (751, 5); the localized
     # pipeline must still report the true rank 2 with components (1, 1)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,7 +176,8 @@ def test_berkowitz_examples():
     assert cp.coeffs == [6, 20, 1]  # y^2 - 5y + 6
 
 
-@pytest.mark.parametrize("p,M,n", [(5, 3, 4), (7, 2, 5), (5, 2, 3), (11, 2, 5)])
+# 5^13 and 7^11 sit just below 2^31, where (n + 2) * p^2M passes 2^62 at n = 2
+@pytest.mark.parametrize("p,M,n", [(5, 3, 4), (7, 2, 5), (5, 2, 3), (11, 2, 5), (5, 13, 6), (7, 11, 6)])
 def test_berkowitz_matches_integer_oracle(p, M, n):
     mod = Modulus(p, M)
     for _ in range(8):
@@ -183,6 +185,17 @@ def test_berkowitz_matches_integer_oracle(p, M, n):
         got = berkowitz_charpoly(A, mod).coeffs
         want = [c % mod.pM for c in _charpoly_integer(A)]
         assert got == want
+
+
+@pytest.mark.parametrize("p,M", [(5, 13), (7, 11)])
+def test_berkowitz_near_2_31_matches_sympy(p, M):
+    # at n = 16 the border products and the convolution sum enough terms of
+    # size about p^2M to wrap int64; sympy's charpoly is exact over Z
+    mod = Modulus(p, M)
+    for _ in range(3):
+        A = rng.integers(0, mod.pM, (16, 16))
+        want = [int(c) % mod.pM for c in reversed(sympy.Matrix(A.tolist()).charpoly().all_coeffs())]
+        assert berkowitz_charpoly(A, mod).coeffs == want
 
 
 # -- exact products -------------------------------------------------------------
@@ -225,6 +238,214 @@ def test_matmul_mod_matches_python_ints(pm, over, m, n, seed):
     A = np.where(gen.random((m, k)) < 0.5, pM - 1, gen.integers(0, pM, (m, k)))
     B = np.where(gen.random((k, n)) < 0.5, pM - 1, gen.integers(0, pM, (k, n)))
     assert matmul_mod(A, B, mod).tolist() == _matmul_reference(A, B, pM)
+
+
+@pytest.mark.parametrize("k", [94, 95])
+def test_matmul_mod_at_float64_edge(k):
+    # 94 * (5^10 - 1)^2 < 2^53 <= 95 * (5^10 - 1)^2.  Row and column 1 hold the
+    # odd residue p^M - 2: at k = 95 their dot product is an odd integer above
+    # 2^53, which float64 cannot hold, so a float64 product there is wrong
+    mod = Modulus(5, 10)
+    pM = mod.pM
+    assert 94 * (pM - 1) ** 2 < 1 << 53 <= 95 * (pM - 1) ** 2
+    A = np.full((3, k), pM - 1, dtype=np.int64)
+    A[1] = pM - 2
+    A[2] = rng.integers(0, pM, k)
+    B = np.full((k, 2), pM - 1, dtype=np.int64)
+    B[:, 1] = pM - 2
+    assert matmul_mod(A, B, mod).tolist() == _matmul_reference(A, B, pM)
+
+
+# moduli where the float64 bound k * (p^M - 1)^2 < 2^53 leaves 2 <= k <= 386
+_FLOAT_EDGE_MODULI = [(5, 10), (5, 11), (7, 8), (7, 9), (11, 7), (13, 6), (13, 7)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pm=st.sampled_from(_FLOAT_EDGE_MODULI),
+    over=st.booleans(),
+    m=st.integers(1, 3),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_mod_matches_python_ints_at_float64_bound(pm, over, m, n, seed):
+    # inner dimension right at the float64 bound, or one past it; entries near
+    # p^M - 1 of either parity push the sums past 2^53 on the far side
+    mod = Modulus(*pm)
+    pM = mod.pM
+    k = ((1 << 53) - 1) // (pM - 1) ** 2 + over
+    gen = np.random.default_rng(seed)
+    A = np.where(gen.random((m, k)) < 0.8, pM - 1 - gen.integers(0, 3, (m, k)), gen.integers(0, pM, (m, k)))
+    B = np.where(gen.random((k, n)) < 0.8, pM - 1 - gen.integers(0, 3, (k, n)), gen.integers(0, pM, (k, n)))
+    assert matmul_mod(A, B, mod).tolist() == _matmul_reference(A, B, pM)
+
+
+# -- unit-pivot elimination: blocked against the unblocked loops ----------------
+
+
+def _mulmod(A, B, pM):
+    """A @ B mod pM in Python ints, any inner dimension including 0."""
+    return ((np.asarray(A).astype(object) @ np.asarray(B).astype(object)) % pM).astype(np.int64)
+
+
+def _unit_echelon_unblocked(A, mod):
+    """One rank-1 Gauss-Jordan update per unit pivot (independent oracle)."""
+    pM, p = mod.pM, mod.p
+    A = np.asarray(A, dtype=np.int64) % pM
+    m, n = A.shape
+    pivcols = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        nz = np.nonzero(A[r:, c] % p)[0]
+        if len(nz) == 0:
+            continue
+        sel = r + int(nz[0])
+        if sel != r:
+            A[[r, sel]] = A[[sel, r]]
+        A[r] = (A[r] * pow(int(A[r, c]), -1, pM)) % pM
+        colvals = A[:, c].copy()
+        colvals[r] = 0
+        A -= np.outer(colvals, A[r])
+        A %= pM
+        pivcols.append(c)
+        r += 1
+    if np.any(A[r:] % pM != 0):
+        raise ArithmeticError("non-unit pivot needed: row space has p-torsion")
+    return A[:r], pivcols, [c for c in range(n) if c not in pivcols]
+
+
+def _kernel_of_free_summand_unblocked(P, mod):
+    R, pivcols, freecols = _unit_echelon_unblocked(P, mod)
+    basis = np.zeros((P.shape[1], len(freecols)), dtype=np.int64)
+    for k, c in enumerate(freecols):
+        basis[c, k] = 1
+        for row, pc in enumerate(pivcols):
+            basis[pc, k] = (-R[row, c]) % mod.pM
+    return basis
+
+
+def _restrict_operator_unblocked(T, basis, mod):
+    pM, p = mod.pM, mod.p
+    basis = np.asarray(basis, dtype=np.int64) % pM
+    k = basis.shape[1]
+    A = np.hstack([basis, _mulmod(T, basis, pM)])
+    r = 0
+    for j in range(k):
+        nz = np.nonzero(A[r:, j] % p)[0]
+        if len(nz) == 0:
+            raise ArithmeticError("basis does not have unit pivots")
+        sel = r + int(nz[0])
+        if sel != r:
+            A[[r, sel]] = A[[sel, r]]
+        A[r] = (A[r] * pow(int(A[r, j]), -1, pM)) % pM
+        colvals = A[:, j].copy()
+        colvals[r] = 0
+        A -= np.outer(colvals, A[r])
+        A %= pM
+        r += 1
+    if np.any(A[r:, k:] % pM != 0):
+        raise ArithmeticError("operator does not preserve the subspace")
+    return A[:k, k:] % pM
+
+
+def _outcome(fn, *args):
+    """A function's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def _same(x, y):
+    if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
+        return x.shape == y.shape and np.array_equal(x, y)
+    if isinstance(x, tuple) and isinstance(y, tuple) and len(x) == len(y):
+        return all(_same(a, b) for a, b in zip(x, y))
+    return x == y
+
+
+# small moduli take the float64 tier in the panel update, 5^10 the int64
+# tier and 5^13 the Python-int tier
+_ECHELON_MODULI = [(5, 1), (5, 2), (7, 3), (5, 10), (5, 13)]
+
+
+def _unit_rank(gen, m, k, pM):
+    """Random m x k matrix (k <= m) of full rank mod p: a unit lower
+    triangular k x k block sits in k random rows."""
+    G = gen.integers(0, pM, (m, k))
+    block = np.tril(gen.integers(0, pM, (k, k)), -1) + np.eye(k, dtype=np.int64)
+    G[np.sort(gen.choice(m, size=k, replace=False))] = block
+    return G
+
+
+def _free_rows(gen, m, n, p, pM, torsion):
+    """Matrix with m rows whose row module is a free summand with unit pivots
+    at a random, often sparse, set of columns; with ``torsion`` one more row
+    p * v, v supported off the pivot columns, adds p-torsion when pM > p."""
+    k = int(gen.integers(0, min(m, n - torsion) + 1))
+    pivs = np.sort(gen.choice(n, size=k, replace=False))
+    R0 = gen.integers(0, pM, (k, n))
+    for i, c in enumerate(pivs):
+        R0[i, :c] = 0
+        R0[:, c] = 0
+        R0[i, c] = 1
+    A = _mulmod(_unit_rank(gen, m, k, pM), R0, pM)
+    if torsion:
+        v = gen.integers(0, pM, n)
+        v[pivs] = 0
+        v[np.setdiff1d(np.arange(n), pivs)[0]] = 1
+        A = np.vstack([A, p * v % pM])
+    return A
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pm=st.sampled_from(_ECHELON_MODULI),
+    m=st.integers(1, 72),
+    n=st.sampled_from([1, 5, 31, 32, 33, 63, 64, 65, 72]),
+    torsion=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unit_echelon_matches_unblocked(pm, m, n, torsion, seed):
+    # widths below, at and above the 32-column panel; sparse pivot sets put
+    # pivot rows and pivot columns on different sides of a panel boundary
+    mod = Modulus(*pm)
+    gen = np.random.default_rng(seed)
+    A = _free_rows(gen, m, n, mod.p, mod.pM, torsion)
+    want = _outcome(_unit_echelon_unblocked, A, mod)
+    assert _same(_outcome(unit_echelon, A, mod), want)
+    assert _same(_outcome(kernel_of_free_summand, A, mod), _outcome(_kernel_of_free_summand_unblocked, A, mod))
+    assert isinstance(want[0], np.ndarray) == (not torsion or mod.M == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pm=st.sampled_from(_ECHELON_MODULI),
+    k=st.sampled_from([1, 2, 31, 32, 33, 40]),
+    extra=st.integers(0, 8),
+    kind=st.sampled_from(["preserved", "not preserved", "torsion basis"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_restrict_operator_matches_unblocked(pm, k, extra, kind, seed):
+    mod = Modulus(*pm)
+    p, pM = mod.p, mod.pM
+    n = k + extra
+    gen = np.random.default_rng(seed)
+    basis = _unit_rank(gen, n, k, pM)
+    if kind == "torsion basis":
+        basis[:, int(gen.integers(0, k))] *= p
+    if kind == "preserved":  # T maps everything into the span of basis
+        T = _mulmod(basis, gen.integers(0, pM, (k, n)), pM)
+    else:
+        T = gen.integers(0, pM, (n, n))
+    got = _outcome(restrict_operator, T, basis, mod)
+    assert _same(got, _outcome(_restrict_operator_unblocked, T, basis, mod))
+    if kind == "torsion basis":
+        assert got == ("raised", ArithmeticError, "basis does not have unit pivots")
+    if kind == "preserved":
+        assert np.array_equal(_mulmod(basis, got, pM), _mulmod(T, basis, pM))
 
 
 # -- FullPivotFactor: factor once, solve many ----------------------------------

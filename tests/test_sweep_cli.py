@@ -1,7 +1,10 @@
+import ctypes
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from eisenlab import sweep
 from eisenlab.cli import main
 from eisenlab.records import read_records
 from eisenlab.sweep import (
@@ -157,6 +160,34 @@ def test_run_sweep_multiworker(tmp_path):
     rows = read_records(str(out))
     assert {r.N for r in rows} == {11, 31, 41, 61, 71}
     assert all(r.e is not None for r in rows)
+
+
+_GET_THREADS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def _blas_threads():
+    fn = sweep._openblas_function(_GET_THREADS)
+    fn.restype = ctypes.c_int
+    return fn()
+
+
+class _ProbingPool(ProcessPoolExecutor):
+    """The sweep's pool, asked for a worker's BLAS thread count before it shuts down."""
+
+    seen = []
+
+    def __exit__(self, *exc):
+        _ProbingPool.seen.append(self.submit(_blas_threads).result(timeout=60))
+        return super().__exit__(*exc)
+
+
+def test_sweep_workers_use_one_blas_thread(tmp_path, monkeypatch):
+    if sweep._openblas_function(_GET_THREADS) is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _ProbingPool)
+    _ProbingPool.seen.clear()
+    assert run_sweep(5, 50, str(tmp_path / "blas.jsonl"), workers=2) == 3
+    assert _ProbingPool.seen == [1]
 
 
 def test_cli_out_flag_appends_record(tmp_path):
