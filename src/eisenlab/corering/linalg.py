@@ -303,18 +303,18 @@ def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None) -> 
     return pivcols
 
 
-def unit_echelon(A, mod: Modulus, require_exhaustive: bool = True):
+def unit_echelon(A, mod: Modulus):
     """Row-reduce using only unit pivots.
 
     Returns (R, pivcols, freecols) with pivot columns reduced to unit
-    vectors.  When ``require_exhaustive``, rows left without a pivot must
-    vanish identically mod p^M, certifying that the row space is a free
-    direct summand (no p-torsion relations).
+    vectors.  Rows left without a pivot must vanish identically mod p^M,
+    certifying that the row space is a free direct summand (no p-torsion
+    relations); otherwise ArithmeticError is raised.
     """
     A = _as_matrix(A, mod)  # a fresh array: reducing mod p^M copies A
     pivcols = _unit_gauss_jordan(A, mod)
     r = len(pivcols)
-    if require_exhaustive and A[r:].any():
+    if A[r:].any():
         raise ArithmeticError("non-unit pivot needed: row space has p-torsion")
     freecols = sorted(set(range(A.shape[1])) - set(pivcols))
     return A[:r], pivcols, freecols

@@ -166,10 +166,6 @@ class PadicPoly:
     def one(cls, modulus: Modulus) -> "PadicPoly":
         return cls([1], modulus)
 
-    @classmethod
-    def x_power(cls, k: int, modulus: Modulus) -> "PadicPoly":
-        return cls([0] * k + [1], modulus)
-
     @property
     def degree(self) -> int:
         """Degree; 0 for constants including the zero polynomial."""

@@ -3,7 +3,22 @@
 Two module shapes cover everything needed: a scalar module Z/p^s with a
 character action, and the module of 2x2 matrices End(rho) for an explicit
 representation rho, acted on by conjugation and paired by matrix
-multiplication.  The inhomogeneous differential is the standard one:
+multiplication.  Both run through one code path:
+
+* each module holds one read-only action tensor ``action`` of shape
+  (order, vs, vs), the matrix of v -> g.v on flattened values (vs = 1 or
+  4): the character as 1 x 1 blocks, or rho(g) (x) rho(g)^-T, since
+  row-major vec(r X s) = (r (x) s^T) vec(X);
+* acting on a cochain table with any number of leading axes is one
+  ``matmul_mod`` against it, and so are the coboundaries in degrees 0-2;
+  D^1 for ``vanishes_in_h2`` is scattered from it;
+* the cup pairing multiplies values as d x d matrices (d = 1 for scalars)
+  through ``matmul_mod``.
+
+Every product is therefore exact.  The modulus must be below 2^31, the
+bound of the Z/p^M matrix kernels (``CoeffModule`` raises otherwise), so
+an elementwise product of two residues, as in a character check, fits
+int64.  The inhomogeneous differential is the standard one:
 
   (dc)(g_1,...,g_{n+1}) = g_1 c(g_2,...) + sum (-1)^i c(..., g_i g_{i+1}, ...)
                           + (-1)^{n+1} c(g_1,...,g_n).
@@ -15,7 +30,7 @@ import functools
 
 import numpy as np
 
-from ..corering.linalg import FullPivotFactor
+from ..corering.linalg import _MAX_MATRIX_MODULUS, FullPivotFactor, matmul_mod
 from ..corering.zmod import Modulus
 from .groups import FiniteGroup
 
@@ -27,12 +42,15 @@ class CoeffModule:
     kind "matrix": values in M_2(Z/p^s), g acting by rho(g) (.) rho(g)^-1,
     paired by matrix multiplication.
 
-    The action data (``char``, ``rho``, ``rho_inv``) is read-only, so the
-    factored coboundary D^1 cached on the module cannot go stale.
+    The action data (``char``, ``rho``, ``rho_inv``, ``action``) is
+    read-only, so the factored coboundary D^1 cached on the module cannot
+    go stale.
     """
 
     def __init__(self, group: FiniteGroup, modulus: Modulus, kind: str,
                  char: np.ndarray | None = None, rho: np.ndarray | None = None):
+        if modulus.pM >= _MAX_MATRIX_MODULUS:
+            raise ValueError(f"modulus {modulus.pM} too large for int64 cochain kernels")
         self.group = group
         self.modulus = modulus
         self.kind = kind
@@ -45,10 +63,8 @@ class CoeffModule:
             char = np.asarray(char, dtype=np.int64) % q
             if any(not modulus.is_unit(int(c)) for c in char):
                 raise ValueError("character values must be units")
-            for g in range(n):
-                for h in range(n):
-                    if (char[g] * char[h] - char[group.mul(g, h)]) % q != 0:
-                        raise ValueError("character is not a homomorphism")
+            if not _is_matrix_homomorphism(group, char.reshape(n, 1, 1), modulus):
+                raise ValueError("character is not a homomorphism")
             char.setflags(write=False)
             self.char = char
             self.value_shape: tuple[int, ...] = ()
@@ -56,10 +72,8 @@ class CoeffModule:
             rho = np.asarray(rho, dtype=np.int64) % q
             if rho.shape != (n, 2, 2):
                 raise ValueError("rho must be (order, 2, 2)")
-            for g in range(n):
-                for h in range(n):
-                    if np.any((rho[g] @ rho[h] - rho[group.mul(g, h)]) % q != 0):
-                        raise ValueError("rho is not a homomorphism")
+            if not _is_matrix_homomorphism(group, rho, modulus):
+                raise ValueError("rho is not a homomorphism")
             self.rho = rho
             self.rho_inv = np.zeros_like(rho)
             for g in range(n):
@@ -92,9 +106,16 @@ class CoeffModule:
         rho[:, 1, 1] = np.asarray(chi2) % modulus.pM
         return cls.end_of_rep(group, modulus, rho)
 
-    @property
-    def value_size(self) -> int:
-        return 1 if self.kind == "scalar" else 4
+    @functools.cached_property
+    def action(self) -> np.ndarray:
+        """action[g]: the matrix of v -> g.v on flattened values (read-only)."""
+        if self.kind == "scalar":
+            return self.char.reshape(-1, 1, 1)  # a view of the read-only char
+        # [g, (a, c), (b, d)] = rho[g, a, b] * rho_inv[g, d, c]
+        kron = self.rho[:, :, None, :, None] * self.rho_inv.transpose(0, 2, 1)[:, None, :, None, :]
+        action = kron.reshape(-1, 4, 4) % self.modulus.pM
+        action.setflags(write=False)
+        return action
 
     @functools.cached_property
     def coboundary_factor(self) -> FullPivotFactor:
@@ -142,26 +163,23 @@ class CoeffModule:
             for chi_s in chars
         ]
 
-    def act(self, g: int, values: np.ndarray) -> np.ndarray:
-        """Apply g to an array of values (leading axes arbitrary)."""
-        q = self.modulus.pM
-        if self.kind == "scalar":
-            return (values * int(self.char[g])) % q
-        return (self.rho[g] @ values @ self.rho_inv[g]) % q
-
     def act_all(self, table: np.ndarray) -> np.ndarray:
-        """out[g, ...] = g . table[...] for a degree-1-shaped broadcast."""
-        q = self.modulus.pM
-        if self.kind == "scalar":
-            return (self.char[:, None] * table[None, :]) % q
-        # out[g, h] = rho[g] table[h] rho_inv[g]
-        return np.einsum("gab,hbc,gcd->ghad", self.rho, table, self.rho_inv) % q
+        """out[g, ...] = g . table[...], for any number of leading axes."""
+        n, vs = self.action.shape[:2]
+        lead = table.shape[: table.ndim - len(self.value_shape)]
+        out = matmul_mod(self.action.reshape(n * vs, vs), table.reshape(-1, vs).T, self.modulus)
+        return out.reshape(n, vs, -1).swapaxes(1, 2).reshape((n,) + lead + self.value_shape)
 
     def pair(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        q = self.modulus.pM
-        if self.kind == "scalar":
-            return (a * b) % q
-        return (a @ b) % q
+        """a . b, multiplying values as d x d matrices (d = 1 for scalars);
+        leading axes broadcast."""
+        square, k = self.value_shape or (1, 1), len(self.value_shape)
+        out = matmul_mod(
+            a.reshape(a.shape[: a.ndim - k] + square),
+            b.reshape(b.shape[: b.ndim - k] + square),
+            self.modulus,
+        )
+        return out.reshape(out.shape[:-2] + self.value_shape)
 
     def compatible(self, other: "CoeffModule") -> bool:
         if self.group is not other.group or self.modulus != other.modulus:
@@ -228,7 +246,7 @@ class Cochain:
         return Cochain(self.module, self.degree, -self.table)
 
     def __mul__(self, k: int):
-        return Cochain(self.module, self.degree, self.table * int(k))
+        return Cochain(self.module, self.degree, self.table * (int(k) % self.module.modulus.pM))
 
     __rmul__ = __mul__
 
@@ -259,28 +277,16 @@ def coboundary(c: Cochain) -> Cochain:
     if c.degree > 2:
         raise ValueError("coboundary implemented for degree <= 2")
     mod = c.module
-    q = mod.modulus.pM
-    G = mod.group
-    n = G.order
-    T = G.table
+    T = mod.group.table
     t = c.table
+    out = mod.act_all(t)  # [g, ...] = g . c(...)
     if c.degree == 0:
-        if mod.kind == "scalar":
-            out = (mod.char * int(t)) % q - t
-        else:
-            out = np.einsum("gab,bc,gcd->gad", mod.rho, t, mod.rho_inv) - t
-        return Cochain(mod, 1, out)
-    if c.degree == 1:
-        gact = mod.act_all(t)  # [g, h] = g . c(h)
-        out = gact - t[T] + t[:, None]
-        return Cochain(mod, 2, out)
-    # degree 2: (dc)(g,h,k) = g.c(h,k) - c(gh,k) + c(g,hk) - c(g,h)
-    if mod.kind == "scalar":
-        gact = (mod.char[:, None, None] * t[None, :, :]) % q
-    else:
-        gact = np.einsum("gab,hkbc,gcd->ghkad", mod.rho, t, mod.rho_inv) % q
-    out = gact - t[T, :] + t[:, T] - t[:, :, None]
-    return Cochain(mod, 3, out)
+        out = out - t
+    elif c.degree == 1:  # (dc)(g,h) = g.c(h) - c(gh) + c(g)
+        out = out - t[T] + t[:, None]
+    else:  # (dc)(g,h,k) = g.c(h,k) - c(gh,k) + c(g,hk) - c(g,h)
+        out = out - t[T, :] + t[:, T] - t[:, :, None]
+    return Cochain(mod, c.degree + 1, out)
 
 
 def cup(a: Cochain, b: Cochain) -> Cochain:
@@ -294,25 +300,12 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
         raise ValueError("cup implemented for total degree <= 3")
     target = a.module.cup_target(b.module)
     G = a.module.group
-    n = G.order
-    q = target.modulus.pM
-    if i == 0:
-        return Cochain(target, j, target.pair(a.table, b.table))
-    if i == 1 and j == 1:  # hot path
-        acted = b.module.act_all(b.table)  # [g, h] = g . b(h)
-        if target.kind == "scalar":
-            out = (a.table[:, None] * acted) % q
-        else:
-            out = np.einsum("gab,ghbc->ghac", a.table, acted) % q
-        return Cochain(target, 2, out)
-    from itertools import product as iproduct
-
-    out = np.zeros((n,) * (i + j) + target.value_shape, dtype=np.int64)
-    for front in iproduct(range(n), repeat=i):
-        prefix = G.prod(front)
-        acted = b.module.act(prefix, b.table)
-        out[front] = target.pair(a.table[front], acted)
-    return Cochain(target, i + j, out % q)
+    prefix = np.array(G.identity)  # [g_1, ..., g_i] = g_1 ... g_i
+    for _ in range(i):
+        prefix = G.table[prefix]
+    acted = b.module.act_all(b.table)[prefix]
+    front = a.table.reshape(a.table.shape[:i] + (1,) * j + target.value_shape)
+    return Cochain(target, i + j, target.pair(front, acted))
 
 
 def is_cocycle(c: Cochain) -> bool:
@@ -334,24 +327,27 @@ def vanishes_in_h2(z: Cochain):
 
 
 def _coboundary_matrix(module: CoeffModule) -> np.ndarray:
-    """Matrix of d: C^1 -> C^2 on flattened tables."""
-    n = module.group.order
-    vs = module.value_size
-    cols = []
-    for k in range(n * vs):
-        e = np.zeros(n * vs, dtype=np.int64)
-        e[k] = 1
-        c = Cochain(module, 1, e.reshape((n,) + module.value_shape))
-        cols.append(coboundary(c).table.reshape(-1))
-    return np.stack(cols, axis=1)
+    """Matrix of d: C^1 -> C^2 on flattened tables.
+
+    Row block (g, h) holds g.(-) at column block h, -1 at block gh and +1
+    at block g, after (dc)(g,h) = g.c(h) - c(gh) + c(g).
+    """
+    action = module.action
+    n, vs = action.shape[:2]
+    g, h = np.indices((n, n))
+    eye = np.eye(vs, dtype=np.int64)
+    D = np.zeros((n, n, vs, n, vs), dtype=np.int64)
+    D[g, h, :, h, :] += action[g]
+    D[g, h, :, module.group.table, :] -= eye
+    D[g, h, :, g, :] += eye
+    return D.reshape(n * n * vs, n * vs) % module.modulus.pM
 
 
 def random_cocycle(module: CoeffModule, rng) -> Cochain:
     """Random element of Z^1(G, V), uniform over a spanning set."""
     K = module.cocycle_span
-    q = module.modulus.pM
-    coeffs = rng.integers(0, q, K.shape[1])
-    v = (K @ coeffs) % q
+    coeffs = rng.integers(0, module.modulus.pM, K.shape[1])
+    v = matmul_mod(K, coeffs, module.modulus)
     n = module.group.order
     return Cochain(module, 1, v.reshape((n,) + module.value_shape))
 
@@ -362,14 +358,13 @@ def all_cocycles(module: CoeffModule):
 
     K = module.cocycle_span
     q = module.modulus.pM
-    n = module.group.order
-    seen = set()
-    out = []
-    for coeffs in iproduct(range(q), repeat=K.shape[1]):
-        v = tuple((K @ np.array(coeffs, dtype=np.int64)) % q)
-        if v not in seen:
-            seen.add(v)
-            out.append(
-                Cochain(module, 1, np.array(v, dtype=np.int64).reshape((n,) + module.value_shape))
-            )
-    return out
+    coeffs = np.array(list(iproduct(range(q), repeat=K.shape[1])), dtype=np.int64)
+    values = matmul_mod(coeffs, K.T, module.modulus)
+    _, first = np.unique(values, axis=0, return_index=True)  # first occurrences, in order
+    shape = (module.group.order,) + module.value_shape
+    return [Cochain(module, 1, values[k].reshape(shape)) for k in np.sort(first)]
+
+
+def _is_matrix_homomorphism(G: FiniteGroup, nu: np.ndarray, mod: Modulus) -> bool:
+    """nu(g) nu(h) = nu(gh) for all g, h, for a table of square matrices."""
+    return np.array_equal(matmul_mod(nu[:, None], nu[None, :], mod), nu[G.table] % mod.pM)

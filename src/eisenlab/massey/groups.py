@@ -41,19 +41,6 @@ class FiniteGroup:
     def mul(self, g: int, h: int) -> int:
         return int(self.table[g, h])
 
-    def prod(self, elems) -> int:
-        acc = self.identity
-        for g in elems:
-            acc = int(self.table[acc, g])
-        return acc
-
-    def element_order(self, g: int) -> int:
-        k, acc = 1, g
-        while acc != self.identity:
-            acc = int(self.table[acc, g])
-            k += 1
-        return k
-
     def __repr__(self):
         return f"FiniteGroup({self.name}, order {self.order})"
 

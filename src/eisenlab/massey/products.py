@@ -17,7 +17,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cochains import Cochain, CoeffModule, coboundary, cup, vanishes_in_h2
+from ..corering.linalg import matmul_mod
+from ..corering.zmod import Modulus
+from .cochains import (
+    Cochain,
+    CoeffModule,
+    _is_matrix_homomorphism,
+    coboundary,
+    cup,
+    vanishes_in_h2,
+)
 from .groups import FiniteGroup
 
 
@@ -181,7 +190,6 @@ def unipotent_pair(D: DefiningSystem) -> tuple[np.ndarray, np.ndarray]:
     """
     _require_trivial_scalar(D.module)
     G = D.module.group
-    q = D.module.modulus.pM
     n = D.n
     m = G.order
     nu1 = np.zeros((m, n, n), dtype=np.int64)
@@ -196,17 +204,9 @@ def unipotent_pair(D: DefiningSystem) -> tuple[np.ndarray, np.ndarray]:
         for j in range(i, n + 1):
             nu2[:, i - 2, j - 1] = D.table[(i, j)].table
     for nu in (nu1, nu2):
-        if not _is_matrix_homomorphism(G, nu, q):
+        if not _is_matrix_homomorphism(G, nu, D.module.modulus):
             raise InvalidDefiningSystem("defining system does not give unipotent homs")
     return nu1, nu2
-
-
-def _is_matrix_homomorphism(G: FiniteGroup, nu: np.ndarray, q: int) -> bool:
-    for g in range(G.order):
-        prod = (nu[g][None] @ nu) % q  # [h] = nu(g) nu(h)
-        if np.any(prod != nu[G.table[g]] % q):
-            return False
-    return True
 
 
 def unipotent_concatenation(D: DefiningSystem):
@@ -221,7 +221,6 @@ def unipotent_concatenation(D: DefiningSystem):
     if not ok:
         return None
     G = D.module.group
-    q = D.module.modulus.pM
     n = D.n
     m = G.order
     nu = np.zeros((m, n + 1, n + 1), dtype=np.int64)
@@ -232,7 +231,7 @@ def unipotent_concatenation(D: DefiningSystem):
             if (i, j) != (1, n):
                 nu[:, i - 1, j] = D.table[(i, j)].table
     nu[:, 0, n] = prim.table
-    if not _is_matrix_homomorphism(G, nu, q):
+    if not _is_matrix_homomorphism(G, nu, D.module.modulus):
         raise AssertionError("concatenated unipotent map is not a homomorphism")
     return nu
 
@@ -240,30 +239,25 @@ def unipotent_concatenation(D: DefiningSystem):
 # -- deformations ------------------------------------------------------------
 
 
-def deformation_tables(rho: np.ndarray, chain: list[Cochain], q: int) -> np.ndarray:
+def deformation_tables(rho: np.ndarray, chain: list[Cochain], mod: Modulus) -> np.ndarray:
     """nu_r(g) = rho(g) + sum_j m_j(g) rho(g) eps^j as an (r+1)-vector of
     matrices per group element; multiplication truncates eps^(r+1)."""
     m = rho.shape[0]
     r = len(chain)
     out = np.zeros((m, r + 1, 2, 2), dtype=np.int64)
-    out[:, 0] = rho % q
+    out[:, 0] = rho % mod.pM
     for j, mj in enumerate(chain, start=1):
-        out[:, j] = (mj.table @ rho) % q
+        out[:, j] = matmul_mod(mj.table, rho, mod)
     return out
 
 
-def is_deformation_homomorphism(G: FiniteGroup, nu: np.ndarray, q: int) -> bool:
+def is_deformation_homomorphism(G: FiniteGroup, nu: np.ndarray, mod: Modulus) -> bool:
     """Check nu(gh) = nu(g) nu(h) with eps-truncated multiplication."""
-    m, r1 = nu.shape[0], nu.shape[1]
-    for g in range(G.order):
-        for h in range(G.order):
-            gh = G.mul(g, h)
-            for k in range(r1):
-                acc = np.zeros((2, 2), dtype=np.int64)
-                for i in range(k + 1):
-                    acc = (acc + nu[g, i] @ nu[h, k - i]) % q
-                if np.any(acc != nu[gh, k]):
-                    return False
+    for k in range(nu.shape[1]):
+        # [g, h] = sum_i nu(g)_i nu(h)_(k-i)
+        acc = sum(matmul_mod(nu[:, None, i], nu[None, :, k - i], mod) for i in range(k + 1))
+        if not np.array_equal(acc % mod.pM, nu[G.table, k]):
+            return False
     return True
 
 

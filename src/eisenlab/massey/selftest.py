@@ -234,15 +234,15 @@ def run_selftest(seed: int = 20250809, quick: bool = False) -> SelftestResult:
         if not solvable:
             continue
         m2 = part + random_cocycle(End, rng)
-        nu2 = deformation_tables(rho, [m1, m2], modm.pM)
-        if not is_deformation_homomorphism(Gm, nu2, modm.pM):
+        nu2 = deformation_tables(rho, [m1, m2], modm)
+        if not is_deformation_homomorphism(Gm, nu2, modm):
             ok = False
         # breaking the law must break the homomorphism
         bad = m2 + Cochain(End, 1, rng.integers(1, 5, m2.table.shape))
         if (coboundary(bad) + cup(m1, m1)).is_zero():
             continue  # perturbation accidentally repaired the law; skip
-        nu_bad = deformation_tables(rho, [m1, bad], modm.pM)
-        if is_deformation_homomorphism(Gm, nu_bad, modm.pM):
+        nu_bad = deformation_tables(rho, [m1, bad], modm)
+        if is_deformation_homomorphism(Gm, nu_bad, modm):
             ok = False
         count += 1
     res.record("defining-system law iff deformation is a homomorphism", ok, count)

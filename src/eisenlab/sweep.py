@@ -14,7 +14,7 @@ import sympy
 from .corering.zmod import AtLeast, valuation_p
 from .hecke.eisenstein import eisenstein_local_factor, rank_consistency_check
 from .invariants import lecouturier_check, merel_report, zeta_report
-from .records import ResultRecord, append_records, encode_valuation, existing_keys, read_records
+from .records import ResultRecord, append_records, encode_valuation, existing_keys
 
 # (N, p) rows where the paper's full N < 10000 tables report rank != ord;
 # used as an informational cross-reference by the verifier.
@@ -224,10 +224,6 @@ def stats_from_records(records: list[ResultRecord]) -> StatsTable:
         for d in range(1, dmax + 1)
     }
     return StatsTable(p=p, max_N=max(rec.N for rec in ranked) + 1, n=n, r=r, g=g, counts=counts)
-
-
-def stats_from_file(path: str) -> StatsTable:
-    return stats_from_records(read_records(path))
 
 
 # -- verification -------------------------------------------------------------

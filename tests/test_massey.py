@@ -200,7 +200,7 @@ def test_unipotent_obstruction_blocks_all_corners():
         nu = base.copy()
         nu[1:, 0, n] = corner  # corner at identity must be its own value
         nu[0, 0, n] = 0
-        if _is_matrix_homomorphism(G, nu, 5):
+        if _is_matrix_homomorphism(G, nu, Modulus(5, 1)):
             raise AssertionError("found a corner despite nonvanishing obstruction")
 
 
@@ -264,7 +264,7 @@ def test_shifted_system_matches_21_relation():
 def test_deformation_round_trip():
     End = _end_module()
     G = End.group
-    q = End.modulus.pM
+    mod = End.modulus
     done = 0
     tries = 0
     while done < 6 and tries < 200:
@@ -274,8 +274,8 @@ def test_deformation_round_trip():
         if not ok:
             continue
         m2 = part + random_cocycle(End, rng)
-        nu = deformation_tables(End.rho, [m1, m2], q)
-        assert is_deformation_homomorphism(G, nu, q)
+        nu = deformation_tables(End.rho, [m1, m2], mod)
+        assert is_deformation_homomorphism(G, nu, mod)
         done += 1
     assert done >= 6
 
@@ -285,7 +285,7 @@ def test_deformation_top_obstruction_both_directions():
     # exactly when d(m3) = -c(D) for the power system D = {m1, m2}
     End = _end_module()
     G = End.group
-    q = End.modulus.pM
+    mod = End.modulus
     done = 0
     tries = 0
     while done < 4 and tries < 300:
@@ -299,15 +299,15 @@ def test_deformation_top_obstruction_both_directions():
         c = massey_product_cocycle(D)
         solvable, m3 = vanishes_in_h2(-c)
         if solvable:
-            nu3 = deformation_tables(End.rho, [m1, m2, m3], q)
-            assert is_deformation_homomorphism(G, nu3, q)
+            nu3 = deformation_tables(End.rho, [m1, m2, m3], mod)
+            assert is_deformation_homomorphism(G, nu3, mod)
             # perturbing m3 off the -c(D) solution set breaks it
             for z in (random_cocycle(End, rng),):
                 bad = m3 + z + Cochain(End, 1, rng.integers(1, 5, m3.table.shape))
                 if (coboundary(bad) + c).is_zero():
                     continue
-                nu_bad = deformation_tables(End.rho, [m1, m2, bad], q)
-                assert not is_deformation_homomorphism(G, nu_bad, q)
+                nu_bad = deformation_tables(End.rho, [m1, m2, bad], mod)
+                assert not is_deformation_homomorphism(G, nu_bad, mod)
         done += 1
     assert done >= 4
 
@@ -351,12 +351,14 @@ def test_coboundary_built_and_factored_once_per_module(monkeypatch):
 
 def test_module_action_data_is_read_only():
     End = _end_module()
-    for table in (End.rho, End.rho_inv):
+    for table in (End.rho, End.rho_inv, End.action):
         with pytest.raises(ValueError):
             table[0, 0, 0] = 2
     V = CoeffModule.scalar(cyclic(4), Modulus(5, 1), np.array([1, 2, 4, 3]))
     with pytest.raises(ValueError):
         V.char[1] = 1
+    with pytest.raises(ValueError):
+        V.action[1, 0, 0] = 1
 
 
 def test_scalar_cochains_with_different_characters_do_not_mix():
@@ -395,3 +397,167 @@ def test_shifted_system_builds_each_end_nu_once(monkeypatch):
     assert len({id(module) for module in shifted}) == len(nus) < len(shifted)
     built_nus = [m.rho.tobytes() for m in built if m.kind == "matrix" and m is not End]
     assert sorted(built_nus) == sorted(nus)  # each distinct nu built (and factored) once
+
+
+def _coboundary_matrix_by_columns(module):
+    """D^1 built one column at a time: the coboundary of each unit 1-cochain."""
+    n = module.group.order
+    vs = module.action.shape[1]
+    cols = []
+    for k in range(n * vs):
+        e = np.zeros(n * vs, dtype=np.int64)
+        e[k] = 1
+        c = Cochain(module, 1, e.reshape((n,) + module.value_shape))
+        cols.append(coboundary(c).table.reshape(-1))
+    return np.stack(cols, axis=1)
+
+
+# -- exactness at the edge moduli -------------------------------------------
+# On the 4 x 4 action products, 5^9 takes matmul_mod's float64 tier, 5^13
+# (the largest power of 5 below 2^31) its int64 tier, and 46337^2 (46337 is
+# the largest prime below 2^15.5) its Python-int tier.
+
+EDGE_MODULI = [Modulus(5, 9), Modulus(5, 13), Modulus(46337, 2)]
+EDGE_IDS = ["5^9", "5^13", "46337^2"]
+
+
+def _edge_modules(mod):
+    """Twisted scalar modules on Z/4 (a unit of order 4, the Teichmueller
+    lift of 2 when p = 5) and on the non-abelian D3 (sign, i.e. q - 1 on
+    reflections), a non-diagonal End(nu) over Z/4, and End(rho) for a
+    conjugate rho = P diag(1, chi) P^-1 whose entries spread over [0, q)."""
+    q = mod.pM
+    units = (pow(a, q // mod.p * (mod.p - 1) // 4, q) for a in range(2, mod.p))
+    teich = next(u for u in units if u * u % q != 1)  # order 4 in (Z/q)^x
+    chi = np.array([pow(teich, g, q) for g in range(4)], dtype=np.int64)
+    G4 = cyclic(4)
+    End = CoeffModule.end_of_characters(G4, mod, np.ones(4, dtype=np.int64), chi)
+    # nu = [[1, 0], [(1 - chi) v, chi]]: the lower entry is the coboundary of v
+    end_nu = End.with_lower_entry((1 - chi) * (q - 2))
+    P = np.array([[1, q - 2], [3, 1]], dtype=object)  # det 7, a unit
+    P_inv = np.array([[1, 2 - q], [-3, 1]], dtype=object) * pow(7, -1, q)
+    rho = np.array([P @ np.diag([1, int(c)]).astype(object) @ P_inv % q for c in chi], dtype=np.int64)
+    sign = np.array([1, 1, 1, q - 1, q - 1, q - 1], dtype=np.int64)
+    return [
+        CoeffModule.scalar(G4, mod, chi),
+        CoeffModule.scalar(dihedral(3), mod, sign),
+        end_nu,
+        CoeffModule.end_of_rep(G4, mod, rho),
+    ]
+
+
+def _edge_table(module, degree, gen):
+    """Random residues, about half of them within 1000 of q - 1."""
+    q = module.modulus.pM
+    shape = (module.group.order,) * degree + module.value_shape
+    return np.where(gen.random(shape) < 0.5, gen.integers(q - 1000, q, shape), gen.integers(0, q, shape))
+
+
+def _ref_act_all(module, t):
+    """[g, ...] = g . t[...] in Python ints."""
+    q = module.modulus.pM
+    t = np.asarray(t).astype(object)
+    if module.kind == "scalar":
+        return (module.char.astype(object).reshape((-1,) + (1,) * t.ndim) * t[None]) % q
+    rho, rho_inv = module.rho.astype(object), module.rho_inv.astype(object)
+    return np.einsum("gab,...bc,gcd->g...ad", rho, t, rho_inv) % q
+
+
+def _ref_coboundary(module, t):
+    T = module.group.table
+    t = np.asarray(t).astype(object)
+    out = _ref_act_all(module, t)
+    degree = t.ndim - len(module.value_shape)
+    if degree == 0:
+        out = out - t
+    elif degree == 1:
+        out = out - t[T] + t[:, None]
+    else:
+        out = out - t[T, :] + t[:, T] - t[:, :, None]
+    return out % module.modulus.pM
+
+
+def _ref_cup(a, b):
+    """(a cup b)(g, ...) = a(g) . (g . b(...)) for a of degree 1, in Python ints."""
+    acted = _ref_act_all(b.module, b.table)
+    front = a.table.astype(object)
+    if a.module.kind == "scalar":
+        out = front.reshape(front.shape + (1,) * (acted.ndim - 1)) * acted
+    else:
+        out = np.einsum("gab,g...bc->g...ac", front, acted)
+    return out % a.module.modulus.pM
+
+
+@pytest.mark.parametrize("mod", EDGE_MODULI, ids=EDGE_IDS)
+def test_cochain_products_match_python_ints_at_edge_moduli(mod):
+    gen = np.random.default_rng(mod.M)
+    for module in _edge_modules(mod):
+        for degree in (0, 1, 2):
+            t = _edge_table(module, degree, gen)
+            assert np.array_equal(module.act_all(t), _ref_act_all(module, t))
+            assert np.array_equal(coboundary(Cochain(module, degree, t)).table, _ref_coboundary(module, t))
+        a = Cochain(module, 1, _edge_table(module, 1, gen))
+        for j in (1, 2):
+            b = Cochain(module, j, _edge_table(module, j, gen))
+            assert np.array_equal(cup(a, b).table, _ref_cup(a, b))
+
+
+@pytest.mark.parametrize("mod", EDGE_MODULI, ids=EDGE_IDS)
+def test_dd_zero_and_leibniz_at_edge_moduli(mod):
+    gen = np.random.default_rng(10 + mod.M)
+    for module in _edge_modules(mod):
+        for degree in (0, 1):
+            for _ in range(5):
+                c = Cochain(module, degree, _edge_table(module, degree, gen))
+                assert coboundary(coboundary(c)).is_zero()
+        for (i, j) in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            a = Cochain(module, i, _edge_table(module, i, gen))
+            b = Cochain(module, j, _edge_table(module, j, gen))
+            lhs = coboundary(cup(a, b))
+            rhs = cup(coboundary(a), b) + (-1) ** i * cup(a, coboundary(b))
+            assert (lhs - rhs).is_zero()
+
+
+@pytest.mark.parametrize("mod", EDGE_MODULI, ids=EDGE_IDS)
+def test_deformation_check_at_edge_moduli(mod):
+    # rho + m rho eps is a homomorphism mod eps^2 exactly when m is a cocycle
+    gen = np.random.default_rng(20 + mod.M)
+    for End in _edge_modules(mod)[2:]:
+        m1 = random_cocycle(End, gen)
+        assert is_deformation_homomorphism(End.group, deformation_tables(End.rho, [m1], mod), mod)
+        for _ in range(3):
+            bad = m1 + Cochain(End, 1, _edge_table(End, 1, gen))
+            nu = deformation_tables(End.rho, [bad], mod)
+            assert is_deformation_homomorphism(End.group, nu, mod) == is_cocycle(bad)
+
+
+def test_coefficient_modules_reject_moduli_beyond_the_int64_kernels():
+    G = cyclic(4)
+    for mod in (Modulus(5, 14), Modulus(7, 12), Modulus(11, 9)):  # 11^9 is just above 2^31
+        with pytest.raises(ValueError, match="too large"):
+            CoeffModule.scalar(G, mod)
+        with pytest.raises(ValueError, match="too large"):
+            CoeffModule.end_of_characters(G, mod, np.ones(4), np.ones(4))
+    assert CoeffModule.scalar(G, Modulus(5, 13)).action.shape == (4, 1, 1)
+
+
+def test_coboundary_matrix_matches_column_construction(monkeypatch):
+    from eisenlab.massey import cochains
+    from eisenlab.massey.selftest import run_selftest
+
+    built = []
+    init = CoeffModule.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(CoeffModule, "__init__", recording_init)
+    assert run_selftest(7, quick=True).ok
+    for mod in EDGE_MODULI:
+        _edge_modules(mod)
+    assert {m.kind for m in built} == {"scalar", "matrix"}
+    for module in built:
+        D = cochains._coboundary_matrix(module)
+        old = _coboundary_matrix_by_columns(module)
+        assert D.dtype == old.dtype and np.array_equal(D, old)
