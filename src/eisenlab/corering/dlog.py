@@ -43,12 +43,6 @@ class DlogTable:
             raise ValueError(f"{x} is not invertible mod {self.N}")
         return self.table[x]
 
-    def log_mod(self, x: int, modulus: int) -> int:
-        """log as a homomorphism F_N^* -> Z/modulus (modulus | N-1)."""
-        if (self.N - 1) % modulus != 0:
-            raise ValueError(f"{modulus} does not divide N-1 = {self.N - 1}")
-        return self.log(x) % modulus
-
 
 @lru_cache(maxsize=64)
 def build_dlog_table(N: int) -> DlogTable:

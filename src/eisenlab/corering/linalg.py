@@ -2,22 +2,25 @@
 
 Z/p^M is a chain ring: every element is unit * p^v, and Gaussian
 elimination stays exact as long as pivots are chosen with minimal
-valuation.  Two elimination flavours are used:
+valuation.  There is one elimination, the blocked unit-pivot Gauss-Jordan
+``_unit_gauss_jordan``: pivots are found on a panel of columns, and the
+panel's row operations reach the rest of the matrix as one product.  It
+returns those panels, so its row operations can be replayed on a
+right-hand side.  Two kinds of system use it:
 
-* full valuation pivoting decides arbitrary linear systems, tracking
-  unit/non-unit pivots in the Howell style.  It is one elimination,
-  ``FullPivotFactor``: factor once, then solve many right-hand sides or
-  read off a kernel spanning set.  The multipliers are stored in the
-  eliminated lower triangle, so a factor costs one copy of A.
-  ``howell_solve``, ``howell_membership`` and ``kernel_spanning_set`` are
-  one-shot wrappers around it;
-* unit-pivot-only Gauss-Jordan for systems whose cokernel is known to be
-  free.  It is one blocked elimination, ``_unit_gauss_jordan``: pivots are
-  found on a panel of columns, and the panel's row operations reach the
-  rest of the matrix as one product.  ``unit_echelon``,
-  ``kernel_of_free_summand`` and ``restrict_operator`` wrap it and raise
-  unless the rows left without a pivot vanish, which certifies that
-  assumption.
+* systems whose cokernel is known to be free.  ``unit_echelon``,
+  ``kernel_of_free_summand`` and ``restrict_operator`` run it once and
+  raise unless the rows left without a pivot vanish, which certifies that
+  assumption;
+* arbitrary linear systems, decided by ``FullPivotFactor``: factor once,
+  then solve many right-hand sides or read off a kernel spanning set.  The
+  factor is a stack of valuation layers: layer v runs the core mod p^(M-v)
+  on what earlier layers left, divided by p, so its pivots have valuation
+  v.  A layer keeps its panels and its pivot rows, not a lower triangle of
+  multipliers; a solve replays the panels layer by layer and then
+  back-substitutes with one product per layer.  ``howell_solve``,
+  ``howell_membership`` and ``kernel_spanning_set`` are one-shot wrappers
+  around it.
 
 Entries are residues in [0, p^M) with p^M < 2^31.  A product of two
 entries fits int64, but a k-term dot product need not, e.g. at p^M = 5^12
@@ -69,169 +72,93 @@ def matmul_mod(A, B, mod: Modulus) -> np.ndarray:
     return ((A.astype(object) @ B.astype(object)) % pM).astype(np.int64)
 
 
-def _valuations(x: np.ndarray, p: int) -> np.ndarray:
-    """p-adic valuation of every entry of a vector of nonzero residues."""
-    v = np.zeros(x.shape, dtype=np.int64)
-    while True:
-        divisible = x % p == 0
-        if not divisible.any():
-            return v
-        v += divisible
-        x = np.where(divisible, x // p, x)
-
-
-def _first_not_divisible(sub: np.ndarray, d: int) -> int:
-    """Row-major flat index of the first entry of sub not divisible by d,
-    or -1 if there is none.
-
-    Rows are scanned in doubling chunks, so a hit near the top of a tall
-    block costs a few rows rather than a pass over the whole block.
-    """
-    start, step = 0, 32
-    while start < sub.shape[0]:
-        hits = np.flatnonzero(sub[start : start + step] % d)
-        if hits.size:
-            return start * sub.shape[1] + int(hits[0])
-        start += step
-        step *= 2
-    return -1
-
-
 class FullPivotFactor:
-    """Minimum-valuation full-pivot elimination of A over Z/p^M, done once.
+    """A over Z/p^M factored once, as valuation layers of ``_unit_gauss_jordan``.
 
-    The pivot at each step is the first entry of minimal valuation, in
-    row-major order of the trailing block; it is normalized to exactly p^v
-    by scaling its row by the inverse unit.  The factor is kept in place as
-    LAPACK getrf does: the upper triangle holds U (diagonal p^v), the
-    eliminated lower triangle holds the multipliers, and the row and column
-    permutations travel with whole rows and columns.  ``solve`` replays the
-    elimination on a right-hand side; ``kernel`` completes one generator per
-    free column and per non-unit pivot by back-substitution.
+    Layer v runs the unit-pivot core mod p^(M-v) on the rows that have no
+    pivot yet, divided by p, restricted to the columns that have no pivot
+    yet.  The earlier layers have eliminated their pivot columns from those
+    rows and left every other entry divisible by p, so layer v's pivots have
+    valuation exactly v: these are the Howell layers of A (Storjohann and
+    Mulders, ESA 1998), and layer v has one pivot per elementary divisor p^v
+    of A.  A layer keeps its panels, to replay its row operations on a
+    right-hand side, and its reduced pivot rows off its pivot columns, to
+    back-substitute.
     """
 
     def __init__(self, A, mod: Modulus):
         self.mod = mod
-        p, pM = mod.p, mod.pM
-        LU = _as_matrix(A, mod)  # a fresh array: reducing mod p^M copies A
-        m, n = LU.shape
-        rows = np.arange(m)
-        cols = np.arange(n)
+        p, M = mod.p, mod.M
+        B = _as_matrix(A, mod)  # a fresh array: reducing mod p^M copies A
+        self._shape = B.shape
+        cols = np.arange(B.shape[1])
         self.valuations: list[int] = []  # valuation of the k-th pivot
-        self._unit_inverses: list[int] = []  # row k of U was scaled by this
-        for r in range(min(m, n)):
-            sub = LU[r:, r:]
-            # pivot valuations never decrease, so the last one is the floor
-            v = self.valuations[-1] if self.valuations else 0
-            k = _first_not_divisible(sub, p ** (v + 1))
-            if k < 0:
-                nonzero = np.flatnonzero(sub)
-                if nonzero.size == 0:
-                    break
-                vals = _valuations(sub.ravel()[nonzero], p)
-                first = int(np.argmin(vals))
-                k, v = int(nonzero[first]), int(vals[first])
-            pi, pj = r + k // sub.shape[1], r + k % sub.shape[1]
-            if pi != r:
-                LU[[r, pi]] = LU[[pi, r]]
-                rows[[r, pi]] = rows[[pi, r]]
-            if pj != r:
-                LU[:, [r, pj]] = LU[:, [pj, r]]
-                cols[[r, pj]] = cols[[pj, r]]
-            pv = p**v
-            inv_u = pow(int(LU[r, r]) // pv, -1, pM)
-            LU[r, r:] = (LU[r, r:] * inv_u) % pM
-            q = LU[r + 1 :, r] // pv
-            LU[r + 1 :, r] = q
-            live = np.flatnonzero(q)
-            if live.size:
-                rr = r + 1 + live
-                LU[rr, r + 1 :] = (LU[rr, r + 1 :] - q[live, None] * LU[r, r + 1 :]) % pM
-            self.valuations.append(v)
-            self._unit_inverses.append(inv_u)
+        # (modulus, panels, pivot columns, other columns, pivot rows on those)
+        self._layers = []
+        for v in range(M):
+            mod_v = Modulus(p, M - v)
+            pivcols, panels = _unit_gauss_jordan(B, mod_v)
+            k = len(pivcols)
+            rest = np.ones(cols.size, dtype=bool)
+            rest[pivcols] = False
+            self._layers.append((mod_v, panels, cols[pivcols], cols[rest], _narrow(B[:k, rest], mod_v.pM)))
+            self.valuations += [v] * k
+            cols = cols[rest]
+            B = B[k:, rest] // p
         self.rank = len(self.valuations)
-        # stored at the narrowest width holding p^M - 1: a factor may be
-        # kept for the life of its owner (a Massey module's D^1)
-        width = next(dt for dt in (np.int8, np.int16, np.int32) if pM <= np.iinfo(dt).max)
-        self._lu, self._rows, self._cols = LU.astype(width), rows, cols
+        self._free = cols
 
     def solve(self, b) -> np.ndarray | None:
         """A witness x with A x = b, or None when b is not in the column span.
 
-        Back-substitution with free variables zero succeeds exactly when the
-        system is solvable: each pivot p^v must divide its residual, which
-        any solution forces.
+        Layer v's row operations leave the rows below its pivots divisible
+        by p^(v+1) in A, so they must leave them so in b too; with that, the
+        back-substitution with free variables zero is a solution.
         """
-        pM = self.mod.pM
-        LU, r = self._lu, self.rank
-        m, n = LU.shape
-        b = np.asarray(b, dtype=np.int64).reshape(-1) % pM
-        if b.shape[0] != m:
-            raise ValueError(f"shape mismatch: A is {m}x{n}, b has {b.shape[0]}")
-        y = b[self._rows]
-        for k in range(r):
-            y[k] = (y[k] * self._unit_inverses[k]) % pM
-            y[k + 1 :] = (y[k + 1 :] - LU[k + 1 :, k].astype(np.int64) * y[k]) % pM
-        if y[r:].any():
-            return None
-        x = self._complete(np.zeros(n, dtype=np.int64), r - 1, y)
-        if x is None:
-            return None
-        out = np.empty_like(x)
-        out[self._cols] = x
-        return out
+        p = self.mod.p
+        m, n = self._shape
+        y = np.asarray(b, dtype=np.int64).reshape(-1) % self.mod.pM
+        if y.shape[0] != m:
+            raise ValueError(f"shape mismatch: A is {m}x{n}, b has {y.shape[0]}")
+        x = np.zeros(n, dtype=np.int64)
+        for mod_v, panels, piv, _, _ in self._layers:
+            for panel in panels:
+                _apply_panel(y, panel, mod_v)
+            x[piv] = y[: piv.size]
+            y = y[piv.size :]
+            if (y % p).any():
+                return None
+            y //= p
+        return self._back_substitute(x)
 
     def kernel(self) -> np.ndarray:
         """Columns spanning {x : A x = 0} (not necessarily minimally).
 
         One generator per free column and one generator p^(M-v) * e_k per
-        pivot of positive valuation v.
+        pivot of positive valuation v, each completed by back-substitution.
         """
-        p, M = self.mod.p, self.mod.M
-        r = self.rank
-        n = self._lu.shape[1]
-        seeds = [(j, 1, r - 1) for j in range(r, n)]
-        seeds += [(k, p ** (M - v), k - 1) for k, v in enumerate(self.valuations) if v]
-        out = np.zeros((n, len(seeds)), dtype=np.int64)
-        for col, (j, entry, top) in enumerate(seeds):
-            x = np.zeros(n, dtype=np.int64)
-            x[j] = entry
-            if self._complete(x, top) is None:
-                raise ArithmeticError("kernel generator completion must divide")
-            out[self._cols, col] = x
-        return out
+        seeds = [(self._free, 1)] + [(piv, mod_v.pM) for mod_v, _, piv, _, _ in self._layers[1:]]
+        rows = np.concatenate([cols for cols, _ in seeds])
+        X = np.zeros((self._shape[1], rows.size), dtype=np.int64)
+        X[rows, np.arange(rows.size)] = np.concatenate([np.full(cols.size, e) for cols, e in seeds])
+        return self._back_substitute(X)
 
-    def _complete(self, x: np.ndarray, top: int, rhs: np.ndarray | None = None):
-        """Back-substitute U x = rhs (0 when None) for x[top], ..., x[0] in
-        place, in pivot order; None if a pivot fails to divide its residual."""
-        p, pM = self.mod.p, self.mod.pM
-        LU = self._lu
-        for k in range(top, -1, -1):
-            resid = -_dot_mod(LU[k, k + 1 :], x[k + 1 :], pM)
-            if rhs is not None:
-                resid += int(rhs[k])
-            resid %= pM
-            pv = p ** self.valuations[k]
-            if resid % pv:
-                return None
-            x[k] = resid // pv
+    def _back_substitute(self, x: np.ndarray) -> np.ndarray:
+        """Complete the pivot entries of x (a vector or columns) in place, last
+        layer first: x[pivots] -= (pivot rows) @ x[other columns] mod p^(M-v).
+
+        The result is reduced mod p^M, not p^(M-v): a kernel seed p^(M-v) on a
+        pivot of layer v has to survive its own layer.
+        """
+        for mod_v, _, piv, rest, U in reversed(self._layers):
+            if piv.size:
+                x[piv] = (x[piv] - matmul_mod(U, x[rest], mod_v)) % self.mod.pM
         return x
 
 
 def howell_solve(A, b, mod: Modulus):
     """Solve A x = b over Z/p^M; return a witness vector or None."""
     return FullPivotFactor(A, mod).solve(b)
-
-
-def _dot_mod(u: np.ndarray, v: np.ndarray, pM: int) -> int:
-    if u.size == 0:
-        return 0
-    if u.size * pM * pM < (1 << 62):
-        return int((u * v).sum() % pM)
-    acc = 0
-    for a, x in zip(u.tolist(), v.tolist()):
-        acc = (acc + a * x) % pM
-    return acc
 
 
 def howell_membership(A, b, mod: Modulus):
@@ -249,11 +176,35 @@ def kernel_spanning_set(A, mod: Modulus) -> np.ndarray:
 
 
 _PANEL = 32
+_CHUNK = 256  # rows per slice of a panel product, which bounds its temporaries
 
 
-def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None) -> list[int]:
+def _narrow(X: np.ndarray, pM: int) -> np.ndarray:
+    """X at the narrowest integer width holding p^M - 1: factors and their
+    panels may be kept for the life of their owner (a Massey module's D^1)."""
+    width = next(dt for dt in (np.int8, np.int16, np.int32) if pM <= np.iinfo(dt).max)
+    return X.astype(width)
+
+
+def _apply_panel(X: np.ndarray, panel, mod: Modulus) -> None:
+    """Replay one panel's row operations on X (a matrix or a vector) in place:
+    its row swaps, then X[rows] += E @ X[pivot rows] with the pivot rows
+    taken out first.  Rows outside ``rows`` are left untouched."""
+    r0, swaps, rows, E = panel
+    for r, sel in swaps:
+        X[[r, sel]] = X[[sel, r]]
+    r1 = r0 + E.shape[1]
+    piv = X[r0:r1].copy()
+    X[r0:r1] = 0
+    for t in range(0, rows.size, _CHUNK):
+        rr = rows[t : t + _CHUNK]
+        X[rr] = (X[rr] + matmul_mod(E[t : t + _CHUNK], piv, mod)) % mod.pM
+
+
+def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None):
     """Gauss-Jordan of A in place with unit pivots only; returns the pivot
-    columns, found among the first ``stop`` columns (all by default).
+    columns, found among the first ``stop`` columns (all by default), and
+    the panels that replay its row operations (see ``_apply_panel``).
 
     Each column takes the first row at or below the pivot row whose entry is
     a unit, so the result is the unit-pivot reduced echelon form.  Pivots are
@@ -262,21 +213,25 @@ def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None) -> 
     terms of the panel's k pivot rows as they stood when the panel began; E's
     pivot rows end up holding the inverse of their k x k pivot block.  The
     new matrix is then E @ A[pivot rows], plus the old rows off the pivots:
-    one product for the whole matrix instead of k rank-1 updates.
+    one product instead of k rank-1 updates, over the rows E touches only.
+    A panel is (first pivot row, row swaps, rows E touches, E on those rows).
     """
     p, pM = mod.p, mod.pM
     m, n = A.shape
     stop = n if stop is None else stop
     pivcols: list[int] = []
+    panels = []
+    buf = np.empty((m, 2 * min(_PANEL, stop)), dtype=np.int64)  # one G for every panel
     r = 0
     for c0 in range(0, stop, _PANEL):
         if r >= m:
             break
         c1 = min(c0 + _PANEL, stop)
         w = c1 - c0
-        G = np.zeros((m, 2 * w), dtype=np.int64)
+        G = buf[:, : 2 * w]
         G[:, :w] = A[:, c0:c1]
-        r0 = r
+        G[:, w:] = 0
+        r0, swaps = r, []
         for c in range(w):
             if r >= m:
                 break
@@ -286,21 +241,25 @@ def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None) -> 
             sel = r + int(nz[0])
             if sel != r:
                 G[[r, sel]] = G[[sel, r]]
-                A[[r, sel]] = A[[sel, r]]
+                swaps.append((r, sel))
             G[r, w + r - r0] = 1
-            G[r] = (G[r] * pow(int(G[r, c]), -1, pM)) % pM
-            colvals = G[:, c].copy()
-            colvals[r] = 0
-            G -= np.outer(colvals, G[r])
-            G %= pM
+            # row r is zero past its own E column; only rows with an entry in
+            # column c change, and only right of it: the panel's columns left
+            # of c are never read again
+            hi = w + r - r0 + 1
+            G[r, c:hi] = (G[r, c:hi] * pow(int(G[r, c]), -1, pM)) % pM
+            live = np.flatnonzero(G[:, c])
+            live = live[live != r]
+            if live.size:
+                G[live, c + 1 : hi] = (G[live, c + 1 : hi] - G[live, c, None] * G[r, c + 1 : hi]) % pM
             pivcols.append(c0 + c)
             r += 1
         if r > r0:
-            update = matmul_mod(G[:, w : w + r - r0], A[r0:r], mod)
-            A[r0:r] = 0
-            A += update
-            A %= pM
-    return pivcols
+            E = _narrow(G[:, w : w + r - r0], pM)
+            rows = np.flatnonzero(E.any(axis=1))
+            panels.append((r0, swaps, rows, E[rows]))
+            _apply_panel(A, panels[-1], mod)
+    return pivcols, panels
 
 
 def unit_echelon(A, mod: Modulus):
@@ -312,7 +271,7 @@ def unit_echelon(A, mod: Modulus):
     relations); otherwise ArithmeticError is raised.
     """
     A = _as_matrix(A, mod)  # a fresh array: reducing mod p^M copies A
-    pivcols = _unit_gauss_jordan(A, mod)
+    pivcols, _ = _unit_gauss_jordan(A, mod)
     r = len(pivcols)
     if A[r:].any():
         raise ArithmeticError("non-unit pivot needed: row space has p-torsion")
@@ -343,7 +302,7 @@ def restrict_operator(T: np.ndarray, basis: np.ndarray, mod: Modulus) -> np.ndar
     basis = _as_matrix(basis, mod)
     k = basis.shape[1]
     A = np.hstack([basis, matmul_mod(T, basis, mod)])
-    if len(_unit_gauss_jordan(A, mod, stop=k)) < k:
+    if len(_unit_gauss_jordan(A, mod, stop=k)[0]) < k:
         raise ArithmeticError("basis does not have unit pivots")
     if A[k:, k:].any():
         raise ArithmeticError("operator does not preserve the subspace")

@@ -240,16 +240,6 @@ class PadicPoly:
             acc = (acc * x + c) % pM
         return acc
 
-    def substitute_scaled(self, scale: int) -> "PadicPoly":
-        """f(scale * y)."""
-        pM = self.modulus.pM
-        out = []
-        s = 1
-        for c in self.coeffs:
-            out.append((c * s) % pM)
-            s = (s * scale) % pM
-        return PadicPoly(out, self.modulus)
-
     def mod_p(self) -> list[int]:
         """Coefficients reduced mod p (not trimmed)."""
         p = self.modulus.p

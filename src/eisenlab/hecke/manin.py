@@ -29,7 +29,7 @@ import heapq
 
 import numpy as np
 
-from ..corering.linalg import kernel_of_free_summand, matmul_mod, restrict_operator
+from ..corering.linalg import kernel_of_free_summand, matmul_mod
 from ..corering.zmod import Modulus
 
 _HEILBRONN_CACHE: dict[int, list[tuple[int, int, int, int]]] = {}
@@ -262,11 +262,6 @@ class ManinSpace:
         T.setflags(write=False)
         self._certified[ell] = T
         return T
-
-    def hecke_on_cuspidal_plus(self, ell: int) -> np.ndarray:
-        """Matrix of T_ell on the cuspidal plus quotient (rank g)."""
-        Tp = self.hecke_on_plus(ell)
-        return restrict_operator(Tp, self.cuspidal_plus_in_plus, self.modulus)
 
 
 def build_manin_space(N: int, modulus: Modulus) -> ManinSpace:

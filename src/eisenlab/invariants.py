@@ -352,11 +352,3 @@ def lecouturier_check(N: int, p: int, s: int) -> bool:
     lhs = s_i2log % ps
     rhs = (-s_half * 4 * pow(3, -1, ps)) % ps
     return lhs == rhs
-
-
-def merel_power_matches_ord(N: int, p: int, s: int) -> bool:
-    """Equivalence: Merel's number is a p^s-th power iff ord_s(zeta) >= 2."""
-    rep = merel_report(N, p, s)
-    o = ord_zeta(N, p, s)
-    ord_ge_2 = isinstance(o, AtLeast) or o >= 2
-    return rep.is_power_s[s] == ord_ge_2

@@ -35,10 +35,13 @@ class InvalidDefiningSystem(Exception):
 
 
 class DefiningSystem:
-    """Table {a(i,j) : 1 <= i <= j <= n, (i,j) != (1,n)} of 1-cochains."""
+    """Table {a(i,j) : 1 <= i <= j <= n, (i,j) != (1,n)} of 1-cochains.
 
-    def __init__(self, module: CoeffModule, n: int, table: dict[tuple[int, int], Cochain],
-                 check: bool = True):
+    Raises InvalidDefiningSystem unless every entry is present and the
+    defining-system law d a(i,j) + sum_k a(i,k) cup a(k+1,j) = 0 holds.
+    """
+
+    def __init__(self, module: CoeffModule, n: int, table: dict[tuple[int, int], Cochain]):
         if n < 2:
             raise ValueError("need n >= 2")
         self.module = module
@@ -50,11 +53,10 @@ class DefiningSystem:
                     continue
                 if (i, j) not in table:
                     raise InvalidDefiningSystem(f"missing entry a({i},{j})")
-        if check:
-            self.validate()
+        self.validate()
 
     @classmethod
-    def for_power(cls, a: Cochain, chain: list[Cochain], check: bool = True):
+    def for_power(cls, a: Cochain, chain: list[Cochain]):
         """Defining system for the k-th Massey power, k = len(chain) + 2.
 
         chain holds m_2, ..., m_{k-1}; m_1 = a.  Entries are
@@ -68,7 +70,7 @@ class DefiningSystem:
                 if (i, j) == (1, k):
                     continue
                 table[(i, j)] = ms[j - i]
-        return cls(a.module, k, table, check=check)
+        return cls(a.module, k, table)
 
     @property
     def power_chain(self) -> list[Cochain]:
@@ -101,13 +103,8 @@ def massey_product_cocycle(D: DefiningSystem) -> Cochain:
     return acc
 
 
-def massey_power(D: DefiningSystem) -> Cochain:
-    """The 2-cocycle representing <a>^n relative to the defining system D."""
-    return massey_product_cocycle(D)
-
-
 def massey_power_vanishes(D: DefiningSystem) -> bool:
-    ok, _ = vanishes_in_h2(massey_power(D))
+    ok, _ = vanishes_in_h2(massey_product_cocycle(D))
     return ok
 
 
@@ -170,7 +167,7 @@ def shifted_system(D: DefiningSystem) -> tuple[DefiningSystem, Cochain]:
         return Cochain(end_nu, 1, tbl)
 
     chain_p = [mprime(i) for i in range(1, r - 1)]
-    Dp = DefiningSystem.for_power(chain_p[0], chain_p[1:], check=True)
+    Dp = DefiningSystem.for_power(chain_p[0], chain_p[1:])
     return Dp, massey_product_cocycle(Dp)
 
 
@@ -278,7 +275,7 @@ def power_defining_systems(a: Cochain, k: int, cocycle_pool: list[Cochain]):
     def rec(ms: list[Cochain]):
         i = len(ms) + 1  # index of the next chain entry m_i
         if i > k - 1:
-            systems.append(DefiningSystem.for_power(ms[0], ms[1:], check=True))
+            systems.append(DefiningSystem.for_power(ms[0], ms[1:]))
             return
         rhs = None
         for j in range(1, i):

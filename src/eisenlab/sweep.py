@@ -145,6 +145,16 @@ def _worker(args) -> ResultRecord:
     return compute_record(N, p, with_hecke=True, precision=precision)
 
 
+def _computed(tasks: list, workers: int):
+    """Records for the tasks: in order on one worker, as they finish on a pool."""
+    if workers == 1:
+        yield from map(_worker, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        for fut in as_completed([pool.submit(_worker, task) for task in tasks]):
+            yield fut.result()
+
+
 def run_sweep(
     p: int,
     max_N: int,
@@ -165,24 +175,12 @@ def run_sweep(
     todo = [N for N in targets if (N, p) not in done]
     if not todo:
         return 0
-    workers = workers or os.cpu_count() or 1
     written = 0
-    if workers == 1:
-        for N in todo:
-            rec = _worker((N, p, precision))
-            append_records(out_path, [rec])
-            written += 1
-            if log:
-                log(f"  {rec.N}: e={rec.e} ord_1={rec.ord_zeta_s.get('1')} [{rec.elapsed}s]")
-        return written
-    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-        futures = {pool.submit(_worker, (N, p, precision)): N for N in todo}
-        for fut in as_completed(futures):
-            rec = fut.result()
-            append_records(out_path, [rec])
-            written += 1
-            if log:
-                log(f"  {rec.N}: e={rec.e} ord_1={rec.ord_zeta_s.get('1')} [{rec.elapsed}s]")
+    for rec in _computed([(N, p, precision) for N in todo], workers or os.cpu_count() or 1):
+        append_records(out_path, [rec])
+        written += 1
+        if log:
+            log(f"  {rec.N}: e={rec.e} ord_1={rec.ord_zeta_s.get('1')} [{rec.elapsed}s]")
     return written
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from eisenlab.corering import (
     matmul_mod,
     restrict_operator,
     unit_echelon,
+    valuation_p,
 )
 
 rng = np.random.default_rng(417)
@@ -475,8 +477,9 @@ def _apply(A, x, pM):
     return [sum(a * b for a, b in zip(row, x)) % pM for row in A.tolist()]
 
 
-# 5^13 and 7^11 sit just below 2^31: a back-substitution dot product of a
-# dozen entries overflows int64 there and takes _dot_mod's Python-int path
+# 5^13 and 7^11 sit just below 2^31: a back-substitution product of a few
+# terms (7 at 5^13, 3 at 7^11) overflows int64 there and takes matmul_mod's
+# Python-int tier
 _FACTOR_MODULI = [(p, M) for p in (5, 7) for M in (1, 2, 3)] + [(5, 13), (7, 11)]
 
 
@@ -544,3 +547,147 @@ def test_factor_decision_and_kernel_exhaustive_tiny(pm, m, n, seed):
         bs = [tuple(v) for v in gen.integers(0, pM, (100, m)).tolist() + images[picks].tolist()]
     for b in bs:
         assert (F.solve(np.array(b)) is not None) == (b in reachable)
+
+
+# -- FullPivotFactor against the one-pivot-at-a-time elimination ---------------
+
+
+def _full_pivot_reference(A, mod):
+    """Minimum-valuation full-pivot elimination in Python ints, one rank-1
+    update per pivot (independent oracle).
+
+    The pivot is the first entry of minimal valuation in row-major order of
+    the trailing block, scaled to exactly p^v.  Returns (valuations, solve,
+    kernel): the pivot valuations in order, a function b -> witness or None,
+    and a kernel spanning set as columns.
+    """
+    p, M, pM = mod.p, mod.M, mod.pM
+    LU = [[int(x) % pM for x in row] for row in np.asarray(A).tolist()]
+    m, n = len(LU), len(LU[0])
+    rows, cols = list(range(m)), list(range(n))
+    vals, invs = [], []
+    for r in range(min(m, n)):
+        live = [(valuation_p(LU[i][j], p), i, j) for i in range(r, m) for j in range(r, n) if LU[i][j]]
+        if not live:
+            break
+        v, pi, pj = min(live)
+        LU[r], LU[pi] = LU[pi], LU[r]
+        rows[r], rows[pi] = rows[pi], rows[r]
+        for row in LU:
+            row[r], row[pj] = row[pj], row[r]
+        cols[r], cols[pj] = cols[pj], cols[r]
+        inv = pow(LU[r][r] // p**v, -1, pM)
+        LU[r] = LU[r][:r] + [x * inv % pM for x in LU[r][r:]]
+        for i in range(r + 1, m):
+            q = LU[i][r] // p**v
+            LU[i][r] = q
+            for j in range(r + 1, n):
+                LU[i][j] = (LU[i][j] - q * LU[r][j]) % pM
+        vals.append(v)
+        invs.append(inv)
+    rank = len(vals)
+
+    def complete(x, top, rhs):
+        for k in range(top, -1, -1):
+            resid = (rhs[k] - sum(LU[k][j] * x[j] for j in range(k + 1, n))) % pM
+            if resid % p ** vals[k]:
+                return None
+            x[k] = resid // p ** vals[k]
+        return x
+
+    def unpermute(x):
+        out = [0] * n
+        for k, c in enumerate(cols):
+            out[c] = x[k]
+        return out
+
+    def solve(b):
+        y = [int(b[i]) % pM for i in rows]
+        for k in range(rank):
+            y[k] = y[k] * invs[k] % pM
+            for i in range(k + 1, m):
+                y[i] = (y[i] - LU[i][k] * y[k]) % pM
+        if any(y[rank:]):
+            return None
+        x = complete([0] * n, rank - 1, y)
+        return None if x is None else unpermute(x)
+
+    gens = []
+    seeds = [(j, 1, rank - 1) for j in range(rank, n)]
+    seeds += [(k, p ** (M - v), k - 1) for k, v in enumerate(vals) if v]
+    for j, entry, top in seeds:
+        x = [0] * n
+        x[j] = entry
+        gens.append(unpermute(complete(x, top, [0] * n)))
+    kernel = np.array(gens, dtype=np.int64).reshape(-1, n).T
+    return vals, solve, kernel
+
+
+def _matches_reference(A, mod, gen):
+    m, n = A.shape
+    pM = mod.pM
+    F = FullPivotFactor(A, mod)
+    vals, ref_solve, ref_kernel = _full_pivot_reference(A, mod)
+    assert F.rank == len(vals)
+    assert sorted(F.valuations) == sorted(vals)
+    K = F.kernel()
+    assert K.shape[0] == n
+    for col in K.T.tolist():
+        assert _apply(A, col, pM) == [0] * m
+    # each kernel lies in the span of the other
+    for gens, other in ((ref_kernel, K), (K, ref_kernel)):
+        if other.shape[1] == 0:
+            assert not gens.any()
+            continue
+        in_span = _full_pivot_reference(other, mod)[1]
+        for col in gens.T.tolist():
+            w = in_span(col)
+            assert w is not None and _apply(other, w, pM) == [c % pM for c in col]
+    for trial in range(6):
+        if trial % 2 == 0:  # in the column span by construction
+            b = _apply(A, gen.integers(0, pM, n).tolist(), pM)
+        else:
+            b = (gen.integers(0, pM, m) * mod.p ** int(gen.integers(0, mod.M))).tolist()
+        x, want = F.solve(np.array(b, dtype=np.int64)), ref_solve(b)
+        assert (x is None) == (want is None)
+        if trial % 2 == 0:
+            assert x is not None
+        if x is not None:
+            assert _apply(A, x.tolist(), pM) == [c % pM for c in b]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    pm=st.sampled_from(_FACTOR_MODULI),
+    m=st.integers(1, 24),
+    n=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_matches_full_pivot_reference(pm, m, n, seed):
+    mod = Modulus(*pm)
+    gen = np.random.default_rng(seed)
+    _matches_reference(_planted(gen, m, n, mod.p, mod.M), mod, gen)
+
+
+@pytest.mark.parametrize("p,M", [(5, 2), (5, 13), (7, 11)])
+def test_factor_matches_full_pivot_reference_on_circulant(p, M):
+    # the full group-ring oracle's span: the cyclic shifts of ([g] - 1)^r.
+    # With p | n and r = p + 2 it is sparse and has pivots of several
+    # valuations and a kernel
+    mod = Modulus(p, M)
+    n, r = 12 * p, p + 2
+    base = [0] * n
+    for j in range(r + 1):
+        base[j % n] += math.comb(r, j) * (-1) ** (r - j)
+    A = np.array([[base[(i - k) % n] % mod.pM for k in range(n)] for i in range(n)], dtype=np.int64)
+    _matches_reference(A, mod, np.random.default_rng(p * 100 + M))
+
+
+@pytest.mark.parametrize("p,M", [(5, 2), (5, 13)])
+def test_eliminations_past_one_panel_slice(p, M):
+    # a panel product runs in 256-row slices; taller matrices use several
+    mod = Modulus(p, M)
+    gen = np.random.default_rng(p + M)
+    A = _free_rows(gen, 300, 40, p, mod.pM, torsion=False)
+    assert _same(unit_echelon(A, mod), _unit_echelon_unblocked(A, mod))
+    _matches_reference(_planted(gen, 300, 12, p, M), mod, gen)

@@ -312,12 +312,6 @@ def test_deformation_top_obstruction_both_directions():
     assert done >= 4
 
 
-def _end_module():
-    G = direct_product(cyclic(5), cyclic(4))
-    chi2 = np.array([pow(2, g % 4, 5) for g in range(G.order)], dtype=np.int64)
-    return CoeffModule.end_of_characters(G, Modulus(5, 1), np.ones(G.order, dtype=np.int64), chi2)
-
-
 def test_coboundary_built_and_factored_once_per_module(monkeypatch):
     from eisenlab.massey import cochains
 
