@@ -22,7 +22,7 @@ from .newton import (
     t_sequence,
     unit_window_factor,
 )
-from .zmod import AtLeast, INF, Modulus, PadicPoly, ZmodElem, valuation_p
+from .zmod import AtLeast, INF, Modulus, PadicPoly, valuation_p
 
 __all__ = [
     "AtLeast",
@@ -32,7 +32,6 @@ __all__ = [
     "Modulus",
     "NewtonPolygon",
     "PadicPoly",
-    "ZmodElem",
     "berkowitz_charpoly",
     "build_dlog_table",
     "hensel_lift_coprime",

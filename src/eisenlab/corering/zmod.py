@@ -65,9 +65,6 @@ class Modulus:
     def pM(self) -> int:
         return self._pM
 
-    def reduce(self, x: int) -> int:
-        return x % self._pM
-
     def inv(self, x: int) -> int:
         """Inverse of a unit mod p^M."""
         x %= self._pM
@@ -87,59 +84,6 @@ class Modulus:
         return v if v < self.M else AtLeast(self.M)
 
 
-@dataclass(frozen=True)
-class ZmodElem:
-    """A single element of Z/p^M."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus.pM)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, ZmodElem):
-            if other.modulus != self.modulus:
-                raise ValueError("modulus mismatch")
-            return other.value
-        return int(other)
-
-    def __add__(self, other):
-        return ZmodElem(self.value + self._coerce(other), self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ZmodElem(self.value - self._coerce(other), self.modulus)
-
-    def __rsub__(self, other):
-        return ZmodElem(self._coerce(other) - self.value, self.modulus)
-
-    def __mul__(self, other):
-        return ZmodElem(self.value * self._coerce(other), self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ZmodElem(-self.value, self.modulus)
-
-    def inverse(self) -> "ZmodElem":
-        return ZmodElem(self.modulus.inv(self.value), self.modulus)
-
-    def valuation(self) -> Valuation:
-        return self.modulus.valuation(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, ZmodElem):
-            return self.modulus == other.modulus and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.modulus.pM
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-
 class PadicPoly:
     """Polynomial over Z/p^M, constant coefficient first.
 
@@ -157,10 +101,6 @@ class PadicPoly:
             cs = [0]
         self.coeffs = cs
         self.modulus = modulus
-
-    @classmethod
-    def zero(cls, modulus: Modulus) -> "PadicPoly":
-        return cls([0], modulus)
 
     @classmethod
     def one(cls, modulus: Modulus) -> "PadicPoly":
@@ -224,10 +164,6 @@ class PadicPoly:
         return PadicPoly(out, self.modulus)
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> "PadicPoly":
-        """Multiply by y^k."""
-        return PadicPoly([0] * k + self.coeffs, self.modulus)
 
     def reversed(self) -> "PadicPoly":
         """y^deg * f(1/y): coefficient sequence reversed."""

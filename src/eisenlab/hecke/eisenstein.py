@@ -32,10 +32,7 @@ from ..corering.linalg import (
 )
 from ..corering.newton import (
     NewtonPolygon,
-    _fp_divmod,
     _fp_factor,
-    _fp_mul,
-    hensel_lift_coprime,
     hensel_split_distinguished,
     newton_polygon,
     t_sequence,
@@ -263,7 +260,7 @@ def eisenstein_local_factor(
         N=N, p=p, ell_used=ell, M=M, t=t, e=e, f=f,
         t_seq=t_seq, np_vertices=np_poly.vertices, components=components,
         diagnostics=diagnostics,
-        _workspace={"space": space, "W": W, "Y": Y, "B_plus": B_plus},
+        _workspace={"space": space, "W": W, "Y": Y},
     )
     for ellp in (2, 3, 5, 7):
         if ellp != N:
@@ -316,25 +313,10 @@ def component_slopes(np_poly: NewtonPolygon, f: PadicPoly) -> list[SlopeComponen
             V = unit_window_factor(F, i1, i2)
         if not (V.is_monic() and V.degree == L):
             raise ConsistencyError(f"slope-{h} window factor is not monic of degree {L}")
-        factors = _fp_factor(V.coeffs, p)
-        if len(factors) == 1:
-            g0, mult = factors[0]
-            out.append(SlopeComponent(slope, L, mult == 1))
-            continue
-        # split V along its pairwise-coprime mod-p factor powers
-        rest = V
-        for g0, mult in factors[:-1]:
-            gm = [1]
-            for _ in range(mult):
-                gm = _fp_mul(gm, list(g0), p)
-            hbar, rem = _fp_divmod(rest.mod_p(), gm, p)
-            if rem != [0]:
-                raise ArithmeticError("expected exact division mod p")
-            G, H = hensel_lift_coprime(rest, gm, hbar)
-            out.append(SlopeComponent(slope, G.degree, mult == 1))
-            rest = H.monic_scaled()
-        g0, mult = factors[-1]
-        out.append(SlopeComponent(slope, rest.degree, mult == 1))
+        # pairwise-coprime mod-p factor powers g0^mult of V Hensel-lift to
+        # components of degree mult * deg(g0)
+        for g0, mult in _fp_factor(V.coeffs, p):
+            out.append(SlopeComponent(slope, mult * (len(g0) - 1), mult == 1))
     if sum(cmp.degree for cmp in out) != f.degree:
         raise ConsistencyError("slope components do not add up to deg f")
     return out

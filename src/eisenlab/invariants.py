@@ -67,7 +67,7 @@ def merel_report(N: int, p: int, s_max: int) -> MerelReport:
     (sum i*log(i) = 0 in Z/p^s) are computed independently and must agree.
     """
     t = valuation_p(N - 1, p)
-    if t == 0 or t == float("inf"):
+    if t == 0:
         raise ValueError(f"p = {p} does not divide N-1 = {N - 1}")
     if s_max > t:
         raise ValueError(f"s_max = {s_max} exceeds v_p(N-1) = {t}")
@@ -283,7 +283,7 @@ def ord_zeta(
     or in I^cap for AtLeast(cap).
     """
     t = valuation_p(N - 1, p)
-    if t == 0 or t == float("inf"):
+    if t == 0:
         raise ValueError(f"p = {p} does not divide N-1")
     if s > t:
         raise ValueError(f"s = {s} exceeds v_p(N-1) = {t}")

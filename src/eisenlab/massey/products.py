@@ -1,16 +1,23 @@
 """Defining systems, Massey powers, matrix coordinates, and the unipotent
 concatenation obstruction.
 
+A defining system for the Massey power <m_1>^n is a chain m_1, ..., m_{n-1}
+of 1-cochains; its (i,j) entry in the general table is a(i,j) = m_{j-i+1}
+(Dwyer's dictionary between defining systems and upper-unipotent
+representations).  Write cup_sum(m_1, ..., m_{i-1}) for
+sum_{k=1}^{i-1} m_k cup m_{i-k}.
+
 Sign convention.  With the standard differential used throughout
 (``cochains.coboundary``), the defining-system law reads
 
-    d a(i,j) = - sum_{k=i}^{j-1} a(i,k) cup a(k+1,j),
+    d m_1 = 0,    d m_i + cup_sum(m_1, ..., m_{i-1}) = 0   (2 <= i <= n-1),
 
-which is exactly the condition making the upper-unipotent matrices of a
-defining system homomorphisms, and making a chain of deformation
-coefficients multiplicative.  The obstruction cocycle keeps its usual
-formula c(D) = sum a(1,k) cup a(k+1,n); a concatenating corner entry is a
-primitive of -c(D).  Vanishing statements are unaffected by the sign.
+which is exactly the condition making the upper-unipotent matrix with m_l
+on its l-th superdiagonal a homomorphism, and making the chain of
+deformation coefficients multiplicative.  The obstruction cocycle is
+c(D) = cup_sum(m_1, ..., m_{n-1}); a next entry m_n, the concatenating
+corner of the unipotent picture, is a primitive of -c(D).  Vanishing
+statements are unaffected by the sign.
 """
 
 from __future__ import annotations
@@ -34,73 +41,40 @@ class InvalidDefiningSystem(Exception):
     pass
 
 
-class DefiningSystem:
-    """Table {a(i,j) : 1 <= i <= j <= n, (i,j) != (1,n)} of 1-cochains.
+def cup_sum(chain: list[Cochain]) -> Cochain:
+    """sum_{k=1}^{i-1} m_k cup m_{i-k} for chain = [m_1, ..., m_{i-1}]."""
+    last = len(chain) - 1
+    acc = cup(chain[0], chain[last])
+    for k in range(1, last + 1):
+        acc = acc + cup(chain[k], chain[last - k])
+    return acc
 
-    Raises InvalidDefiningSystem unless every entry is present and the
-    defining-system law d a(i,j) + sum_k a(i,k) cup a(k+1,j) = 0 holds.
+
+class DefiningSystem:
+    """Defining system for <m_1>^n, held as its chain m_1, ..., m_{n-1}.
+
+    Raises InvalidDefiningSystem unless the defining-system law holds for
+    every entry of the chain.
     """
 
-    def __init__(self, module: CoeffModule, n: int, table: dict[tuple[int, int], Cochain]):
-        if n < 2:
+    def __init__(self, chain: list[Cochain]):
+        if not chain:
             raise ValueError("need n >= 2")
-        self.module = module
-        self.n = n
-        self.table = table
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                if (i, j) == (1, n):
-                    continue
-                if (i, j) not in table:
-                    raise InvalidDefiningSystem(f"missing entry a({i},{j})")
-        self.validate()
-
-    @classmethod
-    def for_power(cls, a: Cochain, chain: list[Cochain]):
-        """Defining system for the k-th Massey power, k = len(chain) + 2.
-
-        chain holds m_2, ..., m_{k-1}; m_1 = a.  Entries are
-        a(i,j) = m_{j-i+1}.
-        """
-        ms = [a] + list(chain)
-        k = len(ms) + 1
-        table = {}
-        for i in range(1, k + 1):
-            for j in range(i, k + 1):
-                if (i, j) == (1, k):
-                    continue
-                table[(i, j)] = ms[j - i]
-        return cls(a.module, k, table)
-
-    @property
-    def power_chain(self) -> list[Cochain]:
-        """m_1, ..., m_{n-1} when the system is a power system."""
-        return [self.table[(1, j)] for j in range(1, self.n)]
-
-    def validate(self):
-        for i in range(1, self.n + 1):
-            for j in range(i, self.n + 1):
-                if (i, j) == (1, self.n):
-                    continue
-                lhs = coboundary(self.table[(i, j)])
-                for k in range(i, j):
-                    lhs = lhs + cup(self.table[(i, k)], self.table[(k + 1, j)])
-                if not lhs.is_zero():
-                    raise InvalidDefiningSystem(
-                        f"defining-system law fails at a({i},{j})"
-                    )
+        self.chain = list(chain)
+        self.module = chain[0].module
+        self.n = len(chain) + 1
+        for i, m in enumerate(self.chain, start=1):
+            law = coboundary(m) if i == 1 else coboundary(m) + cup_sum(self.chain[: i - 1])
+            if not law.is_zero():
+                raise InvalidDefiningSystem(f"defining-system law fails at m_{i}")
 
 
 def massey_product_cocycle(D: DefiningSystem) -> Cochain:
-    """c(D) = sum_{k=1}^{n-1} a(1,k) cup a(k+1,n); asserted to be a cocycle."""
-    n = D.n
-    acc = None
-    for k in range(1, n):
-        term = cup(D.table[(1, k)], D.table[(k + 1, n)])
-        acc = term if acc is None else acc + term
-    if not coboundary(acc).is_zero():
+    """c(D) = cup_sum(m_1, ..., m_{n-1}); asserted to be a cocycle."""
+    c = cup_sum(D.chain)
+    if not coboundary(c).is_zero():
         raise InvalidDefiningSystem("c(D) is not a 2-cocycle")
-    return acc
+    return c
 
 
 def massey_power_vanishes(D: DefiningSystem) -> bool:
@@ -142,7 +116,7 @@ def shifted_system(D: DefiningSystem) -> tuple[DefiningSystem, Cochain]:
     r = D.n
     if r < 3:
         raise ValueError("need a power system of length >= 3")
-    chain = D.power_chain  # m_1 ... m_{r-1}
+    chain = D.chain  # m_1 ... m_{r-1}
     G = D.module.group
     chi1, _ = D.module.diagonal_characters()
     q = D.module.modulus.pM
@@ -167,7 +141,7 @@ def shifted_system(D: DefiningSystem) -> tuple[DefiningSystem, Cochain]:
         return Cochain(end_nu, 1, tbl)
 
     chain_p = [mprime(i) for i in range(1, r - 1)]
-    Dp = DefiningSystem.for_power(chain_p[0], chain_p[1:])
+    Dp = DefiningSystem(chain_p)
     return Dp, massey_product_cocycle(Dp)
 
 
@@ -179,56 +153,39 @@ def _require_trivial_scalar(module: CoeffModule):
         raise ValueError("unipotent construction needs trivial scalar coefficients")
 
 
-def unipotent_pair(D: DefiningSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The two n x n upper-unipotent homomorphisms determined by D.
+def _unipotent(chain: list[Cochain]) -> np.ndarray:
+    """The (r+1) x (r+1) upper-unipotent table with chain[l-1] on the l-th
+    superdiagonal, r = len(chain)."""
+    size = len(chain) + 1
+    nu = np.tile(np.eye(size, dtype=np.int64), (chain[0].module.group.order, 1, 1))
+    for l, m in enumerate(chain, start=1):
+        for r in range(size - l):
+            nu[:, r, r + l] = m.table
+    return nu
 
-    nu1 uses entries a(i, j) with j <= n-1, nu2 the shift by one; they
-    share an (n-1) x (n-1) block.  Both are verified homomorphisms.
-    """
+
+def unipotent_hom(D: DefiningSystem) -> np.ndarray:
+    """The n x n upper-unipotent homomorphism of D, m_l on the l-th
+    superdiagonal; verified to be a homomorphism."""
     _require_trivial_scalar(D.module)
-    G = D.module.group
-    n = D.n
-    m = G.order
-    nu1 = np.zeros((m, n, n), dtype=np.int64)
-    nu2 = np.zeros((m, n, n), dtype=np.int64)
-    for r in range(n):
-        nu1[:, r, r] = 1
-        nu2[:, r, r] = 1
-    for i in range(1, n):
-        for j in range(i, n):
-            nu1[:, i - 1, j] = D.table[(i, j)].table
-    for i in range(2, n + 1):
-        for j in range(i, n + 1):
-            nu2[:, i - 2, j - 1] = D.table[(i, j)].table
-    for nu in (nu1, nu2):
-        if not _is_matrix_homomorphism(G, nu, D.module.modulus):
-            raise InvalidDefiningSystem("defining system does not give unipotent homs")
-    return nu1, nu2
+    nu = _unipotent(D.chain)
+    if not _is_matrix_homomorphism(D.module.group, nu, D.module.modulus):
+        raise InvalidDefiningSystem("defining system does not give a unipotent hom")
+    return nu
 
 
 def unipotent_concatenation(D: DefiningSystem):
-    """Concatenate the unipotent pair of D into an (n+1) x (n+1) hom.
+    """Extend the unipotent hom of D to an (n+1) x (n+1) hom.
 
     Returns the homomorphism table when the Massey obstruction <...>_D
     vanishes (the corner entry is a primitive of -c(D)); None otherwise.
     """
     _require_trivial_scalar(D.module)
-    c = massey_product_cocycle(D)
-    ok, prim = vanishes_in_h2(-c)
+    ok, prim = vanishes_in_h2(-massey_product_cocycle(D))
     if not ok:
         return None
-    G = D.module.group
-    n = D.n
-    m = G.order
-    nu = np.zeros((m, n + 1, n + 1), dtype=np.int64)
-    for r in range(n + 1):
-        nu[:, r, r] = 1
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if (i, j) != (1, n):
-                nu[:, i - 1, j] = D.table[(i, j)].table
-    nu[:, 0, n] = prim.table
-    if not _is_matrix_homomorphism(G, nu, D.module.modulus):
+    nu = _unipotent(D.chain + [prim])
+    if not _is_matrix_homomorphism(D.module.group, nu, D.module.modulus):
         raise AssertionError("concatenated unipotent map is not a homomorphism")
     return nu
 
@@ -265,27 +222,22 @@ def power_defining_systems(a: Cochain, k: int, cocycle_pool: list[Cochain]):
     """All defining systems for <a>^k with chain entries enumerated level
     by level.
 
-    The solution set of each d m_i = -sum_{j<i} m_j cup m_{i-j} is a coset
+    The solution set of each d m_i = -cup_sum(m_1, ..., m_{i-1}) is a coset
     of Z^1, so a particular solution shifted by every pool cocycle
     enumerates all defining systems over the pool's span; a branch dies
     when some level is unsolvable.
     """
     systems: list[DefiningSystem] = []
 
-    def rec(ms: list[Cochain]):
-        i = len(ms) + 1  # index of the next chain entry m_i
-        if i > k - 1:
-            systems.append(DefiningSystem.for_power(ms[0], ms[1:]))
+    def rec(chain: list[Cochain]):
+        if len(chain) == k - 1:
+            systems.append(DefiningSystem(chain))
             return
-        rhs = None
-        for j in range(1, i):
-            term = cup(ms[j - 1], ms[i - 1 - j])
-            rhs = term if rhs is None else rhs + term
-        ok, part = vanishes_in_h2(-rhs)
+        ok, part = vanishes_in_h2(-cup_sum(chain))
         if not ok:
             return
         for z in cocycle_pool:
-            rec(ms + [part + z])
+            rec(chain + [part + z])
 
     rec([a])
     return systems

@@ -25,6 +25,7 @@ from .groups import cyclic, dihedral, direct_product, symmetric
 from .products import (
     DefiningSystem,
     coordinate_relation,
+    cup_sum,
     deformation_tables,
     is_deformation_homomorphism,
     massey_power_vanishes,
@@ -33,7 +34,7 @@ from .products import (
     power_defining_systems,
     shifted_system,
     unipotent_concatenation,
-    unipotent_pair,
+    unipotent_hom,
 )
 
 
@@ -116,7 +117,7 @@ def run_selftest(seed: int = 20250809, quick: bool = False) -> SelftestResult:
     ok = True
     count = 0
     for a in all_cocycles(V5):
-        D = DefiningSystem.for_power(a, [])
+        D = DefiningSystem([a])
         if not (massey_product_cocycle(D) - cup(a, a)).is_zero():
             ok = False
         count += 1
@@ -139,7 +140,7 @@ def run_selftest(seed: int = 20250809, quick: bool = False) -> SelftestResult:
     count = 0
     for k in range(2, 6):
         for D in power_defining_systems(a_id, k, pool)[: 3 if quick else 10]:
-            nu1, nu2 = unipotent_pair(D)
+            unipotent_hom(D)
             nu = unipotent_concatenation(D)
             if (nu is not None) != massey_power_vanishes(D):
                 ok = False
@@ -160,23 +161,16 @@ def run_selftest(seed: int = 20250809, quick: bool = False) -> SelftestResult:
     attempts = 0
     while built < n_target and attempts < 40 * n_target:
         attempts += 1
-        m1 = random_cocycle(End, rng)
+        chain = [random_cocycle(End, rng)]
         r = int(rng.integers(2, 4))
-        chain = [m1]
-        good = True
-        for i in range(2, r):
-            rhs = None
-            for j in range(1, i):
-                term = cup(chain[j - 1], chain[i - 1 - j])
-                rhs = term if rhs is None else rhs + term
-            solvable, part = vanishes_in_h2(-rhs)
+        while len(chain) < r - 1:
+            solvable, part = vanishes_in_h2(-cup_sum(chain))
             if not solvable:
-                good = False
                 break
             chain.append(part + random_cocycle(End, rng))
-        if not good:
+        if len(chain) < r - 1:
             continue
-        D = DefiningSystem.for_power(chain[0], chain[1:])
+        D = DefiningSystem(chain)
         full = massey_power_vanishes(D)
         coords = all(
             coordinate_relation(D, (s, t)) for s in (1, 2) for t in (1, 2)
@@ -199,18 +193,10 @@ def run_selftest(seed: int = 20250809, quick: bool = False) -> SelftestResult:
     while built < n_shift and attempts < 100 * n_shift:
         attempts += 1
         m1 = random_cocycle(End, rng)
-        chain = [m1]
-        good = True
-        for i in (2,):
-            rhs = cup(chain[0], chain[0])
-            solvable, part = vanishes_in_h2(-rhs)
-            if not solvable:
-                good = False
-                break
-            chain.append(part + random_cocycle(End, rng))
-        if not good:
+        solvable, part = vanishes_in_h2(-cup_sum([m1]))
+        if not solvable:
             continue
-        D = DefiningSystem.for_power(chain[0], chain[1:])  # r = 3
+        D = DefiningSystem([m1, part + random_cocycle(End, rng)])  # r = 3
         try:
             Dp, cp = shifted_system(D)
         except Exception:
@@ -229,8 +215,8 @@ def run_selftest(seed: int = 20250809, quick: bool = False) -> SelftestResult:
     rho = End.rho
     for _ in range(10 if quick else 30):
         m1 = random_cocycle(End, rng)
-        rhs = cup(m1, m1)
-        solvable, part = vanishes_in_h2(-rhs)
+        square = cup_sum([m1])
+        solvable, part = vanishes_in_h2(-square)
         if not solvable:
             continue
         m2 = part + random_cocycle(End, rng)
@@ -239,7 +225,7 @@ def run_selftest(seed: int = 20250809, quick: bool = False) -> SelftestResult:
             ok = False
         # breaking the law must break the homomorphism
         bad = m2 + Cochain(End, 1, rng.integers(1, 5, m2.table.shape))
-        if (coboundary(bad) + cup(m1, m1)).is_zero():
+        if (coboundary(bad) + square).is_zero():
             continue  # perturbation accidentally repaired the law; skip
         nu_bad = deformation_tables(rho, [m1, bad], modm)
         if is_deformation_homomorphism(Gm, nu_bad, modm):

@@ -140,17 +140,8 @@ def read_records(path: str) -> list[ResultRecord]:
 
 
 def existing_keys(path: str) -> set[tuple[int, int]]:
+    """Keys of the records in `path` (none when it does not exist), read as
+    `read_records` reads them."""
     if not os.path.exists(path):
         return set()
-    keys = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                keys.add((int(data["N"]), int(data["p"])))
-            except (json.JSONDecodeError, KeyError):
-                continue  # partial line from an interrupted run
-    return keys
+    return {rec.key for rec in read_records(path)}

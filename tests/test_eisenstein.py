@@ -152,6 +152,17 @@ def test_components_integral_slope_unresolved_double_root():
     assert [(c.slope, c.degree, c.resolved) for c in comps] == [(Fraction(1), 2, False)]
 
 
+def test_components_integral_slope_mixed_multiplicities():
+    # f = (y - 5)^2 (y - 10): residual (z - 1)^2 (z - 2) -> a resolved
+    # degree-1 component and an unresolved degree-2 one
+    f = _make([-5, 1], 5, 7) * _make([-5, 1], 5, 7) * _make([-10, 1], 5, 7)
+    comps = component_slopes(newton_polygon(f), f)
+    assert [(c.slope, c.degree, c.resolved) for c in comps] == [
+        (Fraction(1), 1, True),
+        (Fraction(1), 2, False),
+    ]
+
+
 def test_components_fractional_wide_segment_unresolved():
     # slope 1/2 over length 4: no refinement attempted
     f = _make([25, 0, 0, 0, 1], 5, 7)  # y^4 + 25: slope 1/2, L = 4, L' = 2

@@ -11,6 +11,7 @@ from eisenlab.massey import (
     coboundary,
     coordinate_relation,
     cup,
+    cup_sum,
     cyclic,
     deformation_tables,
     dihedral,
@@ -25,7 +26,7 @@ from eisenlab.massey import (
     shifted_system,
     symmetric,
     unipotent_concatenation,
-    unipotent_pair,
+    unipotent_hom,
     vanishes_in_h2,
 )
 
@@ -126,7 +127,7 @@ def test_massey_square_is_cup_square():
     G = cyclic(5)
     V = CoeffModule.scalar(G, Modulus(5, 1))
     for a in all_cocycles(V):
-        D = DefiningSystem.for_power(a, [])
+        D = DefiningSystem([a])
         assert (massey_product_cocycle(D) - cup(a, a)).is_zero()
 
 
@@ -134,7 +135,7 @@ def test_zero_cochain_power_vanishes():
     G = cyclic(5)
     V = CoeffModule.scalar(G, Modulus(5, 1))
     z = Cochain.zero(V, 1)
-    D = DefiningSystem.for_power(z, [z, z])
+    D = DefiningSystem([z, z, z])
     assert massey_product_cocycle(D).is_zero()
 
 
@@ -144,7 +145,32 @@ def test_invalid_defining_system_rejected():
     a = Cochain(V, 1, np.arange(5, dtype=np.int64))
     bad = Cochain(V, 1, np.array([0, 1, 1, 0, 2], dtype=np.int64))
     with pytest.raises(InvalidDefiningSystem):
-        DefiningSystem.for_power(a, [bad])
+        DefiningSystem([a, bad])
+    with pytest.raises(InvalidDefiningSystem):
+        DefiningSystem([bad])  # m_1 must be a cocycle
+
+
+def test_chain_law_is_the_table_law():
+    # with a(i,j) = m_(j-i+1), every entry of the general (i,j) table obeys
+    # d a(i,j) + sum_k a(i,k) cup a(k+1,j) = 0, and the obstruction is
+    # c(D) = sum_k a(1,k) cup a(k+1,n)
+    G = cyclic(5)
+    V = CoeffModule.scalar(G, Modulus(5, 1))
+    a = Cochain(V, 1, np.arange(5, dtype=np.int64))
+    for D in power_defining_systems(a, 4, all_cocycles(V)):
+        n = D.n
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                if (i, j) == (1, n):
+                    continue
+                law = coboundary(D.chain[j - i])
+                for k in range(i, j):
+                    law = law + cup(D.chain[k - i], D.chain[j - k - 1])
+                assert law.is_zero()
+        c = cup_sum(D.chain)
+        for k in range(1, n):
+            c = c - cup(D.chain[k - 1], D.chain[n - k - 1])
+        assert c.is_zero()
 
 
 def test_massey_power_oracle_on_z5():
@@ -166,13 +192,14 @@ def test_unipotent_pair_and_concatenation():
     a = Cochain(V, 1, np.arange(5, dtype=np.int64))
     pool = all_cocycles(V)
     for D in power_defining_systems(a, 3, pool):
-        nu1, nu2 = unipotent_pair(D)
-        # shared block: nu1 lower-right equals nu2 upper-left
-        assert np.array_equal(nu1[:, 1:, 1:], nu2[:, :-1, :-1])
-        nu = unipotent_concatenation(D)
-        assert (nu is not None) == massey_power_vanishes(D)
-        if nu is not None:
-            assert nu.shape[1:] == (4, 4)
+        nu = unipotent_hom(D)
+        # Toeplitz: a(i,j) = m_(j-i+1) depends on j - i only
+        assert np.array_equal(nu[:, 1:, 1:], nu[:, :-1, :-1])
+        big = unipotent_concatenation(D)
+        assert (big is not None) == massey_power_vanishes(D)
+        if big is not None:
+            assert big.shape[1:] == (4, 4)
+            assert np.array_equal(big[:, :3, :3], nu)
 
 
 def test_unipotent_obstruction_blocks_all_corners():
@@ -193,7 +220,7 @@ def test_unipotent_obstruction_blocks_all_corners():
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             if (i, j) != (1, n):
-                base[:, i - 1, j] = D.table[(i, j)].table
+                base[:, i - 1, j] = D.chain[j - i].table
     import itertools
 
     for corner in itertools.product(range(5), repeat=4):
@@ -219,7 +246,7 @@ def test_coordinate_relations_match_full_vanishing():
     while hits < 12 and tries < 400:
         tries += 1
         m1 = random_cocycle(End, rng)
-        D = DefiningSystem.for_power(m1, [])
+        D = DefiningSystem([m1])
         full = massey_power_vanishes(D)
         coords = all(coordinate_relation(D, (s, t)) for s in (1, 2) for t in (1, 2))
         assert full == coords
@@ -236,7 +263,7 @@ def test_diagonal_system_offdiagonal_relations_trivial():
     tbl[:, 1, 1] = (-tbl[:, 0, 0]) % 5
     m1 = Cochain(End, 1, tbl)
     assert is_cocycle(m1)
-    D = DefiningSystem.for_power(m1, [])
+    D = DefiningSystem([m1])
     assert coordinate_relation(D, (1, 2))
     assert coordinate_relation(D, (2, 1))
 
@@ -253,7 +280,7 @@ def test_shifted_system_matches_21_relation():
         if not ok:
             continue
         m2 = part + random_cocycle(End, rng)
-        D = DefiningSystem.for_power(m1, [m2])
+        D = DefiningSystem([m1, m2])
         Dp, cp = shifted_system(D)
         okv, _ = vanishes_in_h2(cp)
         assert okv == coordinate_relation(D, (2, 1))
@@ -295,7 +322,7 @@ def test_deformation_top_obstruction_both_directions():
         if not ok:
             continue
         m2 = part + random_cocycle(End, rng)
-        D = DefiningSystem.for_power(m1, [m2])
+        D = DefiningSystem([m1, m2])
         c = massey_product_cocycle(D)
         solvable, m3 = vanishes_in_h2(-c)
         if solvable:
@@ -382,7 +409,7 @@ def test_shifted_system_builds_each_end_nu_once(monkeypatch):
         ok, part = vanishes_in_h2(-cup(m1, m1))
         if not ok:
             continue
-        D = DefiningSystem.for_power(m1, [part + random_cocycle(End, gen)])
+        D = DefiningSystem([m1, part + random_cocycle(End, gen)])
         Dp, cp = shifted_system(D)
         assert shifted_system(D)[0].module is Dp.module
         vanishes_in_h2(cp)

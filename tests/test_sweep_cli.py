@@ -60,6 +60,18 @@ def test_run_sweep_and_resume(tmp_path):
     assert canonical(out) == canonical(out2)
 
 
+def test_resume_rejects_malformed_middle_line(tmp_path):
+    out = tmp_path / "p5.jsonl"
+    run_sweep(5, 60, str(out), workers=1)  # 11, 31, 41
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(1, '{"N": 191, "p":\n')
+    out.write_text("".join(lines), encoding="utf-8")
+    before = out.read_bytes()
+    with pytest.raises(json.JSONDecodeError):
+        run_sweep(5, 100, str(out), resume=True, workers=1)  # 61 and 71 are due
+    assert out.read_bytes() == before
+
+
 def test_stats_fold(tmp_path):
     out = tmp_path / "p5.jsonl"
     run_sweep(5, 200, str(out), workers=1)

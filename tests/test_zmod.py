@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from eisenlab.corering import AtLeast, Modulus, PadicPoly, ZmodElem, valuation_p
+from eisenlab.corering import AtLeast, Modulus, PadicPoly, valuation_p
 
 
 def test_valuation_examples():
@@ -32,18 +32,6 @@ def test_modulus_valuation_cap():
     assert mod.valuation(50) == 2
     assert mod.valuation(0) == AtLeast(3)
     assert mod.valuation(125) == AtLeast(3)
-
-
-def test_zmod_elem_arithmetic():
-    mod = Modulus(7, 2)
-    a = ZmodElem(45, mod)
-    b = ZmodElem(10, mod)
-    assert (a + b).value == (45 + 10) % 49
-    assert (a - b).value == 35
-    assert (a * b).value == 450 % 49
-    assert (-a).value == (49 - 45) % 49
-    assert a.inverse() * a == 1
-    assert ZmodElem(7, mod).valuation() == 1
 
 
 def test_padic_poly_construction_and_trim():
