@@ -6,12 +6,19 @@ is the lower hull of the points (i, z_i)).  Valuations at or above the
 working precision M are reported as the symbolic AtLeast(M), never as a
 number; such points are omitted from hulls, which is sound because every
 hull-relevant height is below M.
+
+Arithmetic over F_p[x] (factoring, Bezout pairs, the Hensel corrections) is
+sympy's ``galoistools``; the helpers here only convert between its
+leading-first coefficient lists and the constant-first ``PadicPoly``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isinf
+
+from sympy.polys import galoistools as gt
+from sympy.polys.domains import ZZ
 
 from .zmod import AtLeast, PadicPoly, Valuation
 
@@ -92,117 +99,33 @@ def newton_polygon(f: PadicPoly) -> NewtonPolygon:
     return lower_convex_hull(list(enumerate(vals)))
 
 
-# -- Hensel lifting ---------------------------------------------------------
+# -- F_p[x] and Hensel lifting ------------------------------------------------
 
 
-def _fp_trim(a: list[int], p: int) -> list[int]:
-    while len(a) > 1 and a[-1] % p == 0:
-        a = a[:-1]
-    return a
+def _gf(coeffs, p: int) -> list[int]:
+    """Constant-first integer coefficients as a sympy F_p[x] list (leading first)."""
+    return gt.gf_from_int_poly([int(c) for c in reversed(coeffs)], p)
 
 
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x % p:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _fp_divmod(num: list[int], den: list[int], p: int):
-    num = [x % p for x in num]
-    den = _fp_trim([x % p for x in den], p)
-    dn = len(den) - 1
-    inv = pow(den[-1], -1, p)
-    q = [0] * max(1, len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = (num[i] * inv) % p
-        if c:
-            q[i - dn] = c
-            for j, y in enumerate(den):
-                num[i - dn + j] = (num[i - dn + j] - c * y) % p
-    return _fp_trim(q, p), _fp_trim(num[:dn] or [0], p)
-
-
-def _fp_ext_euclid(a: list[int], b: list[int], p: int):
-    """(g, s, t) with s a + t b = g over F_p[x], g monic."""
-    r0, r1 = _fp_trim(a[:], p), _fp_trim(b[:], p)
-    s0, s1 = [1], [0]
-    t0, t1 = [0], [1]
-
-    def sub(u, v):
-        n = max(len(u), len(v))
-        u = u + [0] * (n - len(u))
-        v = v + [0] * (n - len(v))
-        return _fp_trim([(x - y) % p for x, y in zip(u, v)], p)
-
-    while any(c % p for c in r1):
-        q, r = _fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, _fp_mul(q, s1, p))
-        t0, t1 = t1, sub(t0, _fp_mul(q, t1, p))
-    inv = pow(r0[-1] % p, -1, p)
-    scale = lambda u: [(x * inv) % p for x in u]
-    return scale(r0), scale(s0), scale(t0)
+def _from_gf(f) -> list[int]:
+    """A sympy F_p[x] list back to constant-first Python ints."""
+    return [int(c) for c in reversed(f)]
 
 
 def _fp_factor(coeffs: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
     """Factor a monic polynomial over F_p into (irreducible, multiplicity).
 
-    Trial division by monic irreducibles in degree order; fine for the tiny
-    degrees (<= 8) seen here.
+    Irreducibles are monic and constant-first, ordered by degree and then by
+    their coefficients read from the leading one down.
     """
-    f = _fp_trim([c % p for c in coeffs], p)
-    if f[-1] % p != 1:
+    f = _gf(coeffs, p)
+    if f[:1] != [1]:
         raise ArithmeticError("factor target must be monic")
-    out: list[tuple[tuple[int, ...], int]] = []
-
-    def monic_polys(d):
-        for mask in range(p**d):
-            cs = []
-            x = mask
-            for _ in range(d):
-                cs.append(x % p)
-                x //= p
-            yield cs + [1]
-
-    irreducibles_cache: dict[int, list[list[int]]] = {}
-
-    def irreducibles(d):
-        if d in irreducibles_cache:
-            return irreducibles_cache[d]
-        irr = []
-        for cand in monic_polys(d):
-            if all(
-                _fp_divmod(cand, q, p)[1] != [0]
-                for dd in range(1, d // 2 + 1)
-                for q in irreducibles(dd)
-            ):
-                irr.append(cand)
-        irreducibles_cache[d] = irr
-        return irr
-
-    d = 1
-    while len(f) - 1 > 0:
-        if d > (len(f) - 1) // 2:
-            out.append((tuple(f), 1))  # remainder is irreducible
-            break
-        for q in irreducibles(d):
-            mult = 0
-            while True:
-                quo, rem = _fp_divmod(f, q, p)
-                if rem == [0]:
-                    f = quo
-                    mult += 1
-                else:
-                    break
-            if mult:
-                out.append((tuple(q), mult))
-            if len(f) - 1 == 0:
-                break
-        d += 1
-    return out
+    _, factors = gt.gf_factor(f, p, ZZ)
+    return sorted(
+        ((tuple(_from_gf(g)), int(k)) for g, k in factors),
+        key=lambda gk: (len(gk[0]), gk[0][::-1]),
+    )
 
 
 def hensel_lift_coprime(F: PadicPoly, g0: list[int], h0: list[int]):
@@ -211,49 +134,32 @@ def hensel_lift_coprime(F: PadicPoly, g0: list[int], h0: list[int]):
     g0 must be monic; h0 absorbs the leading coefficient of F (which need
     not be a unit).  Returns (G, H) with F = G * H exactly mod p^M, G monic
     of degree deg(g0), G = g0 and H = h0 mod p.  Linear Hensel steps; the
-    Bezout pair is computed once over F_p.
+    Bezout pair s*g0 + t*h0 = 1 is computed once over F_p.
     """
     mod = F.modulus
-    p, M, pM = mod.p, mod.M, mod.pM
-    g0 = _fp_trim([c % p for c in g0], p)
-    h0 = _fp_trim([c % p for c in h0], p)
-    if g0[-1] % p != 1:
+    p, pM = mod.p, mod.pM
+    g, h = _gf(g0, p), _gf(h0, p)
+    if g[:1] != [1]:
         raise ValueError("g0 must be monic")
-    gcd, s, t = _fp_ext_euclid(g0, h0, p)
-    if len(gcd) != 1:
+    s, t, gcd = gt.gf_gcdex(g, h, p, ZZ)
+    if gcd != [1]:
         raise ValueError("factors are not coprime mod p")
-    dG = len(g0) - 1
-    dH = F.degree - dG
-
-    G = list(g0) + [0] * 0
-    H = list(h0) + [0] * (dH + 1 - len(h0))
+    G, H = PadicPoly(_from_gf(g), mod), PadicPoly(_from_gf(h), mod)
     pk = p
     while pk < pM:
-        GH = PadicPoly(G, mod) * PadicPoly(H, mod)
-        err = (F - GH).coeffs
-        err = err + [0] * (F.degree + 1 - len(err))
+        err = (F - G * H).coeffs
         if any(x % pk for x in err):
             raise ArithmeticError("hensel drift")
-        c = [(x // pk) % p for x in err]
-        # correction: dG_corr = (t*c mod g0), dH_corr = s*c + (t*c div g0)*h0
-        tc = _fp_mul(t, c, p)
-        q, dg = _fp_divmod(tc, g0, p)
-        sc = _fp_mul(s, c, p)
-        qh = _fp_mul(q, h0, p)
-        n = max(len(sc), len(qh))
-        dh = [(x + y) % p for x, y in zip(sc + [0] * (n - len(sc)), qh + [0] * (n - len(qh)))]
-        for i, x in enumerate(dg):
-            if i < dG:
-                G[i] = (G[i] + pk * x) % pM
-        for i, x in enumerate(dh):
-            if i <= dH:
-                H[i] = (H[i] + pk * x) % pM
+        c = _gf([x // pk for x in err], p)
+        # c = g * (s*c + q*h) + h * r with t*c = q*g + r, deg r < deg g
+        q, r = gt.gf_div(gt.gf_mul(t, c, p, ZZ), g, p, ZZ)
+        dh = gt.gf_add(gt.gf_mul(s, c, p, ZZ), gt.gf_mul(q, h, p, ZZ), p, ZZ)
+        G = G + PadicPoly(_from_gf(r), mod) * pk
+        H = H + PadicPoly(_from_gf(dh), mod) * pk
         pk *= p
-    Gp = PadicPoly(G, mod)
-    Hp = PadicPoly(H, mod)
-    if not (F - Gp * Hp).is_zero():
+    if not (F - G * H).is_zero():
         raise ArithmeticError("hensel lift failed to converge")
-    return Gp, Hp
+    return G, H
 
 
 def hensel_split_distinguished(Q: PadicPoly):
@@ -264,7 +170,6 @@ def hensel_split_distinguished(Q: PadicPoly):
     if not Q.is_monic():
         raise ValueError("Q must be monic")
     mod = Q.modulus
-    p = mod.p
     Qp = Q.mod_p()
     e = 0
     while e < len(Qp) and Qp[e] == 0:
@@ -291,7 +196,6 @@ def unit_window_factor(F: PadicPoly, lo: int, hi: int) -> PadicPoly:
     the positive-valuation top, leaving the unit window of degree hi - lo.
     """
     mod = F.modulus
-    p = mod.p
     Fp = F.mod_p()
     deg_p = max((i for i, c in enumerate(Fp) if c), default=-1)
     if deg_p != hi or any(Fp[i] for i in range(lo)) or (lo < len(Fp) and Fp[lo] == 0):

@@ -33,13 +33,12 @@ from ..corering.linalg import (
 from ..corering.newton import (
     NewtonPolygon,
     _fp_factor,
-    hensel_split_distinguished,
     newton_polygon,
     t_sequence,
     unit_window_factor,
 )
 from ..corering.zmod import AtLeast, Modulus, PadicPoly, valuation_p
-from ..invariants import is_good_prime, smallest_good_primes
+from ..invariants import check_pair, is_good_prime, smallest_good_primes
 from .manin import ManinSpace, build_manin_space
 
 
@@ -140,19 +139,18 @@ def _certify(B_plus, W, mod, t):
     with f distinguished and v_p(f(0)) = v_p(N-1); any surviving spurious
     component strictly inflates that valuation (its eigenvalues have
     positive valuation), so the test is exact.
-    Returns (Y, Q, f) or None.
+    Returns (Y, f) or None.
     """
     Y = restrict_operator(B_plus, W, mod)
     Q = berkowitz_charpoly(Y, mod)
-    _, unit_part = hensel_split_distinguished(Q)
-    if unit_part.degree != 0:
+    if not Q.is_distinguished():
         return None
     if Q.coeffs[0] % mod.pM != 0:
         raise ConsistencyError("boundary eigenvalue line missing from local factor")
-    f = PadicPoly(Q.coeffs[1:], mod)
-    if not f.is_distinguished() or mod.valuation(f.coeffs[0]) != t:
+    f = PadicPoly(Q.coeffs[1:], mod)  # distinguished, as Q is and Q(0) = 0
+    if mod.valuation(f.coeffs[0]) != t:
         return None
-    return Y, Q, f
+    return Y, f
 
 
 def _localize(
@@ -207,10 +205,7 @@ def eisenstein_local_factor(
     and the trivial report (e = 0) is returned without building symbols.
     """
     start = time.perf_counter()
-    if p <= 3 or not sympy.isprime(p):
-        raise ValueError(f"p = {p} must be a prime > 3")
-    if not sympy.isprime(N):
-        raise ValueError(f"N = {N} must be prime")
+    check_pair(N, p)
     tv = valuation_p(N - 1, p)
     if tv == 0:
         return EisensteinReport(
@@ -236,14 +231,11 @@ def eisenstein_local_factor(
 
     # a separating Hecke operator exists well below the Sturm bound ~ N/6
     q_bound = max(60, N // 4)
-    W, audit, (Y, Q, f) = _localize(space, B_plus, ell, mod, t, q_bound)
+    W, audit, (Y, f) = _localize(space, B_plus, ell, mod, t, q_bound)
     e = f.degree
 
-    tseq_full = t_sequence(Q)  # [AtLeast(M), t_1, ..., t_{e+1}]
-    if not isinstance(tseq_full[0], AtLeast):
-        raise ConsistencyError("local charpoly has a nonzero constant term mod p^M")
     t_seq = []
-    for v in tseq_full[1:]:
+    for v in t_sequence(f):  # t_1, ..., t_{e+1}
         if isinstance(v, AtLeast):
             raise PrecisionExhausted(f"t-sequence entry beyond precision at ({N}, {p})")
         t_seq.append(int(v))

@@ -19,6 +19,14 @@ from .corering.linalg import howell_membership
 from .corering.zmod import AtLeast, Modulus, valuation_p
 
 
+def check_pair(N: int, p: int) -> None:
+    """Raise ValueError unless N is prime and p is a prime > 3."""
+    if p <= 3 or not sympy.isprime(p):
+        raise ValueError(f"p = {p} must be a prime > 3")
+    if not sympy.isprime(N):
+        raise ValueError(f"N = {N} must be prime")
+
+
 def merel_number(N: int) -> int:
     """prod_{i=1}^{(N-1)/2} i^i mod N."""
     if N < 3 or N % 2 == 0:

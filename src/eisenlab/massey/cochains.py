@@ -74,16 +74,11 @@ class CoeffModule:
                 raise ValueError("rho must be (order, 2, 2)")
             if not _is_matrix_homomorphism(group, rho, modulus):
                 raise ValueError("rho is not a homomorphism")
+            # then rho(g) rho(g^-1) = rho(1), so rho(1) = I makes every rho(g) invertible
+            if not np.array_equal(rho[group.identity], np.eye(2, dtype=np.int64)):
+                raise ValueError("rho does not send the identity to the identity matrix")
             self.rho = rho
-            self.rho_inv = np.zeros_like(rho)
-            for g in range(n):
-                det = int(rho[g, 0, 0] * rho[g, 1, 1] - rho[g, 0, 1] * rho[g, 1, 0]) % q
-                dinv = modulus.inv(det)
-                adj = np.array(
-                    [[rho[g, 1, 1], -rho[g, 0, 1]], [-rho[g, 1, 0], rho[g, 0, 0]]],
-                    dtype=np.int64,
-                )
-                self.rho_inv[g] = (adj * dinv) % q
+            self.rho_inv = rho[group.inverse]
             rho.setflags(write=False)
             self.rho_inv.setflags(write=False)
             self.value_shape = (2, 2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Iterable
 
 from .corering.zmod import AtLeast
@@ -77,10 +77,16 @@ class ResultRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ResultRecord":
+        """The record `to_json` wrote; ValueError for any other line."""
         data = json.loads(line)
+        if not isinstance(data, dict):
+            raise ValueError(f"record is not a JSON object: {line[:80]}")
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version}")
+        names = {f.name for f in fields(cls)}
+        if data.keys() != names:
+            raise ValueError(f"unknown or missing record fields: {sorted(data.keys() ^ names)}")
         return cls(**data)
 
 

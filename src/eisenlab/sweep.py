@@ -13,7 +13,7 @@ import sympy
 
 from .corering.zmod import AtLeast, valuation_p
 from .hecke.eisenstein import eisenstein_local_factor, rank_consistency_check
-from .invariants import lecouturier_check, merel_report, zeta_report
+from .invariants import check_pair, lecouturier_check, merel_report, zeta_report
 from .records import ResultRecord, append_records, encode_valuation, existing_keys
 
 # (N, p) rows where the paper's full N < 10000 tables report rank != ord;
@@ -53,6 +53,9 @@ def compute_record(
 ) -> ResultRecord:
     """Assemble the full persisted row for one (N, p)."""
     start = time.perf_counter()
+    check_pair(N, p)
+    if s_max is not None and s_max < 1:
+        raise ValueError(f"s_max = {s_max} must be >= 1")
     t = valuation_p(N - 1, p)
     rec = ResultRecord(N=N, p=p, t=t)
     flags = []

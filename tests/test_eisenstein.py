@@ -163,6 +163,17 @@ def test_components_integral_slope_mixed_multiplicities():
     ]
 
 
+
+def test_components_same_degree_order():
+    # f = (y - 5)(y - 10)^2: residual (z - 1)(z - 2)^2; its two linear factors
+    # come by coefficients, z - 2 before z - 1, whatever their multiplicity
+    f = _make([-5, 1], 5, 7) * _make([-10, 1], 5, 7) * _make([-10, 1], 5, 7)
+    comps = component_slopes(newton_polygon(f), f)
+    assert [(c.slope, c.degree, c.resolved) for c in comps] == [
+        (Fraction(1), 2, False),
+        (Fraction(1), 1, True),
+    ]
+
 def test_components_fractional_wide_segment_unresolved():
     # slope 1/2 over length 4: no refinement attempted
     f = _make([25, 0, 0, 0, 1], 5, 7)  # y^4 + 25: slope 1/2, L = 4, L' = 2

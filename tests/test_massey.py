@@ -382,6 +382,22 @@ def test_module_action_data_is_read_only():
         V.action[1, 0, 0] = 1
 
 
+def test_matrix_module_inverts_rho_through_the_group():
+    G, mod = cyclic(5), Modulus(5, 1)
+    rho = np.array([[[1, k], [0, 1]] for k in range(5)])  # k -> unipotent, not diagonal
+    End = CoeffModule.end_of_rep(G, mod, rho)
+    for g in range(G.order):
+        assert np.array_equal(End.rho[g] @ End.rho_inv[g] % 5, np.eye(2, dtype=np.int64))
+
+
+def test_matrix_module_rejects_singular_rho():
+    # idempotent matrices pass the homomorphism check; rho(1) must be the identity
+    G, mod = cyclic(4), Modulus(5, 1)
+    for rho1 in ([[0, 0], [0, 0]], [[1, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="identity"):
+            CoeffModule.end_of_rep(G, mod, np.array([rho1] * G.order))
+
+
 def test_scalar_cochains_with_different_characters_do_not_mix():
     G, mod = cyclic(4), Modulus(5, 1)
     triv = CoeffModule.scalar(G, mod)

@@ -239,3 +239,104 @@ def test_fp_factor_rejects_non_monic_even_under_python_O(monkeypatch):
         exec(compile(fh.read(), newton.__file__, "exec", optimize=1), module.__dict__)
     with pytest.raises(ArithmeticError):
         module._fp_factor([1, 2], 5)
+
+
+# -- F_p[x] factoring ---------------------------------------------------------
+
+
+def _fp_trim(a, p):
+    while len(a) > 1 and a[-1] % p == 0:
+        a = a[:-1]
+    return a
+
+
+def _fp_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _fp_divmod(num, den, p):
+    num = [x % p for x in num]
+    den = _fp_trim([x % p for x in den], p)
+    dn = len(den) - 1
+    inv = pow(den[-1], -1, p)
+    q = [0] * max(1, len(num) - dn)
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = (num[i] * inv) % p
+        if c:
+            q[i - dn] = c
+            for j, y in enumerate(den):
+                num[i - dn + j] = (num[i - dn + j] - c * y) % p
+    return _fp_trim(q, p), _fp_trim(num[:dn] or [0], p)
+
+
+def _fp_factor_trial(coeffs, p):
+    """Trial division by the monic irreducibles of each degree, enumerated
+    constant coefficient fastest: exponential in the degree, a test oracle."""
+    f = _fp_trim([c % p for c in coeffs], p)
+    assert f[-1] == 1
+    irreducibles = {}
+
+    def monic_polys(d):
+        for mask in range(p**d):
+            yield [(mask // p**i) % p for i in range(d)] + [1]
+
+    def irreducible(d):
+        if d not in irreducibles:
+            irreducibles[d] = [
+                cand
+                for cand in monic_polys(d)
+                if all(
+                    _fp_divmod(cand, q, p)[1] != [0]
+                    for dd in range(1, d // 2 + 1)
+                    for q in irreducible(dd)
+                )
+            ]
+        return irreducibles[d]
+
+    out = []
+    d = 1
+    while len(f) > 1:
+        if d > (len(f) - 1) // 2:
+            out.append((tuple(f), 1))  # what is left is irreducible
+            break
+        for q in irreducible(d):
+            mult = 0
+            while _fp_divmod(f, q, p)[1] == [0]:
+                f = _fp_divmod(f, q, p)[0]
+                mult += 1
+            if mult:
+                out.append((tuple(q), mult))
+        d += 1
+    return out
+
+
+def _random_monic(p, d, rng):
+    return [int(c) for c in rng.integers(0, p, d)] + [1]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_fp_factor_matches_trial_division(p):
+    from eisenlab.corering.newton import _fp_factor
+
+    rng2 = np.random.default_rng(p)
+    cases = [[1], [0, 1], [0, 0, 0, 1]]
+    # same-degree factors of different multiplicity, in both orders
+    cases.append(_fp_mul([p - 1, 1], _fp_mul([p - 2, 1], [p - 2, 1], p), p))
+    cases.append(_fp_mul([p - 2, 1], _fp_mul([p - 1, 1], [p - 1, 1], p), p))
+    for _ in range(60):
+        cases.append(_random_monic(p, int(rng2.integers(1, 7)), rng2))
+    for _ in range(60):
+        # repeated factors: a random product of powers of small monic factors
+        f = [1]
+        while len(f) < 6:
+            g = _random_monic(p, int(rng2.integers(1, 3)), rng2)
+            for _ in range(int(rng2.integers(1, 4))):
+                if len(f) + len(g) - 2 <= 6:
+                    f = _fp_mul(f, g, p)
+        cases.append(f)
+    for f in cases:
+        assert _fp_factor(f, p) == _fp_factor_trial(f, p), f

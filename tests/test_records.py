@@ -70,6 +70,34 @@ def test_schema_version_guard():
         ResultRecord.from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda data: [1, 2],  # not an object
+        lambda data: "row",
+        lambda data: {**data, "extra": 1},  # unknown field
+        lambda data: {k: v for k, v in data.items() if k != "t"},  # missing required field
+        lambda data: {k: v for k, v in data.items() if k != "flags"},  # missing field
+    ],
+    ids=["list", "string", "unknown-field", "missing-t", "missing-flags"],
+)
+def test_from_json_rejects_malformed_lines(edit):
+    data = json.loads(_sample_record().to_json())
+    with pytest.raises(ValueError):
+        ResultRecord.from_json(json.dumps(edit(data)))
+
+
+@pytest.mark.parametrize("command", ["verify", "stats"])
+def test_cli_reports_malformed_line_as_error(tmp_path, capsys, command):
+    from eisenlab.cli import main
+
+    path = tmp_path / "rows.jsonl"
+    data = json.loads(_sample_record().to_json())
+    path.write_text(json.dumps({**data, "extra": 1}) + "\n", encoding="utf-8")
+    assert main([command, "--in", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_append_read_and_keys(tmp_path):
     path = tmp_path / "rows.jsonl"
     rec = _sample_record()
@@ -87,7 +115,8 @@ def test_existing_keys_skips_partial_lines(tmp_path):
     append_records(str(path), [_sample_record()])
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"N": 191, "p":')  # simulated crash mid-write
-    assert existing_keys(str(path)) == {(181, 5)}
+    with pytest.warns(UserWarning, match="torn last line"):
+        assert existing_keys(str(path)) == {(181, 5)}
 
 
 def test_invariants_only_marker():

@@ -142,6 +142,23 @@ def test_cli_compute_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--N", "11", "--p", "5", "--s-max", "-1"],  # p**-1 would be the float 0.2
+        ["--N", "11", "--p", "5", "--s-max", "0"],  # would silently mean every s
+        ["--N", "21", "--p", "7"],  # N not prime
+        ["--N", "11", "--p", "4"],  # p not prime
+        ["--N", "11", "--p", "3"],  # p not > 3
+    ],
+)
+def test_cli_invariants_rejects_bad_input(tmp_path, capsys, argv):
+    out = tmp_path / "rows.jsonl"
+    assert main(["invariants", *argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
 def test_cli_sweep_stats_verify(tmp_path, capsys):
     out = str(tmp_path / "rows.jsonl")
     rc = main(["sweep", "--p", "5", "--max-N", "120", "--out", out])
