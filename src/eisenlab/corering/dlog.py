@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
 import sympy
 
 _DLOG_TABLE_LIMIT = 1 << 26
@@ -31,11 +32,16 @@ def smallest_generator(N: int) -> int:
 
 @dataclass
 class DlogTable:
-    """Lookup table x -> log_g(x) for x in [1, N)."""
+    """Lookup table x -> log_g(x) for x in [1, N), and its inverse.
+
+    ``powers`` is the read-only int64 array k -> g^k mod N for k in [0, N-1),
+    so a function on F_N^* evaluated at ``powers`` is in log order.
+    """
 
     N: int
     g: int
     table: list[int] = field(repr=False)
+    powers: np.ndarray = field(repr=False)
 
     def log(self, x: int) -> int:
         x %= self.N
@@ -56,7 +62,10 @@ def build_dlog_table(N: int) -> DlogTable:
     for k in range(N - 1):
         table[acc] = k
         acc = (acc * g) % N
-    return DlogTable(N=N, g=g, table=table)
+    powers = np.empty(N - 1, dtype=np.int64)
+    powers[table[1:]] = np.arange(1, N, dtype=np.int64)
+    powers.setflags(write=False)
+    return DlogTable(N=N, g=g, table=table, powers=powers)
 
 
 def is_power(x: int, N: int, q: int) -> bool:

@@ -206,6 +206,8 @@ def eisenstein_local_factor(
     """
     start = time.perf_counter()
     check_pair(N, p)
+    if ell is not None and not sympy.isprime(ell):
+        raise ValueError(f"ell = {ell} must be a prime")
     tv = valuation_p(N - 1, p)
     if tv == 0:
         return EisensteinReport(

@@ -8,13 +8,13 @@ between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 import sympy
 
-from .corering.dlog import DlogTable, build_dlog_table, is_power
+from .corering.dlog import build_dlog_table, is_power
 from .corering.linalg import howell_membership
 from .corering.zmod import AtLeast, Modulus, valuation_p
 
@@ -104,54 +104,12 @@ def merel_report(N: int, p: int, s_max: int) -> MerelReport:
     return MerelReport(N=N, p=p, merel_value=value, log_sum_s=log_sum_s, is_power_s=is_power_s)
 
 
-@dataclass
-class GroupRingElement:
-    """Element of (Z/p^s)[(Z/N)^x], coefficients indexed by residues 1..N-1."""
+def zeta_element(N: int, p: int, s: int) -> np.ndarray:
+    """zeta = sum_i B2(i/N) [i] with B2(x) = x^2 - x + 1/6, reduced mod p^s.
 
-    N: int
-    p: int
-    s: int
-    coeffs: np.ndarray = field(repr=False)  # coeffs[i-1] = coefficient of [i]
-
-    @property
-    def ps(self) -> int:
-        return self.p**self.s
-
-    def augmentation(self) -> int:
-        return int(self.coeffs.sum() % self.ps)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRingElement)
-            and (self.N, self.p, self.s) == (other.N, other.p, other.s)
-            and bool(np.all(self.coeffs % self.ps == other.coeffs % other.ps))
-        )
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        """Convolution over (Z/N)^x; quadratic, intended for small N."""
-        if (self.N, self.p, self.s) != (other.N, other.p, other.s):
-            raise ValueError("group ring mismatch")
-        N, ps = self.N, self.ps
-        out = np.zeros(N - 1, dtype=np.int64)
-        for i in range(1, N):
-            ci = int(self.coeffs[i - 1])
-            if ci == 0:
-                continue
-            for j in range(1, N):
-                k = (i * j) % N
-                out[k - 1] = (out[k - 1] + ci * other.coeffs[j - 1]) % ps
-        return GroupRingElement(self.N, self.p, self.s, out)
-
-    def log_vector(self, dlog: DlogTable) -> np.ndarray:
-        """Coefficients re-indexed by discrete log: v[k] = coeff of [g^k]."""
-        out = np.zeros(self.N - 1, dtype=np.int64)
-        for i in range(1, self.N):
-            out[dlog.table[i]] = self.coeffs[i - 1]
-        return out
-
-
-def zeta_element(N: int, p: int, s: int) -> GroupRingElement:
-    """zeta = sum_i B2(i/N) [i] with B2(x) = x^2 - x + 1/6, reduced mod p^s."""
+    Returned in log order, as the coefficients of (Z/p^s)[(Z/N)^x]: entry k
+    is the coefficient of [g^k], g the generator of ``build_dlog_table(N)``.
+    """
     if p <= 3:
         raise ValueError("p must exceed 3 so that 6 is invertible")
     if (N - 1) % p != 0:
@@ -159,18 +117,16 @@ def zeta_element(N: int, p: int, s: int) -> GroupRingElement:
     ps = p**s
     invN = pow(N % ps, -1, ps)
     inv6 = pow(6, -1, ps)
-    i = np.arange(1, N, dtype=np.int64)
-    coeffs = (i * i % ps) * (invN * invN % ps) - i * invN + inv6
-    return GroupRingElement(N=N, p=p, s=s, coeffs=coeffs % ps)
+    i = build_dlog_table(N).powers
+    return ((i * i % ps) * (invN * invN % ps) - i * invN + inv6) % ps
 
 
-def _sylow_projection(z: GroupRingElement, dlog: DlogTable, t: int) -> np.ndarray:
-    """Image of z in (Z/p^s)[G_p], G_p the Sylow-p quotient of order p^t."""
-    pt = z.p**t
-    out = np.zeros(pt, dtype=np.int64)
-    for i in range(1, z.N):
-        out[dlog.table[i] % pt] += int(z.coeffs[i - 1])
-    return out % z.ps
+def _sylow_projection(z: np.ndarray, p: int, s: int, t: int) -> np.ndarray:
+    """Image of the log-ordered z in (Z/p^s)[G_p], G_p the Sylow-p quotient.
+
+    p^t divides N - 1, so [g^k] maps to k mod p^t; the sums stay below N.
+    """
+    return z.reshape(-1, p**t).sum(axis=0) % p**s
 
 
 def _v_coordinates(vec: np.ndarray, p: int, s: int, t: int) -> np.ndarray:
@@ -234,25 +190,22 @@ def _sylow_ord(d: np.ndarray, p: int, s: int, cap: int) -> int | AtLeast:
     return lo
 
 
-def _aug_power_membership_full(
-    z: GroupRingElement, dlog: DlogTable, r: int
-) -> bool:
-    """Full group-ring oracle: z in I_G^r inside (Z/p^s)[(Z/N)^x].
+def _aug_power_membership_full(z: np.ndarray, p: int, s: int, r: int) -> bool:
+    """Full group-ring oracle: the log-ordered z in I_G^r inside (Z/p^s)[(Z/N)^x].
 
     G is cyclic, so I_G = ([g] - 1) and I_G^r is spanned by the cyclic
     shifts of ([g]-1)^r in discrete-log coordinates (a circulant span).
     Cubic in N; reserved for cross-checks at moderate N.
     """
-    n = z.N - 1
-    ps = z.ps
-    mod = Modulus(z.p, z.s)
+    n = len(z)
+    ps = p**s
     base = np.zeros(n, dtype=np.int64)
     for j in range(r + 1):
         term = (comb(r, j) % ps) * (-1) ** (r - j)
         base[j % n] = (int(base[j % n]) + term) % ps
     # column k is base shifted down by k: cols[i, k] = base[(i - k) mod n]
     cols = base[np.subtract.outer(np.arange(n), np.arange(n)) % n]
-    ok, _ = howell_membership(cols, z.log_vector(dlog), mod)
+    ok, _ = howell_membership(cols, z, Modulus(p, s))
     return ok
 
 
@@ -265,71 +218,56 @@ class ZetaReport:
     p: int
     ord_s: dict[int, int | AtLeast]
     cap: int
-    sylow_zero: bool = False
+    sylow_zero: bool
 
 
-def ord_zeta(
-    N: int,
-    p: int,
-    s: int,
-    cap: int | None = None,
-    cross_check: bool | None = None,
-    proj: np.ndarray | None = None,
-):
-    """Largest r < cap with zeta in I_G^r, else AtLeast(cap).
+def ord_zeta(N: int, p: int, s: int) -> int | AtLeast:
+    """Largest r < cap = p^t + 1 with zeta in I_G^r, else AtLeast(cap).
 
     Computes in the Sylow-p quotient ring (the complement factor of the
     group ring lies in I_G^r for every r >= 1, so only the Sylow part
-    matters).  ``proj`` is that Sylow projection of zeta mod p^s when the
-    caller already holds it.  With d its v-coordinates (``_v_coordinates``),
-    zeta is in I^r exactly when (d mod v^r) is in rho * (Z/p^s)[v]/(v^r):
-    at s = 1 that is r <= ord_1, the index of the first entry of d not
-    divisible by p; at s >= 2, ord_s <= ord_1 bounds a bisection of r x r
-    Toeplitz solves.  The full group-ring membership oracle certifies the
-    result for moderate N (always, when cross_check is None and N - 1 <= 400;
-    forced on/off otherwise): zeta must lie in I^ord and not in I^(ord+1),
-    or in I^cap for AtLeast(cap).
+    matters), a reshape of the log-ordered zeta.  With d its v-coordinates
+    (``_v_coordinates``), zeta is in I^r exactly when (d mod v^r) is in
+    rho * (Z/p^s)[v]/(v^r): at s = 1 that is r <= ord_1, the index of the
+    first entry of d not divisible by p; at s >= 2, ord_s <= ord_1 bounds a
+    bisection of r x r Toeplitz solves.  When N - 1 <= _FULL_ORACLE_LIMIT the
+    full group-ring membership oracle certifies the result: zeta must lie in
+    I^ord and not in I^(ord+1), or in I^cap for AtLeast(cap).
     """
     t = valuation_p(N - 1, p)
     if t == 0:
         raise ValueError(f"p = {p} does not divide N-1")
     if s > t:
         raise ValueError(f"s = {s} exceeds v_p(N-1) = {t}")
-    if cap is None:
-        cap = p**t + 1
-    dlog = build_dlog_table(N)
-    if proj is None:
-        proj = _sylow_projection(zeta_element(N, p, s), dlog, t)
+    cap = p**t + 1
+    z = zeta_element(N, p, s)
+    proj = _sylow_projection(z, p, s, t)
     if not proj.any():
         return AtLeast(cap)
     d = _v_coordinates(proj, p, s, t)
     if d[0]:
         raise AssertionError(f"ord_s(zeta) = 0 at (N,p,s)=({N},{p},{s}); should be >= 1")
     out = _sylow_ord(d, p, s, cap)
-    do_full = cross_check if cross_check is not None else (N - 1 <= _FULL_ORACLE_LIMIT)
-    if do_full:
-        z = zeta_element(N, p, s)
+    if N - 1 <= _FULL_ORACLE_LIMIT:
         probes = [(cap, True)] if isinstance(out, AtLeast) else [(out, True), (out + 1, False)]
         for r, member in probes:
-            if _aug_power_membership_full(z, dlog, r) != member:
+            if _aug_power_membership_full(z, p, s, r) != member:
                 raise AssertionError(
                     f"Sylow and full-ring I^r membership disagree at r={r}, (N,p,s)=({N},{p},{s})"
                 )
     return out
 
 
-def zeta_report(N: int, p: int, s_max: int, cap: int | None = None) -> ZetaReport:
+def zeta_report(N: int, p: int, s_max: int) -> ZetaReport:
+    """ord_s(zeta) for every s <= s_max, and whether zeta's Sylow projection is zero.
+
+    The projection mod p^s reduces to the one mod p, so it vanishes for some
+    s exactly when it vanishes at s = 1.
+    """
     t = int(valuation_p(N - 1, p))
-    if cap is None:
-        cap = p**t + 1
-    dlog = build_dlog_table(N)
-    ords: dict[int, int | AtLeast] = {}
-    sylow_zero = False
-    for s in range(1, s_max + 1):
-        proj = _sylow_projection(zeta_element(N, p, s), dlog, t)
-        ords[s] = ord_zeta(N, p, s, cap, proj=proj)
-        sylow_zero = sylow_zero or not proj.any()
-    return ZetaReport(N=N, p=p, ord_s=ords, cap=cap, sylow_zero=sylow_zero)
+    ords = {s: ord_zeta(N, p, s) for s in range(1, s_max + 1)}
+    sylow_zero = not _sylow_projection(zeta_element(N, p, 1), p, 1, t).any()
+    return ZetaReport(N=N, p=p, ord_s=ords, cap=p**t + 1, sylow_zero=sylow_zero)
 
 
 def lecouturier_check(N: int, p: int, s: int) -> bool:

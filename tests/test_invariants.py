@@ -8,7 +8,6 @@ import sympy
 from eisenlab import invariants
 from eisenlab.corering import AtLeast, Modulus, build_dlog_table, howell_membership, valuation_p
 from eisenlab.invariants import (
-    GroupRingElement,
     _aug_power_membership_full,
     _sylow_member,
     _sylow_ord,
@@ -23,6 +22,7 @@ from eisenlab.invariants import (
     zeta_element,
     zeta_report,
 )
+from eisenlab.sweep import compute_record
 
 
 def test_merel_number_values():
@@ -57,9 +57,10 @@ def _rational_mod(x: Fraction, ps: int) -> int:
 
 def test_zeta_element_matches_rational_oracle():
     z = zeta_element(11, 5, 1)
+    dlog = build_dlog_table(11)
     for i in range(1, 11):
         b2 = Fraction(i, 11) ** 2 - Fraction(i, 11) + Fraction(1, 6)
-        assert int(z.coeffs[i - 1]) == _rational_mod(b2, 5)
+        assert int(z[dlog.table[i]]) == _rational_mod(b2, 5)
 
 
 def test_zeta_augmentation_vanishes():
@@ -71,7 +72,7 @@ def test_zeta_augmentation_vanishes():
             x //= p
             t += 1
         for s in range(1, t + 1):
-            assert zeta_element(N, p, s).augmentation() == 0
+            assert zeta_element(N, p, s).sum() % p**s == 0
 
 
 def test_zeta_element_preconditions():
@@ -79,13 +80,6 @@ def test_zeta_element_preconditions():
         zeta_element(11, 3, 1)
     with pytest.raises(ValueError):
         zeta_element(13, 5, 1)
-
-
-def test_group_ring_convolution():
-    z = zeta_element(11, 5, 1)
-    one = GroupRingElement(11, 5, 1, z.coeffs * 0)
-    one.coeffs[0] = 1  # delta at [1]
-    assert (z * one) == z
 
 
 def test_ord_zeta_golden_values():
@@ -103,11 +97,12 @@ def test_ord_zeta_at_least_one_everywhere():
         assert isinstance(o, AtLeast) or o >= 1
 
 
-def test_ord_zeta_two_paths_agree():
+def test_ord_zeta_two_paths_agree(monkeypatch):
     # the Sylow projection is cross-checked against the full group-ring
     # membership oracle automatically for N - 1 <= 400; force it beyond
+    monkeypatch.setattr(invariants, "_FULL_ORACLE_LIMIT", 10**6)
     for N in (11, 31, 41, 61, 101, 181, 241, 251, 271, 281):
-        ord_zeta(N, 5, 1, cross_check=True)
+        ord_zeta(N, 5, 1)
 
 
 def test_zeta_report_records_all_s():
@@ -220,31 +215,33 @@ def _pairs(p, bound):
 
 
 def _zeta_v_coordinates(N, p, s, t):
-    proj = _sylow_projection(zeta_element(N, p, s), build_dlog_table(N), t)
+    proj = _sylow_projection(zeta_element(N, p, s), p, s, t)
     return _v_coordinates(proj, p, s, t)
 
 
 @pytest.mark.parametrize("p", [5, 7])
-def test_ord_zeta_matches_howell_oracle(p):
+def test_ord_zeta_matches_howell_oracle(p, monkeypatch):
+    monkeypatch.setattr(invariants, "_FULL_ORACLE_LIMIT", 0)
     for N, t in _pairs(p, 1500):
         for s in range(1, t + 1):
             d = _zeta_v_coordinates(N, p, s, t)
             want = _howell_ord(d, p, s, t, p**t + 1)
-            assert ord_zeta(N, p, s, cross_check=False) == want, (N, p, s)
+            assert ord_zeta(N, p, s) == want, (N, p, s)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_full_ring_oracle_agrees_at_every_r(p):
-    for N, t in _pairs(p, invariants._FULL_ORACLE_LIMIT + 2):
-        dlog = build_dlog_table(N)
+def test_full_ring_oracle_agrees_at_every_r(p, monkeypatch):
+    limit = invariants._FULL_ORACLE_LIMIT
+    monkeypatch.setattr(invariants, "_FULL_ORACLE_LIMIT", 0)
+    for N, t in _pairs(p, limit + 2):
         cap = p**t + 1
         for s in range(1, t + 1):
             z = zeta_element(N, p, s)
             d = _zeta_v_coordinates(N, p, s, t)
-            o = ord_zeta(N, p, s, cross_check=False)
+            o = ord_zeta(N, p, s)
             for r in range(1, cap + 1):
                 member = isinstance(o, AtLeast) or r <= o
-                assert _aug_power_membership_full(z, dlog, r) == member, (N, p, s, r)
+                assert _aug_power_membership_full(z, p, s, r) == member, (N, p, s, r)
                 assert _sylow_member(d, p, s, r) == member, (N, p, s, r)
 
 
@@ -262,6 +259,45 @@ def test_zeta_report_golden_multi_s(N, p, golden):
     assert rep.ord_s == golden
     assert rep.cap == p ** int(valuation_p(N - 1, p)) + 1
     assert not rep.sylow_zero
+
+
+def test_sylow_zero_flag(monkeypatch):
+    # p * zeta has zero Sylow projection mod p but not mod p^2: the flag is
+    # read at s = 1, and ord_1 is the cap
+    zeta = invariants.zeta_element
+    monkeypatch.setattr(invariants, "zeta_element", lambda N, p, s: p * zeta(N, p, s) % p**s)
+    rep = zeta_report(3001, 5, 3)
+    assert rep.ord_s[1] == AtLeast(126)
+    assert rep.sylow_zero is True
+    assert compute_record(3001, 5, with_hecke=False).flags == ["sylow-projection-zero"]
+
+
+def _residue_zeta(N, p, s):
+    """zeta indexed by residue, entry i - 1 the coefficient of [i]: the
+    reference the log-order layout is scattered from."""
+    ps = p**s
+    invN = pow(N % ps, -1, ps)
+    i = np.arange(1, N, dtype=np.int64)
+    return ((i * i % ps) * (invN * invN % ps) - i * invN + pow(6, -1, ps)) % ps
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_log_order_matches_residue_scatter(p):
+    for N, t in _pairs(p, 2000):
+        table = build_dlog_table(N).table
+        pt = p**t
+        top = zeta_element(N, p, t)
+        for s in range(1, t + 1):
+            coeffs = _residue_zeta(N, p, s)
+            by_log = np.zeros(N - 1, dtype=np.int64)
+            scatter = np.zeros(pt, dtype=np.int64)
+            for i in range(1, N):
+                by_log[table[i]] = coeffs[i - 1]
+                scatter[table[i] % pt] += int(coeffs[i - 1])
+            z = zeta_element(N, p, s)
+            assert np.array_equal(z, by_log), (N, s)
+            assert np.array_equal(_sylow_projection(z, p, s, t), scatter % p**s), (N, s)
+            assert np.array_equal(z, top % p**s), (N, s)
 
 
 def _planted(p, t, s, gen):
@@ -312,15 +348,20 @@ def test_ord_zeta_certifies_with_full_ring_oracle(monkeypatch):
     calls = []
     full = invariants._aug_power_membership_full
     monkeypatch.setattr(
-        invariants, "_aug_power_membership_full", lambda z, dlog, r: calls.append(r) or full(z, dlog, r)
+        invariants,
+        "_aug_power_membership_full",
+        lambda z, p, s, r: calls.append(r) or full(z, p, s, r),
     )
     assert ord_zeta(181, 5, 1) == 3 and calls == [3, 4]
     calls.clear()
     assert ord_zeta(3001, 5, 1) == 7 and calls == []  # N - 1 > 400: no oracle
-    o = ord_zeta(421, 5, 1, cross_check=True)
-    assert calls == [o, o + 1]
-    calls.clear()
-    assert ord_zeta(181, 5, 1, cross_check=False) == 3 and calls == []
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "_FULL_ORACLE_LIMIT", 420)
+        o = ord_zeta(421, 5, 1)
+        assert calls == [o, o + 1]
+        calls.clear()
+        m.setattr(invariants, "_FULL_ORACLE_LIMIT", 0)
+        assert ord_zeta(181, 5, 1) == 3 and calls == []
     sylow_ord = invariants._sylow_ord
     for wrong in (2, 4, AtLeast(6)):
         monkeypatch.setattr(invariants, "_sylow_ord", lambda d, p, s, cap, w=wrong: w)

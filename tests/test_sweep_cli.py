@@ -159,6 +159,16 @@ def test_cli_invariants_rejects_bad_input(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
+
+@pytest.mark.parametrize("ell", ["4", "9", "-3", "0"])
+def test_cli_hecke_rejects_non_prime_ell(tmp_path, capsys, ell):
+    out = tmp_path / "rows.jsonl"
+    assert main(["hecke", "--N", "31", "--p", "5", "--ell", ell, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"ell = {ell} " in err
+    assert not out.exists()
+
+
 def test_cli_sweep_stats_verify(tmp_path, capsys):
     out = str(tmp_path / "rows.jsonl")
     rc = main(["sweep", "--p", "5", "--max-N", "120", "--out", out])
