@@ -4,9 +4,11 @@ Z/p^M is a chain ring: every element is unit * p^v, and Gaussian
 elimination stays exact as long as pivots are chosen with minimal
 valuation.  There is one elimination, the blocked unit-pivot Gauss-Jordan
 ``_unit_gauss_jordan``: pivots are found on a panel of columns, and the
-panel's row operations reach the rest of the matrix as one product.  It
-returns those panels, so its row operations can be replayed on a
-right-hand side.  Two kinds of system use it:
+panel's row operations reach the columns still open as one product: those
+right of the panel and the free ones left of its end.  Pivot columns are
+unit vectors, which are written, not computed.  It returns the panels, so
+its row operations can be replayed on a right-hand side.  Two kinds of
+system use it:
 
 * systems whose cokernel is known to be free.  ``unit_echelon``,
   ``kernel_of_free_summand`` and ``restrict_operator`` run it once and
@@ -32,15 +34,60 @@ which picks the first of three exact tiers whose bound holds:
   Giorgi and Pernet, FFLAS-FFPACK, TOMS 2008);
 * int64 when k * (p^M - 1)^2 < 2^63;
 * Python integers (object dtype) otherwise.
+
+Every process that imports this module runs OpenBLAS on one thread, set
+once here at import (a no-op without OpenBLAS).  eisenlab's parallelism is
+across pairs, one process each, and its products are at most 826 wide for
+N < 10000: there a second BLAS thread mostly spins.  With numpy's default
+two threads, the records for (3001, 5) and (3671, 5) used 1.8 times their
+wall time in CPU time, and one thread takes no longer.  Pool workers
+inherit the setting when forked and set it again when they import eisenlab
+to unpickle their task.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
 from .zmod import Modulus, PadicPoly
 
 _MAX_MATRIX_MODULUS = 1 << 31
+
+
+def _openblas_function(names: tuple[str, ...]):
+    """The first of ``names`` exported by an OpenBLAS loaded in this process
+    (numpy's bundled one), or None when there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in names:
+            fn = getattr(handle, name, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Run OpenBLAS on one thread in this process.  A no-op without OpenBLAS."""
+    fn = _openblas_function(
+        ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads")
+    )
+    if fn is not None:
+        fn.argtypes = [ctypes.c_int]
+        fn.restype = None
+        fn(1)
+
+
+_one_blas_thread()
 
 
 def _as_matrix(A, mod: Modulus) -> np.ndarray:
@@ -186,18 +233,27 @@ def _narrow(X: np.ndarray, pM: int) -> np.ndarray:
     return X.astype(width)
 
 
-def _apply_panel(X: np.ndarray, panel, mod: Modulus) -> None:
+def _apply_panel(X: np.ndarray, panel, mod: Modulus, cols=...) -> None:
     """Replay one panel's row operations on X (a matrix or a vector) in place:
-    its row swaps, then X[rows] += E @ X[pivot rows] with the pivot rows
-    taken out first.  Rows outside ``rows`` are left untouched."""
+    its row swaps on whole rows, then X[rows] += E @ X[pivot rows] with the
+    pivot rows taken out first, on ``cols`` only.  Rows outside ``rows`` are
+    left untouched."""
     r0, swaps, rows, E = panel
     for r, sel in swaps:
         X[[r, sel]] = X[[sel, r]]
-    r1 = r0 + E.shape[1]
-    piv = X[r0:r1].copy()
-    X[r0:r1] = 0
+    _replay(X, r0, rows, E, mod, cols)
+
+
+def _replay(X: np.ndarray, r0: int, rows, E, mod: Modulus, cols) -> None:
+    """X[rows, cols] += E @ X[pivot rows, cols] mod p^M in place, the pivot
+    rows r0, r0 + 1, ... taken out first, in slices of _CHUNK rows.  ``cols``
+    is ``...``, a slice, or an index array gathered one slice at a time."""
+    at = (lambda rr: np.ix_(rr, cols)) if isinstance(cols, np.ndarray) else (lambda rr: (rr, cols))
+    pivrows = at(np.arange(r0, r0 + E.shape[1]))
+    piv = X[pivrows]
+    X[pivrows] = 0
     for t in range(0, rows.size, _CHUNK):
-        rr = rows[t : t + _CHUNK]
+        rr = at(rows[t : t + _CHUNK])
         X[rr] = (X[rr] + matmul_mod(E[t : t + _CHUNK], piv, mod)) % mod.pM
 
 
@@ -213,13 +269,18 @@ def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None):
     terms of the panel's k pivot rows as they stood when the panel began; E's
     pivot rows end up holding the inverse of their k x k pivot block.  The
     new matrix is then E @ A[pivot rows], plus the old rows off the pivots:
-    one product instead of k rank-1 updates, over the rows E touches only.
+    one product instead of k rank-1 updates, over the rows E touches only,
+    and over the open columns only: those right of the panel and the free
+    columns left of its end.  Earlier pivot columns are unit vectors that
+    the panel leaves as they are, and its own become unit vectors, so they
+    are written rather than computed.
     A panel is (first pivot row, row swaps, rows E touches, E on those rows).
     """
     p, pM = mod.p, mod.pM
     m, n = A.shape
     stop = n if stop is None else stop
     pivcols: list[int] = []
+    free: list[int] = []  # non-pivot columns left of the current panel's end
     panels = []
     buf = np.empty((m, 2 * min(_PANEL, stop)), dtype=np.int64)  # one G for every panel
     r = 0
@@ -231,7 +292,7 @@ def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None):
         G = buf[:, : 2 * w]
         G[:, :w] = A[:, c0:c1]
         G[:, w:] = 0
-        r0, swaps = r, []
+        r0, swaps, pc = r, [], []
         for c in range(w):
             if r >= m:
                 break
@@ -252,13 +313,19 @@ def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None):
             live = live[live != r]
             if live.size:
                 G[live, c + 1 : hi] = (G[live, c + 1 : hi] - G[live, c, None] * G[r, c + 1 : hi]) % pM
-            pivcols.append(c0 + c)
+            pc.append(c0 + c)
             r += 1
+        pivcols += pc
+        free += sorted(set(range(c0, c1)) - set(pc))
         if r > r0:
             E = _narrow(G[:, w : w + r - r0], pM)
             rows = np.flatnonzero(E.any(axis=1))
             panels.append((r0, swaps, rows, E[rows]))
-            _apply_panel(A, panels[-1], mod)
+            _apply_panel(A, panels[-1], mod, slice(c1, None))
+            if free:
+                _replay(A, r0, rows, panels[-1][3], mod, np.array(free))
+            A[:, pc] = 0
+            A[np.arange(r0, r), pc] = 1
     return pivcols, panels
 
 

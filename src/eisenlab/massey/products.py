@@ -32,6 +32,7 @@ from .cochains import (
     _is_matrix_homomorphism,
     coboundary,
     cup,
+    is_cocycle,
     vanishes_in_h2,
 )
 from .groups import FiniteGroup
@@ -70,11 +71,13 @@ class DefiningSystem:
 
 
 def massey_product_cocycle(D: DefiningSystem) -> Cochain:
-    """c(D) = cup_sum(m_1, ..., m_{n-1}); asserted to be a cocycle."""
-    c = cup_sum(D.chain)
-    if not coboundary(c).is_zero():
-        raise InvalidDefiningSystem("c(D) is not a 2-cocycle")
-    return c
+    """c(D) = cup_sum(m_1, ..., m_{n-1}).
+
+    The law checked when D was built makes c(D) a cocycle.  This is not
+    re-checked here: ``vanishes_in_h2`` checks every 2-cochain it decides,
+    and ``shifted_system``, which decides nothing, checks its own.
+    """
+    return cup_sum(D.chain)
 
 
 def massey_power_vanishes(D: DefiningSystem) -> bool:
@@ -142,7 +145,10 @@ def shifted_system(D: DefiningSystem) -> tuple[DefiningSystem, Cochain]:
 
     chain_p = [mprime(i) for i in range(1, r - 1)]
     Dp = DefiningSystem(chain_p)
-    return Dp, massey_product_cocycle(Dp)
+    c = massey_product_cocycle(Dp)
+    if not is_cocycle(c):
+        raise InvalidDefiningSystem("c(D') is not a 2-cocycle")
+    return Dp, c
 
 
 # -- unipotent picture -------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import ctypes
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -108,39 +107,6 @@ def compute_record(
     return rec
 
 
-def _openblas_function(names: tuple[str, ...]):
-    """The first of ``names`` exported by an OpenBLAS loaded in this process
-    (numpy's bundled one), or None when there is none."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for lib in sorted(libs):
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for name in names:
-            fn = getattr(handle, name, None)
-            if fn is not None:
-                return fn
-    return None
-
-
-def _one_blas_thread() -> None:
-    """Pool initializer: one OpenBLAS thread per worker, so that workers
-    times BLAS threads does not oversubscribe the cores.  A no-op without
-    OpenBLAS."""
-    fn = _openblas_function(
-        ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads")
-    )
-    if fn is not None:
-        fn.argtypes = [ctypes.c_int]
-        fn.restype = None
-        fn(1)
-
-
 def _worker(args) -> ResultRecord:
     N, p, precision = args
     return compute_record(N, p, with_hecke=True, precision=precision)
@@ -151,7 +117,7 @@ def _computed(tasks: list, workers: int):
     if workers == 1:
         yield from map(_worker, tasks)
         return
-    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for fut in as_completed([pool.submit(_worker, task) for task in tasks]):
             yield fut.result()
 

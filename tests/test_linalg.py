@@ -683,6 +683,51 @@ def test_factor_matches_full_pivot_reference_on_circulant(p, M):
     _matches_reference(A, mod, np.random.default_rng(p * 100 + M))
 
 
+def _free_columns_at(gen, m, n, free, pM):
+    """m x n matrix over Z/pM whose row module is a free summand with its
+    unit-pivot RREF free exactly at the columns ``free``."""
+    pivs = np.setdiff1d(np.arange(n), free)
+    R0 = np.zeros((pivs.size, n), dtype=np.int64)
+    R0[:, free] = gen.integers(0, pM, (pivs.size, len(free)))
+    for i, c in enumerate(pivs):
+        R0[i, :c] = 0
+        R0[i, c] = 1
+    return _mulmod(_unit_rank(gen, m, pivs.size, pM), R0, pM)
+
+
+# free columns inside the first panel (left of every later one), inside and
+# at the end of the second, and in the last
+_FREE_COLS = [3, 17, 31, 32, 40, 63, 70]
+
+
+@pytest.mark.parametrize("m", [257, 300])
+@pytest.mark.parametrize("pm", _ECHELON_MODULI, ids=lambda pm: f"{pm[0]}^{pm[1]}")
+def test_panel_replay_on_open_columns(pm, m):
+    # a panel replays its row operations on the columns right of it and the
+    # free columns left of its end only; more than 256 touched rows make the
+    # replay run in several slices
+    mod = Modulus(*pm)
+    p, pM = mod.p, mod.pM
+    gen = np.random.default_rng(m * 1000 + pM % 997)
+    A = _free_columns_at(gen, m, 72, _FREE_COLS, pM)
+    got = unit_echelon(A, mod)
+    assert _same(got, _unit_echelon_unblocked(A, mod))
+    assert got[2] == _FREE_COLS
+    assert _same(kernel_of_free_summand(A, mod), _kernel_of_free_summand_unblocked(A, mod))
+
+    basis = _unit_rank(gen, m, 40, pM)
+    T = basis @ gen.integers(0, p, (40, m)) % pM  # preserves the span of basis; exact in int64
+    assert _same(restrict_operator(T, basis, mod), _restrict_operator_unblocked(T, basis, mod))
+
+    # a row p * v on the free columns gives FullPivotFactor a second layer
+    # (and unit_echelon p-torsion, when p < pM)
+    v = np.zeros(72, dtype=np.int64)
+    v[_FREE_COLS] = gen.integers(1, pM, len(_FREE_COLS))
+    At = np.vstack([A, p * v % pM])
+    assert _same(_outcome(unit_echelon, At, mod), _outcome(_unit_echelon_unblocked, At, mod))
+    _matches_reference(At[:, :48], mod, gen)
+
+
 @pytest.mark.parametrize("p,M", [(5, 2), (5, 13)])
 def test_eliminations_past_one_panel_slice(p, M):
     # a panel product runs in 256-row slices; taller matrices use several

@@ -1,11 +1,17 @@
 import ctypes
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import eisenlab
 from eisenlab import sweep
 from eisenlab.cli import main
+from eisenlab.corering import linalg
 from eisenlab.records import read_records
 from eisenlab.sweep import (
     compute_record,
@@ -205,7 +211,7 @@ _GET_THREADS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64
 
 
 def _blas_threads():
-    fn = sweep._openblas_function(_GET_THREADS)
+    fn = linalg._openblas_function(_GET_THREADS)
     fn.restype = ctypes.c_int
     return fn()
 
@@ -220,8 +226,27 @@ class _ProbingPool(ProcessPoolExecutor):
         return super().__exit__(*exc)
 
 
+def test_import_pins_one_blas_thread():
+    # a fresh interpreter, as the CLI and spawned pool workers start, with
+    # numpy left to its default thread count
+    if linalg._openblas_function(_GET_THREADS) is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(eisenlab.__file__).resolve().parents[1])
+    code = (
+        "import ctypes, eisenlab\n"
+        "from eisenlab.corering.linalg import _openblas_function\n"
+        f"fn = _openblas_function({_GET_THREADS!r})\n"
+        "fn.restype = ctypes.c_int\n"
+        "print(fn())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
+
+
 def test_sweep_workers_use_one_blas_thread(tmp_path, monkeypatch):
-    if sweep._openblas_function(_GET_THREADS) is None:
+    if linalg._openblas_function(_GET_THREADS) is None:
         pytest.skip("numpy is not linked against OpenBLAS")
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", _ProbingPool)
     _ProbingPool.seen.clear()
