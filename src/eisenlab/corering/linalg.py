@@ -24,16 +24,19 @@ system use it:
   ``howell_membership`` and ``kernel_spanning_set`` are one-shot wrappers
   around it.
 
-Entries are residues in [0, p^M) with p^M < 2^31.  A product of two
-entries fits int64, but a k-term dot product need not, e.g. at p^M = 5^12
-once k > 154.  Every matrix product therefore goes through ``matmul_mod``,
-which picks the first of three exact tiers whose bound holds:
+Entries are residues in [0, p^M) with p^M < 2^31, a limit only this
+module knows.  A product of two entries fits int64, as the eliminations
+need, but a k-term dot product need not.  Every matrix product therefore
+goes through ``matmul_mod``, in float64 BLAS: a product whose partial sums
+are all integers below 2^53 is exact in any summation order (Dumas, Giorgi
+and Pernet, FFLAS-FFPACK, TOMS 2008).  It takes one of two paths:
 
-* float64 (BLAS) when k * (p^M - 1)^2 < 2^53: every partial sum is an
-  integer below 2^53, so it is exact in any summation order (Dumas,
-  Giorgi and Pernet, FFLAS-FFPACK, TOMS 2008);
-* int64 when k * (p^M - 1)^2 < 2^63;
-* Python integers (object dtype) otherwise.
+* direct, when k * (p^M - 1)^2 < 2^53;
+* split otherwise: each operand is written in 16-bit limbs, X = X1 * 2^16
+  + X0, and the four limb products, exact while k * (2^16 - 1)^2 < 2^53
+  (k <= 2097216), are reduced and recombined mod p^M in int64.
+
+Past either limit, p^M >= 2^31 or k > 2097216, it raises ``ValueError``.
 
 Every process that imports this module runs OpenBLAS on one thread, set
 once here at import (a no-op without OpenBLAS).  eisenlab's parallelism is
@@ -54,6 +57,7 @@ import numpy as np
 from .zmod import Modulus, PadicPoly
 
 _MAX_MATRIX_MODULUS = 1 << 31
+_LIMB = 1 << 16  # the split path's limb base
 
 
 def _openblas_function(names: tuple[str, ...]):
@@ -100,23 +104,31 @@ def _as_matrix(A, mod: Modulus) -> np.ndarray:
 
 
 def matmul_mod(A, B, mod: Modulus) -> np.ndarray:
-    """A @ B mod p^M, exact at every size.
+    """A @ B mod p^M as int64, exact, in float64 BLAS.
 
-    With k the inner dimension: float64 when k * (p^M - 1)^2 < 2^53, int64
-    when it is < 2^63, otherwise object-dtype (Python int) arithmetic.
+    With k the inner dimension: one product when k * (p^M - 1)^2 < 2^53,
+    otherwise four products of 16-bit limbs, A = A1 * 2^16 + A0 and
+    B = B1 * 2^16 + B0, recombined as hi * 2^32 + mid * 2^16 + lo mod p^M.
+    Raises ValueError when p^M >= 2^31 or when k * (2^16 - 1)^2 >= 2^53,
+    where neither is exact.
     """
     pM = mod.pM
+    if pM >= _MAX_MATRIX_MODULUS:
+        raise ValueError(f"modulus {pM} too large for exact matrix products")
     square = B is A  # P @ P: reduce and convert the operand once
-    A = np.asarray(A, dtype=np.int64) % pM
-    B = A if square else np.asarray(B, dtype=np.int64) % pM
-    bound = A.shape[-1] * (pM - 1) ** 2
-    if bound < 1 << 53:
-        A = A.astype(np.float64)
-        B = A if square else B.astype(np.float64)
+    A = (np.asarray(A, dtype=np.int64) % pM).astype(np.float64)
+    B = A if square else (np.asarray(B, dtype=np.int64) % pM).astype(np.float64)
+    k = A.shape[-1]
+    if k * (pM - 1) ** 2 < 1 << 53:
         return (A @ B).astype(np.int64) % pM
-    if bound < 1 << 63:
-        return (A @ B) % pM
-    return ((A.astype(object) @ B.astype(object)) % pM).astype(np.int64)
+    if k * (_LIMB - 1) ** 2 >= 1 << 53:
+        raise ValueError(f"inner dimension {k} too large for exact limb products")
+    # p^M < 2^31, so the high limbs are below 2^15; each reduced term below
+    # stays under 2^62 and their sum fits int64
+    A1, A0 = np.divmod(A, _LIMB)
+    B1, B0 = (A1, A0) if square else np.divmod(B, _LIMB)
+    hi, mid1, mid0, lo = ((X @ Y).astype(np.int64) % pM for X, Y in ((A1, B1), (A1, B0), (A0, B1), (A0, B0)))
+    return (hi * (_LIMB**2 % pM) + (mid1 + mid0) * (_LIMB % pM) + lo) % pM
 
 
 class FullPivotFactor:
@@ -388,10 +400,10 @@ def berkowitz_charpoly(A, mod: Modulus) -> PadicPoly:
     pM = mod.pM
     A = _as_matrix(A, mod)
     n = A.shape[0]
-    if A.size == 0:
-        return PadicPoly.one(mod)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
+    if n == 0:
+        return PadicPoly.one(mod)
     C = np.array([1, -int(A[0, 0])], dtype=np.int64) % pM
     for i in range(1, n):
         R = A[i : i + 1, :i]

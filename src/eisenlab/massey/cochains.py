@@ -16,9 +16,10 @@ multiplication.  Both run through one code path:
   through ``matmul_mod``.
 
 Every product is therefore exact.  The modulus must be below 2^31, the
-bound of the Z/p^M matrix kernels (``CoeffModule`` raises otherwise), so
-an elementwise product of two residues, as in a character check, fits
-int64.  The inhomogeneous differential is the standard one:
+bound of ``matmul_mod``, whose first call in ``CoeffModule`` (the
+homomorphism check) raises otherwise; so an elementwise product of two
+residues, as in the action tensor, fits int64.  The inhomogeneous
+differential is the standard one:
 
   (dc)(g_1,...,g_{n+1}) = g_1 c(g_2,...) + sum (-1)^i c(..., g_i g_{i+1}, ...)
                           + (-1)^{n+1} c(g_1,...,g_n).
@@ -30,7 +31,7 @@ import functools
 
 import numpy as np
 
-from ..corering.linalg import _MAX_MATRIX_MODULUS, FullPivotFactor, matmul_mod
+from ..corering.linalg import FullPivotFactor, matmul_mod
 from ..corering.zmod import Modulus
 from .groups import FiniteGroup
 
@@ -49,8 +50,6 @@ class CoeffModule:
 
     def __init__(self, group: FiniteGroup, modulus: Modulus, kind: str,
                  char: np.ndarray | None = None, rho: np.ndarray | None = None):
-        if modulus.pM >= _MAX_MATRIX_MODULUS:
-            raise ValueError(f"modulus {modulus.pM} too large for int64 cochain kernels")
         self.group = group
         self.modulus = modulus
         self.kind = kind

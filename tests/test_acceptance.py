@@ -114,6 +114,17 @@ def test_criterion_03_newton_polygons_and_components():
     _announce(3, "; ".join(lines))
 
 
+def test_golden_record_2663_11():
+    # the one pair with p in {11, 13}, N < 10000 whose products pass the
+    # float64 bound k * (p^M - 1)^2 < 2^53: 28 of them, at 11^7, take
+    # matmul_mod's split path
+    rec = compute_record(2663, 11)
+    assert rec.precision == 7
+    assert (rec.e, rec.t_seq, rec.np_vertices) == (1, [3, 0], [[0, 3], [1, 0]])
+    assert rec.components == [{"slope": [3, 1], "degree": 1, "resolved": True}]
+    assert rec.ord_zeta_s == {"1": 1, "2": 1, "3": 1}
+
+
 def test_criterion_04_congruence_number_law():
     start = time.perf_counter()
     rows = _sweep(5)

@@ -45,8 +45,8 @@ def test_rank_three_181_5():
 
 
 def test_rank_three_181_5_at_precision_13():
-    # p^M = 5^13 is near 2^31: the local charpoly's products need the exact
-    # Python-int tier, and the answer must not depend on the precision
+    # p^M = 5^13 is near 2^31: the local charpoly's products take the
+    # split path, and the answer must not depend on the precision
     rep = eisenstein_local_factor(181, 5)
     deep = eisenstein_local_factor(181, 5, precision=13)
     assert deep.M == 13

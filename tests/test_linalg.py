@@ -176,6 +176,10 @@ def test_berkowitz_examples():
     assert cp.coeffs == [1, 23, 1]  # (y-1)^2 = y^2 - 2y + 1
     cp = berkowitz_charpoly(np.diag([2, 3]), mod)
     assert cp.coeffs == [6, 20, 1]  # y^2 - 5y + 6
+    assert berkowitz_charpoly(np.zeros((0, 0), dtype=np.int64), mod).coeffs == [1]
+    for shape in [(2, 3), (0, 3)]:
+        with pytest.raises(ValueError, match="square"):
+            berkowitz_charpoly(np.zeros(shape, dtype=np.int64), mod)
 
 
 # 5^13 and 7^11 sit just below 2^31, where (n + 2) * p^2M passes 2^62 at n = 2
@@ -256,6 +260,44 @@ def test_matmul_mod_at_float64_edge(k):
     B = np.full((k, 2), pM - 1, dtype=np.int64)
     B[:, 1] = pM - 2
     assert matmul_mod(A, B, mod).tolist() == _matmul_reference(A, B, pM)
+
+
+# past the float64 bound the product splits each entry into 16-bit limbs:
+# 2^31 - 1 and 46337^2 are the largest prime and prime square below 2^31,
+# where every product splits; at 11^7 it splits from k = 24 on
+_SPLIT_MODULI = [(2147483647, 1), (46337, 2), (5, 13), (11, 7)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 223])
+@pytest.mark.parametrize("pm", _SPLIT_MODULI, ids=lambda pm: f"{pm[0]}^{pm[1]}")
+def test_matmul_mod_split_path(pm, k):
+    # row 0 of A holds p^M - 1, row 1 (when k > 1) p^M - 2, and so do columns
+    # 0 and 1 of B; A @ A takes the squaring shortcut (B is A), checked on its
+    # first rows
+    mod = Modulus(*pm)
+    pM = mod.pM
+    gen = np.random.default_rng(k)
+    A = gen.integers(0, pM, (k, k))
+    A[0], A[1:2] = pM - 1, pM - 2
+    B = gen.integers(0, pM, (k, 3))
+    B[:, 0], B[:, 1] = pM - 1, pM - 2
+    assert matmul_mod(A, B, mod).tolist() == _matmul_reference(A, B, pM)
+    assert matmul_mod(A, A, mod)[:3].tolist() == _matmul_reference(A[:3], A, pM)
+
+
+def test_matmul_mod_raises_past_its_bounds():
+    # no exact product past p^M < 2^31, nor past k * (2^16 - 1)^2 < 2^53 for
+    # the limb products
+    with pytest.raises(ValueError, match="too large"):
+        matmul_mod(np.eye(2, dtype=np.int64), np.eye(2, dtype=np.int64), Modulus(5, 14))
+    mod = Modulus(46337, 2)
+    k = ((1 << 53) - 1) // ((1 << 16) - 1) ** 2
+    assert k == 2097216
+    zeros = np.zeros(k, dtype=np.int64)
+    assert matmul_mod(zeros[None, :], zeros[:, None], mod).tolist() == [[0]]
+    zeros = np.zeros(k + 1, dtype=np.int64)
+    with pytest.raises(ValueError, match="too large"):
+        matmul_mod(zeros[None, :], zeros[:, None], mod)
 
 
 # moduli where the float64 bound k * (p^M - 1)^2 < 2^53 leaves 2 <= k <= 386
@@ -368,8 +410,9 @@ def _same(x, y):
     return x == y
 
 
-# small moduli take the float64 tier in the panel update, 5^10 the int64
-# tier and 5^13 the Python-int tier
+# small moduli take matmul_mod's direct path, 5^10 its split path on the
+# products wider than 94 (restrict_operator's at m = 257 and 300), and 5^13
+# its split path
 _ECHELON_MODULI = [(5, 1), (5, 2), (7, 3), (5, 10), (5, 13)]
 
 
@@ -478,8 +521,8 @@ def _apply(A, x, pM):
 
 
 # 5^13 and 7^11 sit just below 2^31: a back-substitution product of a few
-# terms (7 at 5^13, 3 at 7^11) overflows int64 there and takes matmul_mod's
-# Python-int tier
+# terms (7 at 5^13, 3 at 7^11) would overflow int64 there; every product
+# there takes matmul_mod's split path
 _FACTOR_MODULI = [(p, M) for p in (5, 7) for M in (1, 2, 3)] + [(5, 13), (7, 11)]
 
 

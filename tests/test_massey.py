@@ -450,9 +450,10 @@ def _coboundary_matrix_by_columns(module):
 
 
 # -- exactness at the edge moduli -------------------------------------------
-# On the 4 x 4 action products, 5^9 takes matmul_mod's float64 tier, 5^13
-# (the largest power of 5 below 2^31) its int64 tier, and 46337^2 (46337 is
-# the largest prime below 2^15.5) its Python-int tier.
+# On the 4 x 4 action products, 5^9 takes matmul_mod's direct path, and
+# 5^13 (the largest power of 5 below 2^31) and 46337^2 (46337 is the largest
+# prime below 2^15.5) its split path, where a plain int64 product would wrap
+# at 46337^2.
 
 EDGE_MODULI = [Modulus(5, 9), Modulus(5, 13), Modulus(46337, 2)]
 EDGE_IDS = ["5^9", "5^13", "46337^2"]
