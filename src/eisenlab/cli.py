@@ -21,6 +21,7 @@ from .hecke.eisenstein import (
 from .records import append_records, read_records
 from .sweep import (
     compute_record,
+    pool_size,
     run_sweep,
     stats_from_records,
     sweep_primes,
@@ -111,6 +112,7 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    workers = pool_size(args.workers)
     targets = sweep_primes(args.p, args.max_N)
     print(f"sweep p={args.p}, N < {args.max_N}: {len(targets)} primes", flush=True)
     n = run_sweep(
@@ -118,7 +120,7 @@ def cmd_sweep(args) -> int:
         args.max_N,
         args.out,
         resume=args.resume,
-        workers=args.workers,
+        workers=workers,
         precision=args.precision,
         log=lambda msg: print(msg, flush=True),
     )

@@ -146,52 +146,52 @@ class ManinSpace:
         c = c % N
         return np.where(c == 0, 0, 1 + (d % N) * self._inv[c] % N)
 
-    def _build_relations(self):
-        N, pM, p = self.N, self.modulus.pM, self.modulus.p
+    def _relations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict[int, int]]]:
+        """(rep, sign, rep_points, rows): the Klein four-group folded, and one
+        three-term row per tau-orbit, in increasing order of its smallest point."""
+        N, pM = self.N, self.modulus.pM
         npts = N + 1
         c = np.ones(npts, dtype=np.int64)
         c[0] = 0
         d = np.arange(-1, N, dtype=np.int64)
         d[0] = 1
 
-        # fold the Klein four-group {1, sigma, star, sigma*star}
-        orbit = np.stack(
+        # fold the Klein four-group {1, sigma, star, sigma*star}: an orbit is
+        # represented by its smallest point m, and a point x carries the sign
+        # of the group elements taking x to m (each is its own inverse)
+        images = np.stack(
             [np.arange(npts), self._index(d, -c), self._index(-c, d), self._index(d, c)]
-        ).T.tolist()
-        orbit_sign = (1, -1, 1, -1)
-        rep = np.full(npts, -1, dtype=np.int64)  # -1 unvisited
-        sign = np.zeros(npts, dtype=np.int64)  # 0 on zero orbits
-        rep_points: list[int] = []
-        for i in range(npts):
-            if rep[i] != -1:
-                continue
-            signs: dict[int, int] = {}
-            if any(signs.setdefault(j, s) != s for j, s in zip(orbit[i], orbit_sign)):
-                rep[orbit[i]] = 0  # x = -x and 2 is a unit
-                continue
-            for j, s in signs.items():
-                rep[j], sign[j] = len(rep_points), s
-            rep_points.append(i)
-        ncols = len(rep_points)
+        )
+        least = images.min(axis=0)
+        at_least = images == least
+        plus = at_least[[0, 2]].any(axis=0)
+        minus = at_least[[1, 3]].any(axis=0)
+        sign = np.where(plus & minus, 0, np.where(plus, 1, -1))  # x = -x, 2 a unit
+        rep_points = np.flatnonzero((images[0] == least) & (sign != 0))
+        rep = np.where(sign != 0, np.searchsorted(rep_points, least), 0)
 
         # three-term relations on the representatives, one row per tau-orbit
-        tau = np.stack([self._index(d, -c - d), self._index(-c - d, c)]).T.tolist()
-        rep_l, sign_l = rep.tolist(), sign.tolist()
-        rows: list[dict[int, int]] = []
-        seen = [False] * npts
-        for i in range(npts):
-            if seen[i]:
-                continue
-            j, k = tau[i]
-            seen[i] = seen[j] = seen[k] = True
-            row: dict[int, int] = {}
-            for s in (i, j, k):
-                if sign_l[s]:
-                    row[rep_l[s]] = row.get(rep_l[s], 0) + sign_l[s]
-            row = {col: v % pM for col, v in row.items() if v % pM}
-            if row:
-                rows.append(row)
+        # led by its smallest point; a tau-fixed point gives the row i, i, i
+        tau = np.stack([np.arange(npts), self._index(d, -c - d), self._index(-c - d, c)])
+        lead = tau[:, tau[0] == tau.min(axis=0)]  # 3 x (number of tau-orbits)
+        cols, signs = rep[lead], sign[lead]
+        live = signs != 0
+        # same[a, b]: places a and b of a row hit one column; its coefficient
+        # is summed at the first such place, in the order i, tau(i), tau^2(i)
+        same = (cols[:, None] == cols[None, :]) & live[:, None] & live[None, :]
+        earlier = np.tri(3, k=-1, dtype=bool)[:, :, None]  # b < a
+        first = live & ~(same & earlier).any(axis=1)
+        vals = np.where(first, (same * signs[None]).sum(axis=1) % pM, 0)
+        rows = [
+            {col: v for col, v in zip(cs, vs) if v}
+            for cs, vs in zip(cols.T.tolist(), vals.T.tolist())
+        ]
+        return rep, sign, rep_points, [row for row in rows if row]
 
+    def _build_relations(self):
+        p, pM = self.modulus.p, self.modulus.pM
+        rep, sign, rep_points, rows = self._relations()
+        ncols = len(rep_points)
         pivots = _sparse_eliminate(rows, p, pM)
         free = [col for col in range(ncols) if col not in pivots]
         if len(free) != self.genus + 1:
@@ -214,7 +214,7 @@ class ManinSpace:
         self._rep = rep
         self._sign = sign
         self._expr = expr
-        basis = np.array([rep_points[col] for col in free], dtype=np.int64)
+        basis = rep_points[free]
         self._basis_c = np.where(basis == 0, 0, 1)
         self._basis_d = np.where(basis == 0, 1, basis - 1)
 

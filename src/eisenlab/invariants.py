@@ -193,19 +193,24 @@ def _sylow_ord(d: np.ndarray, p: int, s: int, cap: int) -> int | AtLeast:
 def _aug_power_membership_full(z: np.ndarray, p: int, s: int, r: int) -> bool:
     """Full group-ring oracle: the log-ordered z in I_G^r inside (Z/p^s)[(Z/N)^x].
 
-    G is cyclic, so I_G = ([g] - 1) and I_G^r is spanned by the cyclic
-    shifts of ([g]-1)^r in discrete-log coordinates (a circulant span).
-    Cubic in N; reserved for cross-checks at moderate N.
+    G is cyclic of order n = N - 1, so with x = [g] the ring is
+    (Z/p^s)[x]/(x^n - 1), I_G^r = ((x-1)^r), and z is in I_G^r exactly when
+    it is in the ideal ((x-1)^r, x^n - 1) of (Z/p^s)[x].  (x-1)^r is monic,
+    so z is reduced mod it in the basis (x-1)^j by r rounds of synthetic
+    division by x - 1 (each a suffix sum whose remainder is the value at 1).
+    In that basis x^n - 1 = sum_{j>=1} C(n, j) (x-1)^j, and its multiples
+    mod (x-1)^r span the columns of an r x r lower-triangular Toeplitz
+    matrix.  O(n r + r^3); independent of the Sylow reduction it certifies.
     """
-    n = len(z)
-    ps = p**s
-    base = np.zeros(n, dtype=np.int64)
-    for j in range(r + 1):
-        term = (comb(r, j) % ps) * (-1) ** (r - j)
-        base[j % n] = (int(base[j % n]) + term) % ps
-    # column k is base shifted down by k: cols[i, k] = base[(i - k) mod n]
-    cols = base[np.subtract.outer(np.arange(n), np.arange(n)) % n]
-    ok, _ = howell_membership(cols, z, Modulus(p, s))
+    n, ps = len(z), p**s
+    rem = np.zeros(r, dtype=np.int64)  # z in the basis (x-1)^j, mod (x-1)^r
+    q = z % ps
+    for j in range(min(r, n)):
+        q = np.cumsum(q[::-1])[::-1] % ps  # q[k] = sum_{i>=k} q[i]
+        rem[j], q = q[0], q[1:]
+    col = np.array([0] + [comb(n, j) % ps for j in range(1, r)], dtype=np.int64)
+    diag = np.subtract.outer(np.arange(r), np.arange(r))
+    ok, _ = howell_membership(np.where(diag >= 0, col[diag.clip(0)], 0), rem, Modulus(p, s))
     return ok
 
 
@@ -231,8 +236,10 @@ def ord_zeta(N: int, p: int, s: int) -> int | AtLeast:
     rho * (Z/p^s)[v]/(v^r): at s = 1 that is r <= ord_1, the index of the
     first entry of d not divisible by p; at s >= 2, ord_s <= ord_1 bounds a
     bisection of r x r Toeplitz solves.  When N - 1 <= _FULL_ORACLE_LIMIT the
-    full group-ring membership oracle certifies the result: zeta must lie in
-    I^ord and not in I^(ord+1), or in I^cap for AtLeast(cap).
+    full group-ring membership oracle (``_aug_power_membership_full``, which
+    reduces zeta mod (x-1)^r in all of (Z/p^s)[x]/(x^(N-1) - 1) without the
+    Sylow quotient) certifies the result: zeta must lie in I^ord and not in
+    I^(ord+1), or in I^cap for AtLeast(cap).
     """
     t = valuation_p(N - 1, p)
     if t == 0:

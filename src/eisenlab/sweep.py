@@ -107,6 +107,15 @@ def compute_record(
     return rec
 
 
+def pool_size(workers: int | None) -> int:
+    """Worker processes for a sweep: None means one per core; below 1 is refused."""
+    if workers is None:
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers = {workers} must be >= 1")
+    return workers
+
+
 def _worker(args) -> ResultRecord:
     N, p, precision = args
     return compute_record(N, p, with_hecke=True, precision=precision)
@@ -135,15 +144,16 @@ def run_sweep(
 
     Appends JSON lines as tasks complete (single writer); with resume=True,
     keys already present in the output file are skipped.  Returns the
-    number of newly written records.
+    number of newly written records.  ``workers=None`` uses every core.
     """
+    workers = pool_size(workers)
     targets = sweep_primes(p, max_N)
     done = existing_keys(out_path) if resume else set()
     todo = [N for N in targets if (N, p) not in done]
     if not todo:
         return 0
     written = 0
-    for rec in _computed([(N, p, precision) for N in todo], workers or os.cpu_count() or 1):
+    for rec in _computed([(N, p, precision) for N in todo], workers):
         append_records(out_path, [rec])
         written += 1
         if log:

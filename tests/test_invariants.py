@@ -101,8 +101,10 @@ def test_ord_zeta_two_paths_agree(monkeypatch):
     # the Sylow projection is cross-checked against the full group-ring
     # membership oracle automatically for N - 1 <= 400; force it beyond
     monkeypatch.setattr(invariants, "_FULL_ORACLE_LIMIT", 10**6)
-    for N in (11, 31, 41, 61, 101, 181, 241, 251, 271, 281):
-        ord_zeta(N, 5, 1)
+    for p in (5, 7, 11, 13):
+        for N, t in _pairs(p, 2000):
+            for s in range(1, t + 1):
+                ord_zeta(N, p, s)
 
 
 def test_zeta_report_records_all_s():
@@ -114,7 +116,10 @@ def test_zeta_report_records_all_s():
 
 def test_good_primes():
     assert is_good_prime(2, 11, 5) is True
-    assert is_good_prime(11, 11 * 2 + 9, 5) or True  # smoke only
+    # ell = p: tested as a residue mod N against brute-force p-th powers
+    for N, want in ((31, False), (41, True)):
+        assert (5 in {pow(x, 5, N) for x in range(1, N)}) is not want
+        assert is_good_prime(5, N, 5) is want
     # condition (i): ell = 1 mod p
     assert is_good_prime(11, 31, 5) is False
     # condition (ii): ell a p-th power mod N
@@ -369,3 +374,76 @@ def test_ord_zeta_certifies_with_full_ring_oracle(monkeypatch):
             ord_zeta(181, 5, 1)
     monkeypatch.setattr(invariants, "_sylow_ord", sylow_ord)
     assert ord_zeta(181, 5, 1) == 3
+
+
+# -- the full group-ring oracle against the dense circulant -------------------
+
+
+def _aug_power(n, r, ps):
+    """([g]-1)^r mod ps in discrete-log coordinates, G cyclic of order n."""
+    base = np.zeros(n, dtype=np.int64)
+    for j in range(r + 1):
+        term = (comb(r, j) % ps) * (-1) ** (r - j)
+        base[j % n] = (int(base[j % n]) + term) % ps
+    return base
+
+
+def _circulant_membership_reference(z, p, s, r):
+    """z in I_G^r by the dense (N-1) x (N-1) circulant: I_G^r is spanned by
+    the cyclic shifts of ([g]-1)^r in discrete-log coordinates."""
+    n = len(z)
+    base = _aug_power(n, r, p**s)
+    # column k is base shifted down by k: cols[i, k] = base[(i - k) mod n]
+    cols = base[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+    ok, _ = howell_membership(cols, z, Modulus(p, s))
+    return ok
+
+
+def _group_ring_product(a, b, ps):
+    """a * b in (Z/ps)[x]/(x^n - 1), coefficient vectors of length n."""
+    n = len(a)
+    out = np.zeros(n, dtype=np.int64)
+    for k in np.flatnonzero(a):
+        out = (out + int(a[k]) * np.roll(b, k)) % ps
+    return out
+
+
+def test_full_ring_oracle_matches_dense_circulant(monkeypatch):
+    # every probe ord_zeta makes where the oracle runs
+    probes = []
+    full = invariants._aug_power_membership_full
+    monkeypatch.setattr(
+        invariants,
+        "_aug_power_membership_full",
+        lambda z, p, s, r: probes.append((z, p, s, r)) or full(z, p, s, r),
+    )
+    for p in (5, 7, 11, 13):
+        for N, t in _pairs(p, invariants._FULL_ORACLE_LIMIT + 2):
+            for s in range(1, t + 1):
+                ord_zeta(N, p, s)
+    assert len(probes) > 80
+    for z, p, s, r in probes:
+        assert full(z, p, s, r) == _circulant_membership_reference(z, p, s, r), (len(z), p, s, r)
+
+    # planted members (x-1)^r0 * unit * x^k, and p^(s-1) * random
+    p = 5
+    gen = np.random.default_rng(2024)
+    for N in (11, 31, 101, 251):
+        n, t = N - 1, int(valuation_p(N - 1, p))
+        cap = p**t + 1
+        for s in range(1, t + 1):
+            ps = p**s
+            for r0 in sorted({1, 2, p, cap - 1}):
+                unit = p * gen.integers(0, ps, n)  # c x^k (1 + p w), c prime to p
+                unit[0] += 1
+                unit = np.roll(unit * int(gen.integers(1, p)) % ps, int(gen.integers(0, n)))
+                z = _group_ring_product(_aug_power(n, r0, ps), unit, ps)
+                for r in (r0, r0 + 1):
+                    got = full(z, p, s, r)
+                    assert got == _circulant_membership_reference(z, p, s, r), (N, s, r0, r)
+                    assert got or r > r0, (N, s, r0)
+            z = p ** (s - 1) * gen.integers(0, ps, n) % ps
+            z[0] = (z[0] - z.sum()) % ps  # in I_G
+            for r in (1, 2, 3, cap):
+                want = _circulant_membership_reference(z, p, s, r)
+                assert full(z, p, s, r) == want, (N, s, r)

@@ -30,6 +30,90 @@ def _surviving_orbits(N):
     return count
 
 
+def _reference_build(space):
+    """The per-point loops that folded the Klein four-group and built one
+    three-term row per tau-orbit, then the elimination of ``_build_relations``:
+    the reference the array folding must reproduce exactly."""
+    N, p, pM = space.N, space.modulus.p, space.modulus.pM
+    npts = N + 1
+    c = np.ones(npts, dtype=np.int64)
+    c[0] = 0
+    d = np.arange(-1, N, dtype=np.int64)
+    d[0] = 1
+    index = space._index
+    orbit = np.stack([np.arange(npts), index(d, -c), index(-c, d), index(d, c)]).T.tolist()
+    orbit_sign = (1, -1, 1, -1)
+    rep = np.full(npts, -1, dtype=np.int64)  # -1 unvisited
+    sign = np.zeros(npts, dtype=np.int64)  # 0 on zero orbits
+    rep_points = []
+    for i in range(npts):
+        if rep[i] != -1:
+            continue
+        signs = {}
+        if any(signs.setdefault(j, s) != s for j, s in zip(orbit[i], orbit_sign)):
+            rep[orbit[i]] = 0
+            continue
+        for j, s in signs.items():
+            rep[j], sign[j] = len(rep_points), s
+        rep_points.append(i)
+
+    tau = np.stack([index(d, -c - d), index(-c - d, c)]).T.tolist()
+    rep_l, sign_l = rep.tolist(), sign.tolist()
+    rows = []
+    seen = [False] * npts
+    for i in range(npts):
+        if seen[i]:
+            continue
+        j, k = tau[i]
+        seen[i] = seen[j] = seen[k] = True
+        row = {}
+        for s in (i, j, k):
+            if sign_l[s]:
+                row[rep_l[s]] = row.get(rep_l[s], 0) + sign_l[s]
+        row = {col: v % pM for col, v in row.items() if v % pM}
+        if row:
+            rows.append(row)
+    rows_as_built = [list(row.items()) for row in rows]
+
+    pivots = _sparse_eliminate(rows, p, pM)
+    free = [col for col in range(len(rep_points)) if col not in pivots]
+    expr = np.zeros((len(rep_points), len(free)), dtype=np.int64)
+    position = {col: k for k, col in enumerate(free)}
+    for k, col in enumerate(free):
+        expr[col, k] = 1
+    for col, row in pivots.items():
+        for j, v in row.items():
+            if j != col:
+                expr[col, position[j]] = -v % pM
+    return {
+        "rep": rep,
+        "sign": sign,
+        "rep_points": rep_points,
+        "rows": rows_as_built,
+        "dim": len(free),
+        "relation_rank": len(pivots),
+        "expr": expr,
+        "basis": [rep_points[col] for col in free],
+    }
+
+
+def test_array_folding_matches_per_point_loops():
+    # N = 1 mod 3 has tau-fixed points, N = 1 mod 4 has zero orbits
+    moduli = [Modulus(5, 2), Modulus(7, 3), Modulus(11, 2), Modulus(13, 2)]
+    for k, N in enumerate(sympy.primerange(11, 2000)):
+        sp = build_manin_space(N, moduli[k % 4])
+        want = _reference_build(sp)
+        rep, sign, rep_points, rows = sp._relations()
+        assert rep_points.tolist() == want["rep_points"], N
+        assert [list(row.items()) for row in rows] == want["rows"], N
+        assert np.array_equal(sp._rep, want["rep"]) and sp._rep.dtype == np.int64, N
+        assert np.array_equal(sp._sign, want["sign"]) and sp._sign.dtype == np.int64, N
+        assert (sp.dim, sp.relation_rank) == (want["dim"], want["relation_rank"]), N
+        assert np.array_equal(sp._expr, want["expr"]), N
+        basis = np.where(sp._basis_c == 0, 0, 1 + sp._basis_d)
+        assert basis.tolist() == want["basis"], N
+
+
 def test_genus_values():
     assert genus_x0(11) == 1
     assert genus_x0(13) == 0

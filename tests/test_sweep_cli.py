@@ -175,6 +175,20 @@ def test_cli_hecke_rejects_non_prime_ell(tmp_path, capsys, ell):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_sweep_rejects_workers_below_one(tmp_path, capsys, workers):
+    out = tmp_path / "rows.jsonl"
+    argv = ["sweep", "--p", "5", "--max-N", "120", "--out", str(out), "--workers", workers]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"workers = {workers} " in captured.err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep(5, 120, str(out), workers=int(workers))
+    assert not out.exists()
+
+
 def test_cli_sweep_stats_verify(tmp_path, capsys):
     out = str(tmp_path / "rows.jsonl")
     rc = main(["sweep", "--p", "5", "--max-N", "120", "--out", out])
