@@ -11,14 +11,13 @@ import argparse
 import json
 import sys
 
-from .corering.zmod import AtLeast
 from .hecke.eisenstein import (
     ConsistencyError,
     MismatchError,
     NoGoodPrime,
     PrecisionExhausted,
 )
-from .records import append_records, read_records
+from .records import append_records, encode_valuation, read_records
 from .sweep import (
     compute_record,
     pool_size,
@@ -162,7 +161,7 @@ def cmd_verify(args) -> int:
                     "fatal": report.fatal_failures,
                     "informational": report.informational,
                     "rank_ord_exceptions": [
-                        [N, p, e, _fmt_ord(o if not isinstance(o, AtLeast) else {"geq": o.bound})]
+                        [N, p, e, _fmt_ord(encode_valuation(o))]
                         for (N, p, e, o) in report.rank_ord_exceptions
                     ],
                     "conjecture_rank2_violations": report.conjecture_rank2_violations,

@@ -35,7 +35,6 @@ from ..corering.newton import (
     _fp_factor,
     newton_polygon,
     t_sequence,
-    unit_window_factor,
 )
 from ..corering.zmod import AtLeast, Modulus, PadicPoly, valuation_p
 from ..invariants import check_pair, is_good_prime, smallest_good_primes
@@ -293,23 +292,21 @@ def component_slopes(np_poly: NewtonPolygon, f: PadicPoly) -> list[SlopeComponen
             raise PrecisionExhausted(
                 f"cannot read residual polynomial of slope-{h} segment at precision {M}"
             )
-        mod2 = Modulus(p, M - c)
         tilted = []
         for i, ci in enumerate(f.coeffs):
             num = ci * p ** (h * i)
             if num % (p**c) != 0:
                 raise ArithmeticError("tilted coefficient not integral; hull broken")
-            tilted.append((num // p**c) % mod2.pM)
-        F = PadicPoly(tilted, mod2)
-        if i1 == 0 and i2 == f.degree:
-            V = F
-        else:
-            V = unit_window_factor(F, i1, i2)
-        if not (V.is_monic() and V.degree == L):
-            raise ConsistencyError(f"slope-{h} window factor is not monic of degree {L}")
-        # pairwise-coprime mod-p factor powers g0^mult of V Hensel-lift to
+            tilted.append(num // p**c % p)
+        # the residual polynomial: the tilted f mod p on the segment, made monic
+        window = tilted[i1 : i2 + 1]
+        if not (window[0] and window[-1]):
+            raise ConsistencyError(f"slope-{h} window does not end in units mod {p}")
+        lead_inv = pow(window[-1], -1, p)
+        residual = [x * lead_inv % p for x in window]
+        # its pairwise-coprime factor powers g0^mult Hensel-lift to
         # components of degree mult * deg(g0)
-        for g0, mult in _fp_factor(V.coeffs, p):
+        for g0, mult in _fp_factor(residual, p):
             out.append(SlopeComponent(slope, mult * (len(g0) - 1), mult == 1))
     if sum(cmp.degree for cmp in out) != f.degree:
         raise ConsistencyError("slope components do not add up to deg f")

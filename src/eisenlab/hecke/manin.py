@@ -14,10 +14,16 @@ four-group on P^1; each orbit becomes one column, represented by its
 smallest point, and its members carry the sign of the group element that
 reaches them (-1 for sigma and sigma*star).  An orbit reached with both
 signs is zero, since 2 is a unit (p > 3).  Each tau-orbit then gives one
-relation row with at most 3 entries, and the rows are solved by sparse
-Gauss-Jordan with unit pivots chosen Markowitz style.  Rows left without a
-unit pivot must vanish, and the quotient rank must be exactly g+1; together
-these certify that V+ is free of the expected rank.
+relation row with at most 3 entries, with integer coefficients in [-3, 3].
+
+The rows are solved along a spanning tree.  They come in +- pairs (star
+conjugates tau to sigma tau^-1 sigma^-1 in PGL2(Z), so the rows of x and of
+x|star sigma agree up to sign), and once one of each pair is dropped every
+column meets at most two rows.  So rows are vertices and shared columns are
+edges; a breadth-first tree from a row with a private unit column pivots
+each row on the column it was reached through, a triangular order.  These
+hypotheses are checked, and the quotient rank must be exactly g+1; together
+this certifies that V+ is free of the expected rank.
 
 Points are indexed 0 <-> (0:1) and 1+d <-> (1:d).  T_ell acts through
 Merel's (1994) family of Heilbronn matrices of determinant ell.
@@ -25,14 +31,13 @@ Merel's (1994) family of Heilbronn matrices of determinant ell.
 
 from __future__ import annotations
 
-import heapq
+from functools import cache
 
 import numpy as np
 
+from ..corering.dlog import build_dlog_table
 from ..corering.linalg import kernel_of_free_summand, matmul_mod
 from ..corering.zmod import Modulus
-
-_HEILBRONN_CACHE: dict[int, list[tuple[int, int, int, int]]] = {}
 
 
 def genus_x0(N: int) -> int:
@@ -41,10 +46,9 @@ def genus_x0(N: int) -> int:
     return {1: (N - 13) // 12, 5: (N - 5) // 12, 7: (N - 7) // 12, 11: (N + 1) // 12}[r]
 
 
+@cache
 def heilbronn_matrices(n: int) -> list[tuple[int, int, int, int]]:
     """Merel's family of integer matrices of determinant n driving T_n."""
-    if n in _HEILBRONN_CACHE:
-        return _HEILBRONN_CACHE[n]
     out = []
     for a in range(1, n + 1):
         for d in range((n + a - 1) // a, n + 2 - a):
@@ -58,62 +62,70 @@ def heilbronn_matrices(n: int) -> list[tuple[int, int, int, int]]:
                 for b in range((bc - 1) // (d - 1) + 1, a):
                     if bc % b == 0:
                         out.append((a, b, bc // b, d))
-    _HEILBRONN_CACHE[n] = out
     return out
 
 
-def _sparse_eliminate(rows: list[dict[int, int]], p: int, pM: int) -> dict[int, dict[int, int]]:
-    """Sparse Gauss-Jordan over Z/pM with unit pivots only; `rows` (dicts
-    column -> nonzero residue) are reduced in place.
+def _tree_solve(cols: np.ndarray, vals: np.ndarray, ncols: int, p: int, pM: int):
+    """(expr, free): the quotient of (Z/pM)^ncols by relation rows, solved
+    along a spanning tree of their graph.
 
-    Each step takes the shortest row that holds a unit, and in it the unit
-    entry whose column meets the fewest rows.  Returns {pivot column: row},
-    every row scaled to 1 at its pivot and free of all other pivot columns.
-    A row with no unit entry keeps none under elimination (only multiples
-    of p are added to it), so if it is nonzero at the end the cokernel has
-    p-torsion and ArithmeticError is raised.
+    Row k holds vals[k, j] (an integer, 0 where absent) at the distinct
+    columns cols[k, j].  free lists the free columns in increasing order and
+    expr gives every column over them (identity rows at the free columns).
+    A zero row, or one exactly +- a kept row, is dropped.  ArithmeticError is
+    raised unless each column meets at most two rows, a row holds a column
+    no other row holds with a unit coefficient (the root), every row is
+    reached from it, and each is a unit at the column it is reached through.
     """
-    col_rows: dict[int, set[int]] = {}
-    for r, row in enumerate(rows):
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
-    heap = [(len(row), r) for r, row in enumerate(rows)]
-    heapq.heapify(heap)
-    pivots: dict[int, dict[int, int]] = {}
-    used: set[int] = set()
-    while heap:
-        length, r = heapq.heappop(heap)
-        if r in used or length != len(rows[r]):
-            continue  # stale entry; the row was pushed again when it changed
-        units = [c for c, v in rows[r].items() if v % p]
-        if not units:
-            continue
-        c = min(units, key=lambda j: len(col_rows[j]))
-        inv = pow(rows[r][c], -1, pM)
-        row = rows[r] = {j: v * inv % pM for j, v in rows[r].items()}
-        used.add(r)
-        pivots[c] = row
-        for r2 in col_rows.pop(c):
-            if r2 == r:
-                continue
-            other = rows[r2]
-            f = other.pop(c)
-            for j, v in row.items():
-                if j == c:
-                    continue
-                w = (other.get(j, 0) - f * v) % pM
-                if w:
-                    if j not in other:
-                        col_rows[j].add(r2)
-                    other[j] = w
-                elif j in other:
-                    del other[j]
-                    col_rows[j].discard(r2)
-            if r2 not in used:
-                heapq.heappush(heap, (len(other), r2))
-    if any(rows[r] for r in range(len(rows)) if r not in used):
-        raise ArithmeticError("three-term relations have p-torsion cokernel")
-    return pivots
+    # canonical form: entries sorted by column, absent last, the first positive
+    key = np.where(vals != 0, cols, ncols)
+    order = np.argsort(key, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    rows = np.hstack([np.take_along_axis(key, order, axis=1), vals * np.sign(vals[:, :1])])
+    rows = rows[np.lexsort(rows.T[::-1])]
+    rows = rows[(rows[:, 3] != 0) & np.append(True, np.any(rows[1:] != rows[:-1], axis=1))]
+    live = rows[:, 3:] != 0
+    cols, vals = np.where(live, rows[:, :3], 0), rows[:, 3:]
+
+    index = np.broadcast_to(np.arange(len(rows))[:, None], cols.shape)
+    count = np.bincount(cols[live], minlength=ncols)
+    if count.max(initial=0) > 2:
+        raise ArithmeticError("a column meets more than two relation rows")
+    index_sum = np.bincount(cols[live], weights=index[live], minlength=ncols).astype(np.int64)
+    partner = np.where(live & (count[cols] == 2), index_sum[cols] - index, -1)
+    private = np.argwhere(live & (count[cols] == 1) & (vals % p != 0))
+    if not len(private):
+        raise ArithmeticError("no relation row holds a private unit column")
+
+    # breadth-first levels; pivot[k] is the column row k is reached through
+    pivot = np.full(len(rows), -1)
+    pivot[private[0, 0]] = cols[tuple(private[0])]
+    levels = [private[0, :1]]
+    while levels[-1].size:
+        near, via = partner[levels[-1]], cols[levels[-1]]
+        new = near >= 0
+        new[new] = pivot[near[new]] < 0
+        pivot[near[new]] = via[new]  # a row reached twice in one level keeps one
+        levels.append(near[new][pivot[near[new]] == via[new]])
+    if np.any(pivot < 0):
+        raise ArithmeticError("relation rows are not connected")
+    at_pivot = (cols == pivot[:, None]) & live
+    pivot_vals = vals[at_pivot]
+    if np.any(pivot_vals % p == 0):
+        raise ArithmeticError("a relation row is not a unit at its pivot")
+
+    free = np.flatnonzero(np.bincount(pivot, minlength=ncols) == 0)
+    expr = np.zeros((ncols, len(free)), dtype=np.int64)
+    expr[free, np.arange(len(free))] = 1
+    low = int(pivot_vals.min())
+    span = range(low, int(pivot_vals.max()) + 1)
+    neg_inv = np.array([-pow(u, -1, pM) % pM if u % p else 0 for u in span])[pivot_vals - low]
+    others = np.where(at_pivot, 0, vals)
+    for level in reversed(levels):
+        # a row's other columns are free or pivots of its children, a level down
+        acc = sum(expr[cols[level, j]] * others[level, j, None] for j in range(3))
+        expr[pivot[level]] = acc % pM * neg_inv[level, None] % pM
+    return expr, free
 
 
 class ManinSpace:
@@ -130,12 +142,9 @@ class ManinSpace:
         self.N = N
         self.modulus = modulus
         self.genus = genus_x0(N)
-        inv = np.zeros(N, dtype=np.int64)
-        inv[1] = 1
-        for c in range(2, N):
-            # inv[c] = -(N // c) * inv[N % c] mod N
-            inv[c] = (-(N // c) * inv[N % c]) % N
-        self._inv = inv
+        powers = build_dlog_table(N).powers  # g^k, so 1/g^k = g^(-k)
+        self._inv = np.zeros(N, dtype=np.int64)
+        self._inv[powers] = powers[-np.arange(N - 1)]
         self._certified: dict[int, np.ndarray] = {}  # ell -> read-only T_ell
         self._build_relations()
         self._build_boundary()
@@ -146,10 +155,11 @@ class ManinSpace:
         c = c % N
         return np.where(c == 0, 0, 1 + (d % N) * self._inv[c] % N)
 
-    def _relations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict[int, int]]]:
-        """(rep, sign, rep_points, rows): the Klein four-group folded, and one
-        three-term row per tau-orbit, in increasing order of its smallest point."""
-        N, pM = self.N, self.modulus.pM
+    def _relations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(rep, sign, rep_points, cols, vals): the Klein four-group folded, and
+        one three-term row per tau-orbit, in increasing order of its smallest
+        point, as R x 3 columns and integer coefficients (0 where absent)."""
+        N = self.N
         npts = N + 1
         c = np.ones(npts, dtype=np.int64)
         c[0] = 0
@@ -181,36 +191,18 @@ class ManinSpace:
         same = (cols[:, None] == cols[None, :]) & live[:, None] & live[None, :]
         earlier = np.tri(3, k=-1, dtype=bool)[:, :, None]  # b < a
         first = live & ~(same & earlier).any(axis=1)
-        vals = np.where(first, (same * signs[None]).sum(axis=1) % pM, 0)
-        rows = [
-            {col: v for col, v in zip(cs, vs) if v}
-            for cs, vs in zip(cols.T.tolist(), vals.T.tolist())
-        ]
-        return rep, sign, rep_points, [row for row in rows if row]
+        vals = np.where(first, (same * signs[None]).sum(axis=1), 0)
+        return rep, sign, rep_points, cols.T, vals.T
 
     def _build_relations(self):
-        p, pM = self.modulus.p, self.modulus.pM
-        rep, sign, rep_points, rows = self._relations()
-        ncols = len(rep_points)
-        pivots = _sparse_eliminate(rows, p, pM)
-        free = [col for col in range(ncols) if col not in pivots]
+        rep, sign, rep_points, cols, vals = self._relations()
+        expr, free = _tree_solve(cols, vals, len(rep_points), self.modulus.p, self.modulus.pM)
         if len(free) != self.genus + 1:
             raise ArithmeticError(
                 f"plus quotient has rank {len(free)}, expected {self.genus + 1}"
             )
-
-        # coordinates of every orbit over the free columns
-        expr = np.zeros((ncols, len(free)), dtype=np.int64)
-        position = {col: k for k, col in enumerate(free)}
-        for k, col in enumerate(free):
-            expr[col, k] = 1
-        for col, row in pivots.items():
-            for j, v in row.items():
-                if j != col:
-                    expr[col, position[j]] = -v % pM
-
         self.dim = len(free)
-        self.relation_rank = len(pivots)
+        self.relation_rank = len(rep_points) - self.dim
         self._rep = rep
         self._sign = sign
         self._expr = expr

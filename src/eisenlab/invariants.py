@@ -151,6 +151,14 @@ def _v_coordinates(vec: np.ndarray, p: int, s: int, t: int) -> np.ndarray:
     return d
 
 
+def _toeplitz_member(col: np.ndarray, target: np.ndarray, p: int, s: int) -> bool:
+    """Is target in the column span, mod p^s, of the r x r lower-triangular
+    Toeplitz matrix with first column col (r = len(col))?"""
+    r = len(col)
+    diag = np.subtract.outer(np.arange(r), np.arange(r))
+    return howell_membership(np.where(diag >= 0, col[diag.clip(0)], 0), target, Modulus(p, s))[0]
+
+
 def _sylow_member(d: np.ndarray, p: int, s: int, r: int) -> bool:
     """Is the element with v-coordinates d (mod p^s) in I^r?
 
@@ -160,12 +168,9 @@ def _sylow_member(d: np.ndarray, p: int, s: int, r: int) -> bool:
     pt, ps = len(d), p**s
     rho = np.zeros(r, dtype=np.int64)
     rho[1 : pt + 1] = [comb(pt, j) % ps for j in range(1, min(r, pt + 1))]
-    diag = np.subtract.outer(np.arange(r), np.arange(r))
-    toeplitz = np.where(diag >= 0, rho[diag.clip(0)], 0)
     target = np.zeros(r, dtype=np.int64)
     target[:pt] = d[:r]
-    ok, _ = howell_membership(toeplitz, target, Modulus(p, s))
-    return ok
+    return _toeplitz_member(rho, target, p, s)
 
 
 def _sylow_ord(d: np.ndarray, p: int, s: int, cap: int) -> int | AtLeast:
@@ -209,9 +214,7 @@ def _aug_power_membership_full(z: np.ndarray, p: int, s: int, r: int) -> bool:
         q = np.cumsum(q[::-1])[::-1] % ps  # q[k] = sum_{i>=k} q[i]
         rem[j], q = q[0], q[1:]
     col = np.array([0] + [comb(n, j) % ps for j in range(1, r)], dtype=np.int64)
-    diag = np.subtract.outer(np.arange(r), np.arange(r))
-    ok, _ = howell_membership(np.where(diag >= 0, col[diag.clip(0)], 0), rem, Modulus(p, s))
-    return ok
+    return _toeplitz_member(col, rem, p, s)
 
 
 _FULL_ORACLE_LIMIT = 400

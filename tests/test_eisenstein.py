@@ -1,10 +1,15 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from eisenlab.corering import Modulus, PadicPoly, newton_polygon
+from eisenlab.corering.newton import _fp_factor, unit_window_factor
 from eisenlab.hecke import (
+    ConsistencyError,
+    PrecisionExhausted,
+    SlopeComponent,
     component_slopes,
     default_precision,
     eisenstein_local_factor,
@@ -182,8 +187,8 @@ def test_components_fractional_wide_segment_unresolved():
 
 
 def test_components_interior_window_extraction():
-    # three segments: slopes 2, 1, 1 with the middle one length 2 needing
-    # the unit-window extraction and residual split
+    # three segments: slopes 2, 1, 1 with the middle one length 2, whose
+    # residual is read off an interior window of the tilted f and splits
     mod = Modulus(5, 9)
     f = (
         PadicPoly([-25, 1], mod)
@@ -271,3 +276,64 @@ def test_each_hecke_operator_built_once_per_space(monkeypatch):
     assert space.hecke_on_plus(2) is T and len(built) == len(set(built))
     with pytest.raises(ValueError):
         T[0, 0] = 1
+
+
+def _component_slopes_reference(np_poly, f):
+    """component_slopes with each integral-slope residual taken from the
+    monic factor that unit_window_factor Hensel-lifts out of the tilted f."""
+    p, M = f.modulus.p, f.modulus.M
+    out = []
+    for (i1, v1, i2, v2) in np_poly.segments():
+        L = i2 - i1
+        slope = Fraction(v1 - v2, L)
+        if L == slope.denominator or slope.denominator != 1:
+            out.append(SlopeComponent(slope, L, L == slope.denominator))
+            continue
+        h = slope.numerator
+        c = v1 + h * i1
+        if M - c - 1 < 1:
+            raise PrecisionExhausted(f"slope-{h} residual at precision {M}")
+        mod2 = Modulus(p, M - c)
+        F = PadicPoly([ci * p ** (h * i) // p**c % mod2.pM for i, ci in enumerate(f.coeffs)], mod2)
+        V = F if (i1 == 0 and i2 == f.degree) else unit_window_factor(F, i1, i2)
+        if not (V.is_monic() and V.degree == L):
+            raise ConsistencyError(f"slope-{h} window factor is not monic of degree {L}")
+        for g0, mult in _fp_factor(V.coeffs, p):
+            out.append(SlopeComponent(slope, mult * (len(g0) - 1), mult == 1))
+    if sum(cmp.degree for cmp in out) != f.degree:
+        raise ConsistencyError("slope components do not add up to deg f")
+    return out
+
+
+def _outcome(slopes, f):
+    try:
+        return slopes(newton_polygon(f), f)
+    except (PrecisionExhausted, ConsistencyError) as exc:
+        return type(exc)
+
+
+def test_components_match_hensel_window_reference():
+    # random distinguished f: products of y - p^a u, and p^v-scaled random
+    # coefficients; every integral-slope segment of length > 1 is compared
+    rng = random.Random(20250809)
+    windows = 0
+    for _ in range(3000):
+        p, M = rng.choice((5, 7)), rng.randint(5, 10)
+        mod = Modulus(p, M)
+        if rng.random() < 0.5:
+            f = PadicPoly.one(mod)
+            for _ in range(rng.randint(1, 5)):
+                f = f * PadicPoly([-(p ** rng.randint(1, 3)) * rng.randrange(1, p * p), 1], mod)
+        else:
+            e = rng.randint(1, 6)
+            coeffs = [p ** rng.randint(1, 3) * rng.randrange(p * p) for _ in range(e)]
+            coeffs[0] = p ** rng.randint(1, 3) * rng.randrange(1, p)
+            f = PadicPoly(coeffs + [1], mod)
+        got = _outcome(component_slopes, f)
+        assert got == _outcome(_component_slopes_reference, f), f
+        if isinstance(got, list):
+            windows += sum(
+                i2 - i1 > 1 and (v1 - v2) % (i2 - i1) == 0
+                for i1, v1, i2, v2 in newton_polygon(f).segments()
+            )
+    assert windows >= 500

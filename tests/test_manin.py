@@ -1,10 +1,12 @@
+import heapq
+
 import numpy as np
 import pytest
 import sympy
 
 from eisenlab.corering import Modulus, berkowitz_charpoly, restrict_operator
 from eisenlab.hecke import build_manin_space, genus_x0, heilbronn_matrices
-from eisenlab.hecke.manin import _sparse_eliminate
+from eisenlab.hecke.manin import _tree_solve
 
 
 def _points(N):
@@ -30,10 +32,66 @@ def _surviving_orbits(N):
     return count
 
 
+def _markowitz_eliminate(rows: list[dict[int, int]], p: int, pM: int) -> dict[int, dict[int, int]]:
+    """Sparse Gauss-Jordan over Z/pM with unit pivots only; `rows` (dicts
+    column -> nonzero residue) are reduced in place.
+
+    Each step takes the shortest row that holds a unit, and in it the unit
+    entry whose column meets the fewest rows.  Returns {pivot column: row},
+    every row scaled to 1 at its pivot and free of all other pivot columns.
+    A row with no unit entry keeps none under elimination (only multiples
+    of p are added to it), so if it is nonzero at the end the cokernel has
+    p-torsion and ArithmeticError is raised.  The general eliminator the
+    tree solve replaced, kept as its oracle.
+    """
+    col_rows: dict[int, set[int]] = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, set()).add(r)
+    heap = [(len(row), r) for r, row in enumerate(rows)]
+    heapq.heapify(heap)
+    pivots: dict[int, dict[int, int]] = {}
+    used: set[int] = set()
+    while heap:
+        length, r = heapq.heappop(heap)
+        if r in used or length != len(rows[r]):
+            continue  # stale entry; the row was pushed again when it changed
+        units = [c for c, v in rows[r].items() if v % p]
+        if not units:
+            continue
+        c = min(units, key=lambda j: len(col_rows[j]))
+        inv = pow(rows[r][c], -1, pM)
+        row = rows[r] = {j: v * inv % pM for j, v in rows[r].items()}
+        used.add(r)
+        pivots[c] = row
+        for r2 in col_rows.pop(c):
+            if r2 == r:
+                continue
+            other = rows[r2]
+            f = other.pop(c)
+            for j, v in row.items():
+                if j == c:
+                    continue
+                w = (other.get(j, 0) - f * v) % pM
+                if w:
+                    if j not in other:
+                        col_rows[j].add(r2)
+                    other[j] = w
+                elif j in other:
+                    del other[j]
+                    col_rows[j].discard(r2)
+            if r2 not in used:
+                heapq.heappush(heap, (len(other), r2))
+    if any(rows[r] for r in range(len(rows)) if r not in used):
+        raise ArithmeticError("three-term relations have p-torsion cokernel")
+    return pivots
+
+
 def _reference_build(space):
     """The per-point loops that folded the Klein four-group and built one
-    three-term row per tau-orbit, then the elimination of ``_build_relations``:
-    the reference the array folding must reproduce exactly."""
+    three-term row per tau-orbit (coefficients over Z), and the rank of the
+    quotient by the Markowitz oracle: the reference the array folding and
+    the tree solve must reproduce."""
     N, p, pM = space.N, space.modulus.p, space.modulus.pM
     npts = N + 1
     c = np.ones(npts, dtype=np.int64)
@@ -70,31 +128,27 @@ def _reference_build(space):
         for s in (i, j, k):
             if sign_l[s]:
                 row[rep_l[s]] = row.get(rep_l[s], 0) + sign_l[s]
-        row = {col: v % pM for col, v in row.items() if v % pM}
+        row = {col: v for col, v in row.items() if v}
         if row:
             rows.append(row)
-    rows_as_built = [list(row.items()) for row in rows]
 
-    pivots = _sparse_eliminate(rows, p, pM)
-    free = [col for col in range(len(rep_points)) if col not in pivots]
-    expr = np.zeros((len(rep_points), len(free)), dtype=np.int64)
-    position = {col: k for k, col in enumerate(free)}
-    for k, col in enumerate(free):
-        expr[col, k] = 1
-    for col, row in pivots.items():
-        for j, v in row.items():
-            if j != col:
-                expr[col, position[j]] = -v % pM
+    pivots = _markowitz_eliminate([{j: v % pM for j, v in row.items()} for row in rows], p, pM)
     return {
         "rep": rep,
         "sign": sign,
         "rep_points": rep_points,
-        "rows": rows_as_built,
-        "dim": len(free),
+        "rows": [list(row.items()) for row in rows],
+        "dim": len(rep_points) - len(pivots),
         "relation_rank": len(pivots),
-        "expr": expr,
-        "basis": [rep_points[col] for col in free],
     }
+
+
+def _assert_quotient_map(expr, free, rows, pM):
+    """expr is the identity at the free columns and kills every row."""
+    assert np.array_equal(expr[free], np.eye(len(free), dtype=np.int64))
+    for row in rows:
+        image = sum(v * expr[col] for col, v in row)
+        assert not np.any(image % pM), row
 
 
 def test_array_folding_matches_per_point_loops():
@@ -103,15 +157,58 @@ def test_array_folding_matches_per_point_loops():
     for k, N in enumerate(sympy.primerange(11, 2000)):
         sp = build_manin_space(N, moduli[k % 4])
         want = _reference_build(sp)
-        rep, sign, rep_points, rows = sp._relations()
+        rep, sign, rep_points, cols, vals = sp._relations()
         assert rep_points.tolist() == want["rep_points"], N
-        assert [list(row.items()) for row in rows] == want["rows"], N
+        rows = [[(c, v) for c, v in zip(cs, vs) if v] for cs, vs in zip(cols.tolist(), vals.tolist())]
+        assert [row for row in rows if row] == want["rows"], N
         assert np.array_equal(sp._rep, want["rep"]) and sp._rep.dtype == np.int64, N
         assert np.array_equal(sp._sign, want["sign"]) and sp._sign.dtype == np.int64, N
         assert (sp.dim, sp.relation_rank) == (want["dim"], want["relation_rank"]), N
-        assert np.array_equal(sp._expr, want["expr"]), N
         basis = np.where(sp._basis_c == 0, 0, 1 + sp._basis_d)
-        assert basis.tolist() == want["basis"], N
+        free = np.searchsorted(rep_points, basis)
+        assert np.array_equal(rep_points[free], basis), N
+        _assert_quotient_map(sp._expr, free, want["rows"], sp.modulus.pM)
+
+
+def _planted(rows):
+    """R x 3 column and coefficient arrays from rows of (column, coefficient)."""
+    cols = np.zeros((len(rows), 3), dtype=np.int64)
+    vals = np.zeros((len(rows), 3), dtype=np.int64)
+    for k, row in enumerate(rows):
+        for j, (col, v) in enumerate(row):
+            cols[k, j], vals[k, j] = col, v
+    return cols, vals
+
+
+@pytest.mark.parametrize(
+    "rows, ncols, message",
+    [
+        ([[(0, 1), (1, 1)], [(0, 1), (2, 1)], [(0, 1), (3, -1)]], 4, "more than two"),
+        ([[(0, 1), (1, 1)], [(2, 1), (3, -1)]], 4, "not connected"),
+        ([[(0, 1), (1, 1)], [(1, 1), (2, 1)], [(2, 1), (0, -1)]], 3, "private unit"),
+        ([[(0, 1), (1, 1), (3, 5)], [(1, 1), (2, 1)], [(2, 1), (0, -1)]], 4, "private unit"),
+        ([[(0, 1), (1, 1)], [(1, 5), (2, 5)]], 3, "not a unit at its pivot"),
+    ],
+    ids=["column-in-three-rows", "two-components", "no-private-column", "private-non-unit", "pivot-divisible-by-p"],
+)
+def test_tree_solve_rejects_broken_hypotheses(rows, ncols, message):
+    with pytest.raises(ArithmeticError, match=message):
+        _tree_solve(*_planted(rows), ncols, 5, 125)
+
+
+def test_tree_solve_keeps_one_row_of_a_signed_pair():
+    # rows 0 and 1 are each other's negatives with their entries reordered;
+    # column 4 meets no row
+    rows = [[(0, 1), (1, 1), (2, -1)], [(2, 1), (0, -1), (1, -1)], [(2, 1), (3, 2)], []]
+    expr, free = _tree_solve(*_planted(rows), 5, 5, 125)
+    assert len(free) == 5 - 2
+    pivots = _markowitz_eliminate([{c: v % 125 for c, v in row} for row in rows], 5, 125)
+    assert len(pivots) == 2
+    _assert_quotient_map(expr, free, rows, 125)
+    # the pair is not dropped when the second row is not exactly -1 times the first
+    rows[1] = [(2, 2), (0, -2), (1, -2)]
+    with pytest.raises(ArithmeticError, match="more than two"):
+        _tree_solve(*_planted(rows), 5, 5, 125)
 
 
 def test_genus_values():
@@ -153,13 +250,20 @@ def test_plus_rank_sweep():
 def test_sparse_eliminate_detects_torsion():
     # a row with no unit entry stays nonzero: the cokernel has 5-torsion
     with pytest.raises(ArithmeticError):
-        _sparse_eliminate([{0: 1, 1: 1}, {1: 5, 2: 10}], 5, 25)
+        _markowitz_eliminate([{0: 1, 1: 1}, {1: 5, 2: 10}], 5, 25)
     # a dependent row reduces to zero; pivot rows are in reduced form
-    pivots = _sparse_eliminate([{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 3, 2: 1}], 5, 25)
+    pivots = _markowitz_eliminate([{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 3, 2: 1}], 5, 25)
     assert len(pivots) == 2
     for col, row in pivots.items():
         assert row[col] == 1
         assert not (set(row) - {col}) & set(pivots)
+
+
+def test_inverse_table():
+    for N in (11, 13, 31, 37, 1009, 9907):
+        inv = build_manin_space(N, Modulus(5, 2))._inv
+        assert inv[0] == 0 and inv.dtype == np.int64
+        assert np.all(inv[1:] * np.arange(1, N) % N == 1), N
 
 
 def test_small_N_rejected():

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import eisenlab
 from eisenlab import sweep
 from eisenlab.cli import main
 from eisenlab.corering import linalg
-from eisenlab.records import read_records
+from eisenlab.records import append_records, read_records
 from eisenlab.sweep import (
     compute_record,
     run_sweep,
@@ -201,6 +202,31 @@ def test_cli_sweep_stats_verify(tmp_path, capsys):
     assert rc == 0
     verify_out = capsys.readouterr().out
     assert "pass" in verify_out
+
+
+def test_cli_verify_json_encodes_exception_ords(tmp_path, capsys):
+    # one rank != ord_1 row with ord_1 an AtLeast, one with an int
+    rec = compute_record(31, 5)
+    rows = [
+        rec,
+        dataclasses.replace(rec, e=3, ord_zeta_s={**rec.ord_zeta_s, "1": {"geq": 2}}),
+        dataclasses.replace(rec, N=41, e=3),
+    ]
+    out = str(tmp_path / "rows.jsonl")
+    append_records(out, rows)
+    assert main(["verify", "--in", out, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "checked": 3,
+        "ok": True,
+        "fatal": [],
+        "informational": [
+            "(N,p)=(31,5): e=3 != ord_1=>=2 (not in the published list)",
+            "(N,p)=(41,5): e=3 != ord_1=2 (not in the published list)",
+            "rank-2 conjecture violations: [(31, 5), (41, 5)]",
+        ],
+        "rank_ord_exceptions": [[31, 5, 3, ">=2"], [41, 5, 3, "2"]],
+        "conjecture_rank2_violations": [[31, 5], [41, 5]],
+    }
 
 
 def test_cli_massey_selftest_quick(capsys):
