@@ -22,13 +22,12 @@ from .newton import (
     t_sequence,
     unit_window_factor,
 )
-from .zmod import AtLeast, INF, Modulus, PadicPoly, valuation_p
+from .zmod import AtLeast, Modulus, PadicPoly, valuation_p
 
 __all__ = [
     "AtLeast",
     "DlogTable",
     "FullPivotFactor",
-    "INF",
     "Modulus",
     "NewtonPolygon",
     "PadicPoly",

@@ -1,7 +1,8 @@
 """Discrete logarithm tables in F_N^* and power-residue tests.
 
 Tables are built by full enumeration of the powers of the smallest
-generator; at N < 2^26 this is cheap and avoids Pohlig-Hellman machinery.
+generator, doubled in int64 blocks (products of two residues below 2^26
+are exact); this is cheap and avoids Pohlig-Hellman machinery.
 The composite map x -> table[x] mod p^s realizes a surjection
 F_N^* ->> Z/p^s whenever p^s | N - 1.
 """
@@ -43,12 +44,6 @@ class DlogTable:
     table: list[int] = field(repr=False)
     powers: np.ndarray = field(repr=False)
 
-    def log(self, x: int) -> int:
-        x %= self.N
-        if x == 0:
-            raise ValueError(f"{x} is not invertible mod {self.N}")
-        return self.table[x]
-
 
 @lru_cache(maxsize=64)
 def build_dlog_table(N: int) -> DlogTable:
@@ -57,15 +52,17 @@ def build_dlog_table(N: int) -> DlogTable:
     if N >= _DLOG_TABLE_LIMIT:
         raise ValueError(f"N = {N} too large for a full dlog table")
     g = smallest_generator(N)
-    table = [0] * N
-    acc = 1
-    for k in range(N - 1):
-        table[acc] = k
-        acc = (acc * g) % N
     powers = np.empty(N - 1, dtype=np.int64)
-    powers[table[1:]] = np.arange(1, N, dtype=np.int64)
+    powers[0] = 1
+    k = 1
+    while k < N - 1:  # powers[k:2k] = g^k * powers[:k]
+        m = min(k, N - 1 - k)
+        powers[k : k + m] = powers[:m] * pow(g, k, N) % N
+        k += m
     powers.setflags(write=False)
-    return DlogTable(N=N, g=g, table=table, powers=powers)
+    table = np.zeros(N, dtype=np.int64)
+    table[powers] = np.arange(N - 1, dtype=np.int64)
+    return DlogTable(N=N, g=g, table=table.tolist(), powers=powers)
 
 
 def is_power(x: int, N: int, q: int) -> bool:

@@ -15,7 +15,6 @@ leading-first coefficient lists and the constant-first ``PadicPoly``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isinf
 
 from sympy.polys import galoistools as gt
 from sympy.polys.domains import ZZ
@@ -38,17 +37,11 @@ class NewtonPolygon:
         return "NP{" + ", ".join(f"({i},{v})" for i, v in self.vertices) + "}"
 
 
-def _finite(v: Valuation) -> bool:
-    if isinstance(v, AtLeast):
-        return False
-    return not (isinstance(v, float) and isinf(v))
-
-
 def lower_convex_hull(points) -> NewtonPolygon:
-    """Lower convex hull of (i, v) lattice points; infinite v omitted.
+    """Lower convex hull of (i, v) points, each v an int or AtLeast(M).
 
-    Collinear interior points are not vertices.  The last point must be
-    finite; first coordinates must strictly increase.
+    AtLeast points are omitted.  Collinear interior points are not vertices.
+    The last point must be an int; first coordinates must strictly increase.
     """
     pts = list(points)
     if not pts:
@@ -56,11 +49,10 @@ def lower_convex_hull(points) -> NewtonPolygon:
     for (i1, _), (i2, _) in zip(pts, pts[1:]):
         if i2 <= i1:
             raise ValueError("first coordinates must strictly increase")
-    if not _finite(pts[-1][1]):
-        raise ValueError("last point must be finite")
-    finite = [(i, int(v)) for i, v in pts if _finite(v)]
+    if isinstance(pts[-1][1], AtLeast):
+        raise ValueError("last point must be an int, not AtLeast")
     hull: list[tuple[int, int]] = []
-    for pt in finite:
+    for pt in [(i, int(v)) for i, v in pts if not isinstance(v, AtLeast)]:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # keep strict convexity: drop (x2, y2) if on or above chord

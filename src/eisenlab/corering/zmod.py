@@ -4,26 +4,26 @@ Everything downstream (Hecke matrices, zeta elements, Massey cochains) works
 over a ring Z/p^M for a prime p > 3.  A ``Modulus`` bundles (p, M) and is
 passed around explicitly; element values are plain Python ints in [0, p^M).
 
-Valuations read from a residue mod p^M are only trustworthy below M, so
-``AtLeast(M)`` marks a precision-capped reading and is kept distinct from a
-plain integer and from infinity.
+Valuations read from a residue mod p^M are only trustworthy below M, so a
+valuation is either a plain int below M or ``AtLeast(M)``, a
+precision-capped reading; there is no third, infinite kind.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
-INF = math.inf
+def valuation_p(x: int, p: int) -> int:
+    """Largest k with p^k | x, for x != 0.
 
-
-def valuation_p(x: int, p: int) -> int | float:
-    """Largest k with p^k | x, or infinity when x = 0."""
+    A valuation is an int or AtLeast(M); x = 0 has neither and raises
+    ValueError (``Modulus.valuation`` reads 0 mod p^M as AtLeast(M)).
+    """
     if p < 2:
         raise ValueError(f"p must be prime, got {p}")
     if x == 0:
-        return INF
+        raise ValueError("valuation of 0 is not an integer")
     v = 0
     while x % p == 0:
         x //= p
@@ -41,7 +41,7 @@ class AtLeast:
         return f">={self.bound}"
 
 
-Valuation = int | float | AtLeast
+Valuation = int | AtLeast
 
 
 @dataclass(frozen=True)
@@ -168,13 +168,6 @@ class PadicPoly:
     def reversed(self) -> "PadicPoly":
         """y^deg * f(1/y): coefficient sequence reversed."""
         return PadicPoly(list(reversed(self.coeffs)), self.modulus)
-
-    def __call__(self, x: int) -> int:
-        pM = self.modulus.pM
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % pM
-        return acc
 
     def mod_p(self) -> list[int]:
         """Coefficients reduced mod p (not trimmed)."""

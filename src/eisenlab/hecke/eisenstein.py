@@ -16,7 +16,6 @@ rank e = deg f, f = y^e mod p, and v_p(f(0)) = v_p(N - 1).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,7 +36,7 @@ from ..corering.newton import (
     t_sequence,
 )
 from ..corering.zmod import AtLeast, Modulus, PadicPoly, valuation_p
-from ..invariants import check_pair, is_good_prime, smallest_good_primes
+from ..invariants import check_pair, is_good_prime
 from .manin import ManinSpace, build_manin_space
 
 
@@ -86,12 +85,7 @@ class EisensteinReport:
     np_vertices: tuple[tuple[int, int], ...]
     components: list[SlopeComponent]
     diagnostics: dict
-    elapsed: float = 0.0
     _workspace: dict | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def newton_polygon(self) -> NewtonPolygon:
-        return NewtonPolygon(self.np_vertices)
 
 
 def default_precision(t: int) -> int:
@@ -102,10 +96,12 @@ def default_precision(t: int) -> int:
 
 
 def smallest_good_prime(N: int, p: int, bound: int = 1000) -> int:
-    found = smallest_good_primes(N, p, 1, bound)
-    if not found:
-        raise NoGoodPrime(f"no good prime below {bound} for (N, p) = ({N}, {p})")
-    return found[0]
+    ell = 2
+    while ell < bound:
+        if ell != N and is_good_prime(ell, N, p):
+            return ell
+        ell = sympy.nextprime(ell)
+    raise NoGoodPrime(f"no good prime below {bound} for (N, p) = ({N}, {p})")
 
 
 def _stabilized_power(B: np.ndarray, mod: Modulus) -> np.ndarray:
@@ -203,19 +199,16 @@ def eisenstein_local_factor(
     When p does not divide N - 1 the cuspidal Eisenstein completion is zero
     and the trivial report (e = 0) is returned without building symbols.
     """
-    start = time.perf_counter()
     check_pair(N, p)
     if ell is not None and not sympy.isprime(ell):
         raise ValueError(f"ell = {ell} must be a prime")
-    tv = valuation_p(N - 1, p)
-    if tv == 0:
+    t = valuation_p(N - 1, p)
+    if t == 0:
         return EisensteinReport(
             N=N, p=p, ell_used=None, M=0, t=0, e=0, f=None,
             t_seq=[], np_vertices=(), components=[],
             diagnostics={"trivial": "p does not divide N-1"},
-            elapsed=time.perf_counter() - start,
         )
-    t = int(tv)
     M = precision if precision is not None else default_precision(t)
     if M <= t:
         raise PrecisionExhausted(f"precision {M} cannot resolve v_p(N-1) = {t}")
@@ -246,7 +239,6 @@ def eisenstein_local_factor(
     diagnostics = {
         "f0_valuation": int(t_seq[0]),
         "localization": audit,
-        "mod_p_kernel_dim_single_ell": int(audit[0][1]),
         "generator_checks": {},
     }
     rep = EisensteinReport(
@@ -258,7 +250,6 @@ def eisenstein_local_factor(
     for ellp in (2, 3, 5, 7):
         if ellp != N:
             diagnostics["generator_checks"][ellp] = generator_check(rep, ellp)
-    rep.elapsed = time.perf_counter() - start
     return rep
 
 
@@ -359,7 +350,7 @@ def rank_consistency_check(N: int, p: int, report: EisensteinReport) -> tuple[bo
     ok = True
     if report.e == 0:
         return valuation_p(N - 1, p) == 0, {"trivial": True}
-    t = int(valuation_p(N - 1, p))
+    t = valuation_p(N - 1, p)
     f0v = report.f.modulus.valuation(report.f.coeffs[0])
     diag["f0_valuation"] = f0v
     if f0v != t:
@@ -374,9 +365,9 @@ def rank_consistency_check(N: int, p: int, report: EisensteinReport) -> tuple[bo
         diag["e_vs_tseq"] = (report.e, len(report.t_seq))
         ok = False
     # e equals the rank of the localized component (kernel intersection);
-    # the single-operator mod-p generalized kernel may be larger.
-    single = report.diagnostics.get("mod_p_kernel_dim_single_ell")
-    if single is not None and single < report.e + 1:
+    # the single-operator generalized kernel, the audit's first, may be larger.
+    single = report.diagnostics["localization"][0][1]
+    if single < report.e + 1:
         diag["single_ell_kernel"] = single
         ok = False
     return ok, diag

@@ -141,8 +141,8 @@ class ManinSpace:
             raise ValueError(f"N = {N} has genus 0; no cuspidal symbols (need N >= 11)")
         self.N = N
         self.modulus = modulus
-        self.genus = genus_x0(N)
         powers = build_dlog_table(N).powers  # g^k, so 1/g^k = g^(-k)
+        self.genus = genus_x0(N)
         self._inv = np.zeros(N, dtype=np.int64)
         self._inv[powers] = powers[-np.arange(N - 1)]
         self._certified: dict[int, np.ndarray] = {}  # ell -> read-only T_ell

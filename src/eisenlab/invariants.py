@@ -49,16 +49,6 @@ def is_good_prime(ell: int, N: int, p: int) -> bool:
     return not is_power(ell % N, N, p)
 
 
-def smallest_good_primes(N: int, p: int, count: int = 1, bound: int = 1000) -> list[int]:
-    out = []
-    ell = 2
-    while len(out) < count and ell < bound:
-        if ell != N and is_good_prime(ell, N, p):
-            out.append(ell)
-        ell = sympy.nextprime(ell)
-    return out
-
-
 @dataclass
 class MerelReport:
     N: int
@@ -91,7 +81,7 @@ def merel_report(N: int, p: int, s_max: int) -> MerelReport:
     for s in range(1, s_max + 1):
         ps = p**s
         ls = total % ps
-        ip = is_power(value, N, ps) if value != 0 else True
+        ip = is_power(value, N, ps)
         if (ls == 0) != ip:
             raise AssertionError(
                 f"exponent and log-sum power tests disagree at (N,p,s)=({N},{p},{s})"
@@ -274,7 +264,7 @@ def zeta_report(N: int, p: int, s_max: int) -> ZetaReport:
     The projection mod p^s reduces to the one mod p, so it vanishes for some
     s exactly when it vanishes at s = 1.
     """
-    t = int(valuation_p(N - 1, p))
+    t = valuation_p(N - 1, p)
     ords = {s: ord_zeta(N, p, s) for s in range(1, s_max + 1)}
     sylow_zero = not _sylow_projection(zeta_element(N, p, 1), p, 1, t).any()
     return ZetaReport(N=N, p=p, ord_s=ords, cap=p**t + 1, sylow_zero=sylow_zero)

@@ -38,9 +38,6 @@ class FiniteGroup:
         self.order = n
         self.name = name or f"group{n}"
 
-    def mul(self, g: int, h: int) -> int:
-        return int(self.table[g, h])
-
     def __repr__(self):
         return f"FiniteGroup({self.name}, order {self.order})"
 

@@ -1,7 +1,7 @@
 """Persisted result rows: one JSON object per line, resumable and diffable.
 
-Valuations that are only bounded below serialize as {"geq": M}; a true
-infinity as the string "inf"; never as sentinel integers.  A record without
+A valuation is an int or, when only bounded below by the precision M,
+{"geq": M}; never a sentinel integer, a float or a string.  A record without
 Hecke data (e is null) is an invariants-only row.
 """
 
@@ -22,18 +22,16 @@ def encode_valuation(v) -> Any:
     if isinstance(v, AtLeast):
         return {"geq": v.bound}
     if isinstance(v, float):
-        if v == float("inf"):
-            return "inf"
         raise ValueError(f"non-integer valuation {v}")
     return int(v)
 
 
-def decode_valuation(v) -> Any:
+def decode_valuation(v) -> int | AtLeast:
     if isinstance(v, dict):
         return AtLeast(int(v["geq"]))
-    if v == "inf":
-        return float("inf")
-    return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValueError(f'valuation {v!r} is neither an int nor {{"geq": M}}')
 
 
 @dataclass
@@ -64,10 +62,6 @@ class ResultRecord:
     @property
     def key(self) -> tuple[int, int]:
         return (self.N, self.p)
-
-    @property
-    def invariants_only(self) -> bool:
-        return self.e is None
 
     def ord_1(self):
         return decode_valuation(self.ord_zeta_s["1"]) if "1" in self.ord_zeta_s else None

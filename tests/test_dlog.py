@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from eisenlab.corering import build_dlog_table, is_power
@@ -24,6 +25,25 @@ def test_round_trip_and_injectivity():
         assert seen == set(range(N - 1))
 
 
+def _per_residue_table(N, g):
+    """The table and powers by one multiplication per residue."""
+    table, powers, acc = [0] * N, [], 1
+    for k in range(N - 1):
+        table[acc] = k
+        powers.append(acc)
+        acc = acc * g % N
+    return table, powers
+
+
+@pytest.mark.parametrize("N", [5, 7, 11, 181, 2003, 9907])
+def test_table_matches_per_residue_loop(N):
+    d = build_dlog_table(N)
+    table, powers = _per_residue_table(N, d.g)
+    assert type(d.table) is list and d.table == table and d.table[0] == 0
+    assert d.powers.dtype == np.int64 and d.powers.tolist() == powers
+    assert not d.powers.flags.writeable
+
+
 def test_not_prime_rejected():
     with pytest.raises(ValueError):
         build_dlog_table(15)
@@ -33,7 +53,7 @@ def _log_mod(d, x, modulus):
     """log as a homomorphism F_N^* -> Z/modulus (modulus | N-1)."""
     if (d.N - 1) % modulus != 0:
         raise ValueError(f"{modulus} does not divide N-1 = {d.N - 1}")
-    return d.log(x) % modulus
+    return d.table[x % d.N] % modulus
 
 
 def test_log_mod_homomorphism():

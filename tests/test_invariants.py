@@ -18,7 +18,6 @@ from eisenlab.invariants import (
     merel_number,
     merel_report,
     ord_zeta,
-    smallest_good_primes,
     zeta_element,
     zeta_report,
 )
@@ -129,13 +128,6 @@ def test_good_primes():
         assert is_good_prime(ell, 31, 5) == want
     with pytest.raises(ValueError):
         is_good_prime(31, 31, 5)
-
-
-def test_smallest_good_primes():
-    out = smallest_good_primes(181, 5, count=2)
-    assert len(out) == 2
-    assert all(is_good_prime(ell, 181, 5) for ell in out)
-    assert out[0] < out[1]
 
 
 def test_lecouturier_identities():

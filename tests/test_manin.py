@@ -271,6 +271,13 @@ def test_small_N_rejected():
         build_manin_space(7, Modulus(5, 2))
 
 
+@pytest.mark.parametrize("N", [15, 21, 25])
+def test_composite_N_rejected(N):
+    # N = 15 and 21 are 3 mod 12, where the prime-only genus formula has no case
+    with pytest.raises(ValueError, match="not prime"):
+        build_manin_space(N, Modulus(5, 2))
+
+
 def test_t2_commutes_with_star_on_symbols():
     # T_2 of (c:d) and of (c:d)|star = (-c:d) agree in the plus quotient
     for N in (31, 37):

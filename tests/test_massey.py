@@ -35,8 +35,8 @@ rng = np.random.default_rng(99)
 
 def test_group_constructions():
     for G in (cyclic(12), dihedral(6), symmetric(3), direct_product(cyclic(4), cyclic(9))):
-        assert G.mul(G.identity, 1) == 1
-        assert G.mul(G.inverse[3], 3) == G.identity
+        assert G.table[G.identity, 1] == 1
+        assert G.table[G.inverse[3], 3] == G.identity
     assert symmetric(3).order == 6
     assert dihedral(6).order == 12
     with pytest.raises(ValueError):

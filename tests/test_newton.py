@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -26,10 +24,10 @@ def test_hull_paper_example():
 
 
 def test_hull_infinite_points_omitted():
-    np_ = lower_convex_hull([(0, math.inf), (1, 3), (2, 0)])
+    np_ = lower_convex_hull([(0, AtLeast(5)), (1, 3), (2, 0)])
     assert np_.vertices == ((1, 3), (2, 0))
-    np2 = lower_convex_hull([(0, AtLeast(5)), (1, 3), (2, 0)])
-    assert np2.vertices == ((1, 3), (2, 0))
+    np2 = lower_convex_hull([(0, 4), (1, AtLeast(5)), (2, AtLeast(5)), (3, 0)])
+    assert np2.vertices == ((0, 4), (3, 0))
 
 
 def test_hull_collinear_interior_points_are_not_vertices():
@@ -62,7 +60,7 @@ def test_hull_input_validation():
     with pytest.raises(ValueError):
         lower_convex_hull([(0, 1), (0, 2)])
     with pytest.raises(ValueError):
-        lower_convex_hull([(0, 1), (1, math.inf)])
+        lower_convex_hull([(0, 1), (1, AtLeast(5))])
 
 
 # -- t-sequences --------------------------------------------------------------

@@ -17,10 +17,14 @@ from eisenlab.records import (
 def test_valuation_encoding():
     assert encode_valuation(3) == 3
     assert encode_valuation(AtLeast(5)) == {"geq": 5}
-    assert encode_valuation(math.inf) == "inf"
     assert decode_valuation(3) == 3
     assert decode_valuation({"geq": 5}) == AtLeast(5)
-    assert decode_valuation("inf") == math.inf
+    # a valuation is an int or {"geq": M}: no float, no "inf" string
+    with pytest.raises(ValueError):
+        encode_valuation(math.inf)
+    for bad in ("inf", 3.0, "3", True):
+        with pytest.raises(ValueError):
+            decode_valuation(bad)
 
 
 def _sample_record():
@@ -120,10 +124,11 @@ def test_existing_keys_skips_partial_lines(tmp_path):
 
 
 def test_invariants_only_marker():
+    # an invariants-only row is one whose e is null, through a round trip
     rec = _sample_record()
-    assert not rec.invariants_only
+    assert rec.e is not None
     rec.e = None
-    assert rec.invariants_only
+    assert ResultRecord.from_json(rec.to_json()).e is None
 
 
 def test_read_records_skips_torn_last_line(tmp_path):

@@ -13,7 +13,7 @@ import eisenlab
 from eisenlab import sweep
 from eisenlab.cli import main
 from eisenlab.corering import linalg
-from eisenlab.records import append_records, read_records
+from eisenlab.records import ResultRecord, append_records, read_records
 from eisenlab.sweep import (
     compute_record,
     run_sweep,
@@ -147,6 +147,18 @@ def test_cli_compute_error(capsys):
     rc = main(["hecke", "--N", "32", "--p", "5"])  # N not prime
     assert rc == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_non_integer_valuation(tmp_path, capsys):
+    # a valuation is an int or {"geq": M}; an "inf" written by hand is refused
+    rec = ResultRecord(N=31, p=5, t=1, merel_is_power_s={"1": True}, ord_zeta_s={"1": "inf"}, e=2)
+    path = tmp_path / "rows.jsonl"
+    path.write_text(rec.to_json() + "\n")
+    assert main(["verify", "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "'inf'" in lines[0]
 
 
 
@@ -300,5 +312,5 @@ def test_cli_out_flag_appends_record(tmp_path):
     assert main(["hecke", "--N", "31", "--p", "5", "--out", out, "--json"]) == 0
     rows = read_records(out)
     assert len(rows) == 2
-    assert rows[0].invariants_only and not rows[1].invariants_only
+    assert rows[0].e is None and rows[1].e is not None
     assert rows[1].e == 2
