@@ -6,14 +6,26 @@ valuation.  There is one elimination, the blocked unit-pivot Gauss-Jordan
 ``_unit_gauss_jordan``: pivots are found on a panel of columns, and the
 panel's row operations reach the columns still open as one product: those
 right of the panel and the free ones left of its end.  Pivot columns are
-unit vectors, which are written, not computed.  It returns the panels, so
-its row operations can be replayed on a right-hand side.  Two kinds of
-system use it:
+unit vectors, which are written, not computed.  Inside a panel the
+rank-1 updates are left unreduced (delayed reduction, as in FFLAS-FFPACK,
+below): each subtracts a product of two residues, below (p^M - 1)^2, so
+after j of them an entry lies in (-j (p^M - 1)^2, p^M).  The block read
+from a panel is reduced once at its end, and the whole panel earlier
+whenever the updates since the last reduction reach
+``_delay_room(p^M)`` = (2^63 - 1 - p^M) // (p^M - 1)^2 - 1, which keeps
+int64 from overflowing; it is at least 1 for p^M < 2^31 (1 at 2^31 - 1,
+5 at 5^13).  Only the pivot row, before it is scaled, and the multiplier
+column are reduced at each pivot; the unit test reads entries mod p, which
+is right on unreduced ones, so the pivots and the result are those of the
+reduce-every-step elimination.  It returns the panels, so its row
+operations can be replayed on a right-hand side.  Two kinds of system use
+it:
 
 * systems whose cokernel is known to be free.  ``unit_echelon``,
   ``kernel_of_free_summand`` and ``restrict_operator`` run it once and
   raise unless the rows left without a pivot vanish, which certifies that
-  assumption;
+  assumption.  ``restrict_operator`` takes T @ basis, not T, so a caller
+  can apply T without building it;
 * arbitrary linear systems, decided by ``FullPivotFactor``: factor once,
   then solve many right-hand sides or read off a kernel spanning set.  The
   factor is a stack of valuation layers: layer v runs the core mod p^(M-v)
@@ -37,6 +49,10 @@ and Pernet, FFLAS-FFPACK, TOMS 2008).  It takes one of two paths:
   (k <= 2097216), are reduced and recombined mod p^M in int64.
 
 Past either limit, p^M >= 2^31 or k > 2097216, it raises ``ValueError``.
+The bounds need |x| < p^M of every operand entry, so an operand is reduced
+only when one pass, the maximum of it viewed as unsigned, finds an entry
+outside [0, p^M); operands that are already residues, such as the narrow
+panels, pay no reduction.
 
 Every process that imports this module runs OpenBLAS on one thread, set
 once here at import (a no-op without OpenBLAS).  eisenlab's parallelism is
@@ -103,6 +119,23 @@ def _as_matrix(A, mod: Modulus) -> np.ndarray:
     return M
 
 
+def _reduced(X, pM: int) -> np.ndarray:
+    """X as an integer array, reduced mod p^M only when one pass finds an
+    entry outside [0, p^M): the maximum of X viewed as unsigned, where a
+    negative entry reads as at least 2^(bits-1).
+
+    The products below need |x| < p^M, not x >= 0, so this is enough at
+    every width: where 2^(bits-1) >= p^M a negative entry fails the check,
+    and at a narrower one every entry has |x| <= 2^(bits-1) < p^M.
+    """
+    X = np.asarray(X)
+    if X.dtype.kind != "i":
+        X = X.astype(np.int64)
+    if X.size and X.view(f"u{X.itemsize}").max() >= pM:
+        X = X.astype(np.int64) % pM
+    return X
+
+
 def matmul_mod(A, B, mod: Modulus) -> np.ndarray:
     """A @ B mod p^M as int64, exact, in float64 BLAS.
 
@@ -115,16 +148,17 @@ def matmul_mod(A, B, mod: Modulus) -> np.ndarray:
     pM = mod.pM
     if pM >= _MAX_MATRIX_MODULUS:
         raise ValueError(f"modulus {pM} too large for exact matrix products")
-    square = B is A  # P @ P: reduce and convert the operand once
-    A = (np.asarray(A, dtype=np.int64) % pM).astype(np.float64)
-    B = A if square else (np.asarray(B, dtype=np.int64) % pM).astype(np.float64)
+    square = B is A  # P @ P: check and convert the operand once
+    A = _reduced(A, pM).astype(np.float64)
+    B = A if square else _reduced(B, pM).astype(np.float64)
     k = A.shape[-1]
     if k * (pM - 1) ** 2 < 1 << 53:
         return (A @ B).astype(np.int64) % pM
     if k * (_LIMB - 1) ** 2 >= 1 << 53:
         raise ValueError(f"inner dimension {k} too large for exact limb products")
-    # p^M < 2^31, so the high limbs are below 2^15; each reduced term below
-    # stays under 2^62 and their sum fits int64
+    # |x| < p^M < 2^31, so a high limb has magnitude at most 2^15 and a low
+    # one lies in [0, 2^16); each reduced term below stays under 2^62 and
+    # their sum fits int64
     A1, A0 = np.divmod(A, _LIMB)
     B1, B0 = (A1, A0) if square else np.divmod(B, _LIMB)
     hi, mid1, mid0, lo = ((X @ Y).astype(np.int64) % pM for X, Y in ((A1, B1), (A1, B0), (A0, B1), (A0, B0)))
@@ -269,6 +303,18 @@ def _replay(X: np.ndarray, r0: int, rows, E, mod: Modulus, cols) -> None:
         X[rr] = (X[rr] + matmul_mod(E[t : t + _CHUNK], piv, mod)) % mod.pM
 
 
+def _delay_room(pM: int) -> int:
+    """Rank-1 updates ``_unit_gauss_jordan`` may leave unreduced in int64.
+
+    Entries start in [0, p^M) and each update subtracts a product of two
+    residues, below (p^M - 1)^2, so after j updates an entry lies in
+    (-j (p^M - 1)^2, p^M): its magnitude stays below 2^63 while
+    p^M + j (p^M - 1)^2 <= 2^63 - 1.  One update of that is kept in reserve.
+    At least 1 for every p^M < 2^31.
+    """
+    return ((1 << 63) - 1 - pM) // (pM - 1) ** 2 - 1
+
+
 def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None):
     """Gauss-Jordan of A in place with unit pivots only; returns the pivot
     columns, found among the first ``stop`` columns (all by default), and
@@ -285,12 +331,15 @@ def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None):
     and over the open columns only: those right of the panel and the free
     columns left of its end.  Earlier pivot columns are unit vectors that
     the panel leaves as they are, and its own become unit vectors, so they
-    are written rather than computed.
+    are written rather than computed.  E is reduced mod p^M at the panel's
+    end, and all of G after every ``_delay_room`` rank-1 updates, not after
+    each one (see the module docstring).
     A panel is (first pivot row, row swaps, rows E touches, E on those rows).
     """
     p, pM = mod.p, mod.pM
     m, n = A.shape
     stop = n if stop is None else stop
+    room = _delay_room(pM)
     pivcols: list[int] = []
     free: list[int] = []  # non-pivot columns left of the current panel's end
     panels = []
@@ -305,6 +354,7 @@ def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None):
         G[:, :w] = A[:, c0:c1]
         G[:, w:] = 0
         r0, swaps, pc = r, [], []
+        pending = 0  # rank-1 updates since G was last reduced
         for c in range(w):
             if r >= m:
                 break
@@ -316,21 +366,24 @@ def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None):
                 G[[r, sel]] = G[[sel, r]]
                 swaps.append((r, sel))
             G[r, w + r - r0] = 1
-            # row r is zero past its own E column; only rows with an entry in
-            # column c change, and only right of it: the panel's columns left
-            # of c are never read again
+            # row r is zero past its own E column; only the columns right of
+            # c change: the panel's columns left of c are never read again
             hi = w + r - r0 + 1
-            G[r, c:hi] = (G[r, c:hi] * pow(int(G[r, c]), -1, pM)) % pM
-            live = np.flatnonzero(G[:, c])
-            live = live[live != r]
-            if live.size:
-                G[live, c + 1 : hi] = (G[live, c + 1 : hi] - G[live, c, None] * G[r, c + 1 : hi]) % pM
+            G[r, c:hi] %= pM
+            G[r, c:hi] = G[r, c:hi] * pow(int(G[r, c]), -1, pM) % pM
+            mult = G[:, c] % pM
+            mult[r] = 0
+            G[:, c + 1 : hi] -= mult[:, None] * G[r, c + 1 : hi]
+            pending += 1
+            if pending == room:
+                G %= pM
+                pending = 0
             pc.append(c0 + c)
             r += 1
         pivcols += pc
         free += sorted(set(range(c0, c1)) - set(pc))
         if r > r0:
-            E = _narrow(G[:, w : w + r - r0], pM)
+            E = _narrow(G[:, w : w + r - r0] % pM, pM)
             rows = np.flatnonzero(E.any(axis=1))
             panels.append((r0, swaps, rows, E[rows]))
             _apply_panel(A, panels[-1], mod, slice(c1, None))
@@ -372,15 +425,17 @@ def kernel_of_free_summand(P, mod: Modulus) -> np.ndarray:
     return basis
 
 
-def restrict_operator(T: np.ndarray, basis: np.ndarray, mod: Modulus) -> np.ndarray:
-    """Matrix of T on the column span of ``basis`` (a free summand).
+def restrict_operator(image: np.ndarray, basis: np.ndarray, mod: Modulus) -> np.ndarray:
+    """Matrix of an operator T on the column span of ``basis`` (a free
+    summand), given ``image`` = T @ basis.
 
-    Solves basis @ X = T @ basis with unit pivots and raises unless T
-    preserves the span.
+    Solves basis @ X = image with unit pivots and raises unless T preserves
+    the span.  Taking the image, not T, lets a caller apply T without
+    building it.
     """
     basis = _as_matrix(basis, mod)
     k = basis.shape[1]
-    A = np.hstack([basis, matmul_mod(T, basis, mod)])
+    A = np.hstack([basis, _as_matrix(image, mod)])
     if len(_unit_gauss_jordan(A, mod, stop=k)[0]) < k:
         raise ArithmeticError("basis does not have unit pivots")
     if A[k:, k:].any():

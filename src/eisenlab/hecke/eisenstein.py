@@ -121,9 +121,10 @@ def _stabilized_power(B: np.ndarray, mod: Modulus) -> np.ndarray:
 
 
 def _eisenstein_shift(space: ManinSpace, q: int, W: np.ndarray) -> np.ndarray:
-    """T_q - q - 1 on the span of W, a T_q-stable free summand of V+."""
+    """T_q - q - 1 on the span of W, a T_q-stable free summand of V+; T_q is
+    applied to W, never built."""
     mod = space.modulus
-    TqW = restrict_operator(space.hecke_on_plus(q), W, mod)
+    TqW = restrict_operator(space.hecke_apply(q, W), W, mod)
     return (TqW - (q + 1) * np.eye(W.shape[1], dtype=np.int64)) % mod.pM
 
 
@@ -136,7 +137,7 @@ def _certify(B_plus, W, mod, t):
     positive valuation), so the test is exact.
     Returns (Y, f) or None.
     """
-    Y = restrict_operator(B_plus, W, mod)
+    Y = restrict_operator(matmul_mod(B_plus, W, mod), W, mod)
     Q = berkowitz_charpoly(Y, mod)
     if not Q.is_distinguished():
         return None

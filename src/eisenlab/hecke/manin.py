@@ -26,7 +26,17 @@ hypotheses are checked, and the quotient rank must be exactly g+1; together
 this certifies that V+ is free of the expected rank.
 
 Points are indexed 0 <-> (0:1) and 1+d <-> (1:d).  T_ell acts through
-Merel's (1994) family of Heilbronn matrices of determinant ell.
+Merel's (1994) family of Heilbronn matrices of determinant ell: the image
+of a basis symbol under each matrix h is a signed column, and expr writes
+the columns over the basis, so T_ell = expr^T P with P the signed
+incidence of (column, symbol) pairs.  ``hecke_on_plus`` builds the whole
+(g+1) x (g+1) T_ell, which the stabilized power needs, once per space.
+``hecke_apply`` returns T_q W for a few columns W without building T_q:
+P W is a scatter of the rows of W, then one product by expr^T.  Both
+certify the whole operator on the boundary: boundary . T_q = (q + 1) *
+boundary, which ``hecke_apply`` reads off the images as
+sum over h of sign * (expr . boundary)[column], with expr . boundary
+computed once per space.
 """
 
 from __future__ import annotations
@@ -216,23 +226,32 @@ class ManinSpace:
         mod = self.modulus
         c, d = self._basis_c % self.N, self._basis_d % self.N
         self.boundary = ((c == 0).astype(np.int64) - (d == 0)) % mod.pM
+        self._column_boundary = matmul_mod(self._expr, self.boundary, mod)  # of every column
         self.cuspidal_plus_in_plus = kernel_of_free_summand(self.boundary[None, :], mod)
         if self.cuspidal_plus_in_plus.shape[1] != self.genus:
             raise ArithmeticError("boundary functional is not a unit functional on V+")
 
     # -- Hecke action ------------------------------------------------------
 
-    def hecke_images(self, ell: int, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Columns: T_ell of each Manin symbol (c[k]:d[k]), in the basis of V+."""
+    def _images(self, ell: int, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, signs), each #H x len(c): the h-th Heilbronn matrix of
+        determinant ell takes the symbol (c[k]:d[k]) to signs[h, k] times the
+        column cols[h, k] (a zero orbit has sign 0)."""
         if ell % self.N == 0:
             raise ValueError(f"ell = {ell} is divisible by N = {self.N}")
         c = np.asarray(c, dtype=np.int64)
         d = np.asarray(d, dtype=np.int64)
-        out = np.zeros((self.dim, len(c)), dtype=np.int64)
-        for (a, b, cc, dd) in heilbronn_matrices(ell):
-            i = self._index(c * a + d * cc, c * b + d * dd)
-            out += (self._expr[self._rep[i]] * self._sign[i][:, None]).T
-        return out % self.modulus.pM
+        a, b, cc, dd = np.array(heilbronn_matrices(ell), dtype=np.int64).T[:, :, None]
+        i = self._index(c * a + d * cc, c * b + d * dd)
+        return self._rep[i], self._sign[i]
+
+    def hecke_images(self, ell: int, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Columns: T_ell of each Manin symbol (c[k]:d[k]), in the basis of V+."""
+        cols, signs = self._images(ell, c, d)
+        out = np.zeros((len(cols[0]), self.dim), dtype=np.int64)
+        for col, sign in zip(cols, signs):
+            out += self._expr[col] * sign[:, None]
+        return out.T % self.modulus.pM
 
     def hecke_full(self, ell: int) -> np.ndarray:
         """Matrix of T_ell on V+ (rank g+1)."""
@@ -254,6 +273,33 @@ class ManinSpace:
         T.setflags(write=False)
         self._certified[ell] = T
         return T
+
+    def hecke_apply(self, q: int, W: np.ndarray) -> np.ndarray:
+        """T_q @ W for columns W in the basis of V+, without building T_q.
+
+        T_q is expr^T P, where P[col, k] sums the signs of the Heilbronn
+        images of basis symbol k that land on column col; so T_q W is
+        expr^T C with C = P W, a scatter of the rows of W.  C is summed by
+        ``np.bincount`` in float64 over batches of Heilbronn matrices: a
+        batch of b sums at most b * dim terms of size below p^M, exact while
+        b * dim * (p^M - 1) < 2^53.  The whole T_q is certified on the
+        boundary first: boundary . T_q = (expr . boundary)^T P must be
+        (q + 1) * boundary, read off the images at O(#H * dim).
+        """
+        mod = self.modulus
+        pM = mod.pM
+        cols, signs = self._images(q, self._basis_c, self._basis_d)
+        if np.any((signs * self._column_boundary[cols]).sum(axis=0) % pM != (q + 1) * self.boundary % pM):
+            raise ArithmeticError(f"T_{q} is not {q}+1 on the Eisenstein boundary line")
+        W = np.asarray(W, dtype=np.int64) % pM
+        w = W.shape[1]
+        keys = (cols[:, :, None] * w + np.arange(w)).reshape(len(cols), -1)
+        weights = (signs[:, :, None] * W).reshape(len(cols), -1)
+        C = np.zeros(len(self._expr) * w, dtype=np.int64)
+        batch = ((1 << 53) - 1) // (self.dim * (pM - 1))
+        for h in range(0, len(cols), batch):
+            C += np.bincount(keys[h : h + batch].ravel(), weights[h : h + batch].ravel(), C.size).astype(np.int64)
+        return matmul_mod(self._expr.T, C.reshape(-1, w), mod)
 
 
 def build_manin_space(N: int, modulus: Modulus) -> ManinSpace:

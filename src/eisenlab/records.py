@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import os
+import types
 import warnings
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Iterable
+from typing import Any, Iterable, get_args, get_origin, get_type_hints
 
 from .corering.zmod import AtLeast
 
@@ -26,12 +27,37 @@ def encode_valuation(v) -> Any:
     return int(v)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def decode_valuation(v) -> int | AtLeast:
-    if isinstance(v, dict):
-        return AtLeast(int(v["geq"]))
-    if isinstance(v, int) and not isinstance(v, bool):
+    if isinstance(v, dict) and v.keys() == {"geq"} and _is_int(v["geq"]):
+        return AtLeast(v["geq"])
+    if _is_int(v):
         return v
     raise ValueError(f'valuation {v!r} is neither an int nor {{"geq": M}}')
+
+
+def _checker(hint):
+    """A predicate: does a JSON value have the type ``hint`` annotates?"""
+    if hint is Any:
+        return lambda v: True
+    if hint is int:
+        return _is_int
+    if hint is float:
+        return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    if isinstance(hint, types.UnionType):
+        options = [_checker(h) for h in get_args(hint)]
+        return lambda v: any(ok(v) for ok in options)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is list:
+        item = _checker(args[0])
+        return lambda v: isinstance(v, list) and all(map(item, v))
+    if origin is dict:
+        key, value = map(_checker, args)
+        return lambda v: isinstance(v, dict) and all(key(k) and value(x) for k, x in v.items())
+    return lambda v: isinstance(v, hint)  # NoneType, bool, str, bare dict
 
 
 @dataclass
@@ -71,7 +97,8 @@ class ResultRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ResultRecord":
-        """The record `to_json` wrote; ValueError for any other line."""
+        """The record `to_json` wrote; ValueError for any other line, including
+        one whose fields do not have their annotated types."""
         data = json.loads(line)
         if not isinstance(data, dict):
             raise ValueError(f"record is not a JSON object: {line[:80]}")
@@ -81,7 +108,16 @@ class ResultRecord:
         names = {f.name for f in fields(cls)}
         if data.keys() != names:
             raise ValueError(f"unknown or missing record fields: {sorted(data.keys() ^ names)}")
+        for name, (hint, ok) in _FIELD_CHECKS.items():
+            if not ok(data[name]):
+                raise ValueError(f"record field {name} = {data[name]!r} is not of type {hint}")
+        for v in data["ord_zeta_s"].values():
+            decode_valuation(v)
         return cls(**data)
+
+
+# field name -> (annotated type, its predicate), for ResultRecord.from_json
+_FIELD_CHECKS = {name: (hint, _checker(hint)) for name, hint in get_type_hints(ResultRecord).items()}
 
 
 def _repair_tail(path: str) -> None:

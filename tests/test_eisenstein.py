@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import sympy
 
-from eisenlab.corering import Modulus, PadicPoly, newton_polygon
+from eisenlab.corering import Modulus, PadicPoly, matmul_mod, newton_polygon
 from eisenlab.corering.newton import _fp_factor, unit_window_factor
 from eisenlab.hecke import (
     ConsistencyError,
@@ -15,6 +15,7 @@ from eisenlab.hecke import (
     default_precision,
     eisenstein_local_factor,
     generator_check,
+    heilbronn_matrices,
     rank_consistency_check,
     smallest_good_prime,
 )
@@ -262,6 +263,8 @@ def test_other_published_rank_rows():
 
 
 def test_each_hecke_operator_built_once_per_space(monkeypatch):
+    # only T_ell, which the stabilized power needs, is built in full, once;
+    # every other T_q is applied to W without being built
     from eisenlab.hecke.manin import ManinSpace
 
     built = []
@@ -270,13 +273,52 @@ def test_each_hecke_operator_built_once_per_space(monkeypatch):
         ManinSpace, "hecke_full", lambda self, ell: built.append((id(self), ell)) or hecke_full(self, ell)
     )
     rep = eisenstein_local_factor(181, 5)
-    assert len(built) == len(set(built))
-    assert {2, 3, 5, 7} <= {ell for _, ell in built}
     space = rep._workspace["space"]
-    T = space.hecke_on_plus(2)
-    assert space.hecke_on_plus(2) is T and len(built) == len(set(built))
+    assert built == [(id(space), rep.ell_used)]
+    T = space.hecke_on_plus(rep.ell_used)
+    assert space.hecke_on_plus(rep.ell_used) is T and len(built) == 1
     with pytest.raises(ValueError):
         T[0, 0] = 1
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_hecke_apply_matches_full_operator(p):
+    # T_q W applied without T_q equals the full T_q times W, on the W each
+    # report keeps, for every N < 2000 of the sweep and every q it may use
+    from eisenlab.sweep import sweep_primes
+
+    checked = 0
+    for N in sweep_primes(p, 2000):
+        rep = eisenstein_local_factor(N, p)
+        space, W = rep._workspace["space"], rep._workspace["W"]
+        for q in (2, 3, 5, 7):
+            want = matmul_mod(space.hecke_full(q), W, space.modulus)
+            assert np.array_equal(space.hecke_apply(q, W), want), (N, p, q)
+            checked += 1
+    assert checked == 4 * len(sweep_primes(p, 2000))
+
+
+def test_hecke_apply_catches_a_dropped_heilbronn_matrix(monkeypatch):
+    # a T_q missing one Heilbronn image fails the boundary certificate or
+    # differs from the full operator, for every matrix that could be lost
+    from eisenlab.hecke import manin
+
+    rep = eisenstein_local_factor(181, 5)
+    space, W = rep._workspace["space"], rep._workspace["W"]
+    full = {q: heilbronn_matrices(q) for q in (2, 3, 5, 7)}
+    want = {q: matmul_mod(space.hecke_full(q), W, space.modulus) for q in full}
+    raised = 0
+    for q, mats in full.items():
+        for h in range(len(mats)):
+            monkeypatch.setattr(manin, "heilbronn_matrices", lambda n: full[n][:h] + full[n][h + 1 :])
+            try:
+                got = space.hecke_apply(q, W)
+            except ArithmeticError as exc:
+                assert str(exc) == f"T_{q} is not {q}+1 on the Eisenstein boundary line"
+                raised += 1
+            else:
+                assert not np.array_equal(got, want[q]), (q, mats[h])
+    assert raised > 0
 
 
 def _component_slopes_reference(np_poly, f):

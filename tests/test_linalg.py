@@ -20,6 +20,7 @@ from eisenlab.corering import (
     unit_echelon,
     valuation_p,
 )
+from eisenlab.corering.linalg import _delay_room, _narrow
 
 rng = np.random.default_rng(417)
 
@@ -119,11 +120,11 @@ def test_restrict_operator():
     mod = Modulus(5, 2)
     T = np.array([[2, 0, 0], [0, 3, 0], [0, 1, 3]])
     basis = np.array([[0, 0], [1, 0], [0, 1]])  # T-invariant
-    R = restrict_operator(T, basis, mod)
+    R = restrict_operator(matmul_mod(T, basis, mod), basis, mod)
     assert np.array_equal(R, np.array([[3, 0], [1, 3]]))
     bad = np.array([[1], [0], [0]])
     with pytest.raises(ArithmeticError):
-        restrict_operator(np.array([[0, 1, 0], [0, 0, 0], [1, 0, 0]]), bad, mod)
+        restrict_operator(matmul_mod(np.array([[0, 1, 0], [0, 0, 0], [1, 0, 0]]), bad, mod), bad, mod)
 
 
 # -- Berkowitz ----------------------------------------------------------------
@@ -300,6 +301,46 @@ def test_matmul_mod_raises_past_its_bounds():
         matmul_mod(zeros[None, :], zeros[:, None], mod)
 
 
+@pytest.mark.parametrize(
+    "pm,width", [((5, 3), np.int8), ((7, 5), np.int16), ((5, 13), np.int32), ((2147483647, 1), np.int32)]
+)
+def test_matmul_mod_reduces_operands_out_of_range(pm, width):
+    # operands are reduced only when one holds an entry outside [0, p^M):
+    # negatives, entries >= p^M, and _narrow()ed panels, whose negatives read
+    # as >= 2^(bits-1) when viewed unsigned
+    mod = Modulus(*pm)
+    pM = mod.pM
+    gen = np.random.default_rng(pM % 1009)
+    A = gen.integers(-3 * pM, 3 * pM, (4, 40))
+    B = gen.integers(0, pM, (40, 3))
+    B[0, 0], B[1, 1], B[2, 2] = pM, -1, -pM
+    A0, B0 = A.copy(), B.copy()
+    assert matmul_mod(A, B, mod).tolist() == _matmul_reference(A, B, pM)
+    assert np.array_equal(A, A0) and np.array_equal(B, B0)  # operands are left as they are
+    P = _narrow(gen.integers(0, pM, (4, 40)), pM)
+    assert P.dtype == width
+    R = B % pM
+    assert matmul_mod(P, R, mod).tolist() == _matmul_reference(P.astype(np.int64), R, pM)
+    assert matmul_mod(-P, R, mod).tolist() == _matmul_reference(-P.astype(np.int64), R, pM)
+    assert matmul_mod(R.T, R, mod).tolist() == _matmul_reference(R.T, R, pM)
+    # a width too narrow for the unsigned view: int8 -1 is 255 unsigned, below p^M
+    small = np.array([[-1, 2, 127]], dtype=np.int8)
+    assert matmul_mod(small, np.ones((3, 1), dtype=np.int64), mod).tolist() == [[128 % pM]]
+
+
+def test_matmul_mod_reduces_negative_operand_at_float64_edge():
+    # 94 * (5^10 - 1)^2 < 2^53: exact for residues, but not for entries near
+    # -2 p^M, which no entry >= p^M gives away; only reducing them keeps it exact
+    mod = Modulus(5, 10)
+    pM = mod.pM
+    A = np.full((2, 94), 1 - 2 * pM, dtype=np.int64)
+    A[1] = 3 - 2 * pM
+    B = np.full((94, 2), pM - 2, dtype=np.int64)
+    assert A.max() < pM
+    assert matmul_mod(A, B, mod).tolist() == _matmul_reference(A, B, pM)
+    assert matmul_mod(A, A.T, mod).tolist() == _matmul_reference(A, A.T, pM)
+
+
 # moduli where the float64 bound k * (p^M - 1)^2 < 2^53 leaves 2 <= k <= 386
 _FLOAT_EDGE_MODULI = [(5, 10), (5, 11), (7, 8), (7, 9), (11, 7), (13, 6), (13, 7)]
 
@@ -370,11 +411,11 @@ def _kernel_of_free_summand_unblocked(P, mod):
     return basis
 
 
-def _restrict_operator_unblocked(T, basis, mod):
+def _restrict_operator_unblocked(image, basis, mod):
     pM, p = mod.pM, mod.p
     basis = np.asarray(basis, dtype=np.int64) % pM
     k = basis.shape[1]
-    A = np.hstack([basis, _mulmod(T, basis, pM)])
+    A = np.hstack([basis, np.asarray(image, dtype=np.int64) % pM])
     r = 0
     for j in range(k):
         nz = np.nonzero(A[r:, j] % p)[0]
@@ -485,8 +526,8 @@ def test_restrict_operator_matches_unblocked(pm, k, extra, kind, seed):
         T = _mulmod(basis, gen.integers(0, pM, (k, n)), pM)
     else:
         T = gen.integers(0, pM, (n, n))
-    got = _outcome(restrict_operator, T, basis, mod)
-    assert _same(got, _outcome(_restrict_operator_unblocked, T, basis, mod))
+    got = _outcome(restrict_operator, matmul_mod(T, basis, mod), basis, mod)
+    assert _same(got, _outcome(_restrict_operator_unblocked, _mulmod(T, basis, pM), basis, mod))
     if kind == "torsion basis":
         assert got == ("raised", ArithmeticError, "basis does not have unit pivots")
     if kind == "preserved":
@@ -760,7 +801,8 @@ def test_panel_replay_on_open_columns(pm, m):
 
     basis = _unit_rank(gen, m, 40, pM)
     T = basis @ gen.integers(0, p, (40, m)) % pM  # preserves the span of basis; exact in int64
-    assert _same(restrict_operator(T, basis, mod), _restrict_operator_unblocked(T, basis, mod))
+    image = matmul_mod(T, basis, mod)
+    assert _same(restrict_operator(image, basis, mod), _restrict_operator_unblocked(_mulmod(T, basis, pM), basis, mod))
 
     # a row p * v on the free columns gives FullPivotFactor a second layer
     # (and unit_echelon p-torsion, when p < pM)
@@ -779,3 +821,25 @@ def test_eliminations_past_one_panel_slice(p, M):
     A = _free_rows(gen, 300, 40, p, mod.pM, torsion=False)
     assert _same(unit_echelon(A, mod), _unit_echelon_unblocked(A, mod))
     _matches_reference(_planted(gen, 300, 12, p, M), mod, gen)
+
+
+# p^M where _unit_gauss_jordan reduces after every rank-1 update (2^31 - 1,
+# room 1) and after every fifth, mid-panel (5^13, room 5)
+@pytest.mark.parametrize("pm,room", [((2147483647, 1), 1), ((5, 13), 5)], ids=["2^31-1", "5^13"])
+def test_delayed_reduction_at_edge_moduli(pm, room):
+    mod = Modulus(*pm)
+    p, pM = mod.p, mod.pM
+    assert _delay_room(pM) == room
+    gen = np.random.default_rng(room)
+    # entries near p^M - 1 make every unreduced update as large as it can be
+    dense = pM - 1 - gen.integers(0, 3, (48, 72))
+    assert _same(_outcome(unit_echelon, dense, mod), _outcome(_unit_echelon_unblocked, dense, mod))
+    # wider than one panel, with free columns on both sides of a panel boundary
+    A = _free_columns_at(gen, 80, 72, _FREE_COLS, pM)
+    assert _same(unit_echelon(A, mod), _unit_echelon_unblocked(A, mod))
+    assert _same(kernel_of_free_summand(A, mod), _kernel_of_free_summand_unblocked(A, mod))
+    v = np.zeros(72, dtype=np.int64)
+    v[_FREE_COLS] = gen.integers(1, pM, len(_FREE_COLS))
+    At = np.vstack([A[:40], p * v % pM])
+    assert _same(_outcome(unit_echelon, At, mod), _outcome(_unit_echelon_unblocked, At, mod))
+    _matches_reference(At[:, :40], mod, gen)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from eisenlab.corering import Modulus, berkowitz_charpoly, restrict_operator
+from eisenlab.corering import Modulus, berkowitz_charpoly, matmul_mod, restrict_operator
 from eisenlab.hecke import build_manin_space, genus_x0, heilbronn_matrices
 from eisenlab.hecke.manin import _tree_solve
 
@@ -299,7 +299,8 @@ def test_hecke_commutativity_first_primes():
 
 def _hecke_on_cuspidal_plus(sp, ell):
     """Matrix of T_ell on the cuspidal plus quotient (rank g)."""
-    return restrict_operator(sp.hecke_on_plus(ell), sp.cuspidal_plus_in_plus, sp.modulus)
+    cusp = sp.cuspidal_plus_in_plus
+    return restrict_operator(matmul_mod(sp.hecke_on_plus(ell), cusp, sp.modulus), cusp, sp.modulus)
 
 
 def test_t2_eigenvalue_on_x0_11():

@@ -163,6 +163,28 @@ def test_cli_verify_rejects_non_integer_valuation(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "field,value,shown",
+    [
+        ("ord_zeta_s", {"1": {"ge": 3}}, "{'ge': 3}"),  # a bound under the wrong key
+        ("e", "2", "'2'"),  # a rank written as a string
+    ],
+    ids=["ord-without-geq", "string-rank"],
+)
+def test_cli_verify_rejects_mistyped_rows(tmp_path, capsys, field, value, shown):
+    # a hand-written row whose field has the wrong type is refused on reading:
+    # one error line and exit 3, not a traceback from the verifier
+    data = json.loads(ResultRecord(N=31, p=5, t=1, merel_is_power_s={"1": True}, ord_zeta_s={"1": 2}, e=2).to_json())
+    data[field] = value
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(data) + "\n")
+    assert main(["verify", "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and shown in lines[0]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--N", "11", "--p", "5", "--s-max", "-1"],  # p**-1 would be the float 0.2
