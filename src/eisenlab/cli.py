@@ -170,7 +170,7 @@ def cmd_verify(args) -> int:
         )
     else:
         print(f"checked {report.checked} records with Hecke data")
-        print(f"  rank/Merel/ord equivalences: {'pass' if report.ok else 'FAIL'}")
+        print(f"  rank/Merel/ord equivalences, re-derived Hecke data: {'pass' if report.ok else 'FAIL'}")
         for msg in report.fatal_failures:
             print(f"  FATAL: {msg}")
         if report.rank_ord_exceptions:

@@ -11,7 +11,6 @@ from .eisenstein import (
     default_precision,
     eisenstein_local_factor,
     generator_check,
-    rank_consistency_check,
     smallest_good_prime,
 )
 from .manin import (
@@ -36,6 +35,5 @@ __all__ = [
     "generator_check",
     "genus_x0",
     "heilbronn_matrices",
-    "rank_consistency_check",
     "smallest_good_prime",
 ]

@@ -344,31 +344,3 @@ def generator_check(report: EisensteinReport, ellp: int) -> bool:
         )
     return is_gen
 
-
-def rank_consistency_check(N: int, p: int, report: EisensteinReport) -> tuple[bool, dict]:
-    """Congruence-number and t-sequence sanity for a computed report."""
-    diag = {}
-    ok = True
-    if report.e == 0:
-        return valuation_p(N - 1, p) == 0, {"trivial": True}
-    t = valuation_p(N - 1, p)
-    f0v = report.f.modulus.valuation(report.f.coeffs[0])
-    diag["f0_valuation"] = f0v
-    if f0v != t:
-        ok = False
-    if report.t_seq[0] != t:
-        diag["t1"] = report.t_seq[0]
-        ok = False
-    if report.t_seq[-1] != 0:
-        diag["t_last"] = report.t_seq[-1]
-        ok = False
-    if report.e != len(report.t_seq) - 1:
-        diag["e_vs_tseq"] = (report.e, len(report.t_seq))
-        ok = False
-    # e equals the rank of the localized component (kernel intersection);
-    # the single-operator generalized kernel, the audit's first, may be larger.
-    single = report.diagnostics["localization"][0][1]
-    if single < report.e + 1:
-        diag["single_ell_kernel"] = single
-        ok = False
-    return ok, diag

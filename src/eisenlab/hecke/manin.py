@@ -29,14 +29,15 @@ Points are indexed 0 <-> (0:1) and 1+d <-> (1:d).  T_ell acts through
 Merel's (1994) family of Heilbronn matrices of determinant ell: the image
 of a basis symbol under each matrix h is a signed column, and expr writes
 the columns over the basis, so T_ell = expr^T P with P the signed
-incidence of (column, symbol) pairs.  ``hecke_on_plus`` builds the whole
-(g+1) x (g+1) T_ell, which the stabilized power needs, once per space.
-``hecke_apply`` returns T_q W for a few columns W without building T_q:
-P W is a scatter of the rows of W, then one product by expr^T.  Both
-certify the whole operator on the boundary: boundary . T_q = (q + 1) *
-boundary, which ``hecke_apply`` reads off the images as
-sum over h of sign * (expr . boundary)[column], with expr . boundary
-computed once per space.
+incidence of (column, symbol) pairs.  ``_images`` computes these images
+and certifies the whole operator on them, once, where it can fail:
+boundary . T_ell = (ell + 1) * boundary, read off as the sum over h of
+sign * (expr . boundary)[column], with expr . boundary computed once per
+space.  ``hecke_full`` sums the rows of expr into the (g+1) x (g+1) T_ell,
+which the stabilized power needs; ``hecke_on_plus`` keeps it read-only,
+once per space.  ``hecke_apply`` returns T_q W for a few columns W
+without building T_q: P W is an exact int64 scatter of the rows of W,
+then one product by expr^T.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class ManinSpace:
         self.genus = genus_x0(N)
         self._inv = np.zeros(N, dtype=np.int64)
         self._inv[powers] = powers[-np.arange(N - 1)]
-        self._certified: dict[int, np.ndarray] = {}  # ell -> read-only T_ell
+        self._operators: dict[int, np.ndarray] = {}  # ell -> read-only T_ell
         self._build_relations()
         self._build_boundary()
 
@@ -233,72 +234,51 @@ class ManinSpace:
 
     # -- Hecke action ------------------------------------------------------
 
-    def _images(self, ell: int, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(cols, signs), each #H x len(c): the h-th Heilbronn matrix of
-        determinant ell takes the symbol (c[k]:d[k]) to signs[h, k] times the
-        column cols[h, k] (a zero orbit has sign 0)."""
+    def _images(self, ell: int) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, signs), each #H x dim: the h-th Heilbronn matrix of
+        determinant ell takes basis symbol k to signs[h, k] times the column
+        cols[h, k] (a zero orbit has sign 0).  ArithmeticError unless
+        boundary . T_ell = (ell + 1) * boundary, read off these images."""
         if ell % self.N == 0:
             raise ValueError(f"ell = {ell} is divisible by N = {self.N}")
-        c = np.asarray(c, dtype=np.int64)
-        d = np.asarray(d, dtype=np.int64)
-        a, b, cc, dd = np.array(heilbronn_matrices(ell), dtype=np.int64).T[:, :, None]
-        i = self._index(c * a + d * cc, c * b + d * dd)
-        return self._rep[i], self._sign[i]
+        a, b, c, d = np.array(heilbronn_matrices(ell), dtype=np.int64).T[:, :, None]
+        i = self._index(self._basis_c * a + self._basis_d * c, self._basis_c * b + self._basis_d * d)
+        cols, signs = self._rep[i], self._sign[i]
+        pM = self.modulus.pM
+        if np.any((signs * self._column_boundary[cols]).sum(axis=0) % pM != (ell + 1) * self.boundary % pM):
+            raise ArithmeticError(f"T_{ell} is not {ell}+1 on the Eisenstein boundary line")
+        return cols, signs
 
-    def hecke_images(self, ell: int, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Columns: T_ell of each Manin symbol (c[k]:d[k]), in the basis of V+."""
-        cols, signs = self._images(ell, c, d)
-        out = np.zeros((len(cols[0]), self.dim), dtype=np.int64)
+    def hecke_full(self, ell: int) -> np.ndarray:
+        """Matrix of T_ell on V+ (rank g+1), certified on the boundary."""
+        cols, signs = self._images(ell)
+        out = np.zeros((self.dim, self.dim), dtype=np.int64)
         for col, sign in zip(cols, signs):
             out += self._expr[col] * sign[:, None]
         return out.T % self.modulus.pM
 
-    def hecke_full(self, ell: int) -> np.ndarray:
-        """Matrix of T_ell on V+ (rank g+1)."""
-        return self.hecke_images(ell, self._basis_c, self._basis_d)
-
     def hecke_on_plus(self, ell: int) -> np.ndarray:
-        """Matrix of T_ell on V+, certified on the Eisenstein boundary.
-
-        The boundary functional must be an eigenvector of the transpose
-        action with eigenvalue ell + 1.  Each T_ell is built and certified
-        once per space and returned read-only.
-        """
-        if ell in self._certified:
-            return self._certified[ell]
-        mod = self.modulus
-        T = self.hecke_full(ell)
-        if np.any(matmul_mod(self.boundary, T, mod) != (ell + 1) * self.boundary % mod.pM):
-            raise ArithmeticError(f"T_{ell} is not {ell}+1 on the Eisenstein boundary line")
-        T.setflags(write=False)
-        self._certified[ell] = T
-        return T
+        """``hecke_full(ell)``, built once per space and returned read-only."""
+        if ell not in self._operators:
+            T = self.hecke_full(ell)
+            T.setflags(write=False)
+            self._operators[ell] = T
+        return self._operators[ell]
 
     def hecke_apply(self, q: int, W: np.ndarray) -> np.ndarray:
         """T_q @ W for columns W in the basis of V+, without building T_q.
 
-        T_q is expr^T P, where P[col, k] sums the signs of the Heilbronn
-        images of basis symbol k that land on column col; so T_q W is
-        expr^T C with C = P W, a scatter of the rows of W.  C is summed by
-        ``np.bincount`` in float64 over batches of Heilbronn matrices: a
-        batch of b sums at most b * dim terms of size below p^M, exact while
-        b * dim * (p^M - 1) < 2^53.  The whole T_q is certified on the
-        boundary first: boundary . T_q = (expr . boundary)^T P must be
-        (q + 1) * boundary, read off the images at O(#H * dim).
+        T_q W is expr^T C with C = P W, a scatter of the rows of W by one
+        int64 ``np.add.at``.  Each Heilbronn matrix permutes P^1 and a
+        column is an orbit of at most 4 points, so an entry of C sums at
+        most 4 * #H terms below p^M: exact in int64.
         """
         mod = self.modulus
-        pM = mod.pM
-        cols, signs = self._images(q, self._basis_c, self._basis_d)
-        if np.any((signs * self._column_boundary[cols]).sum(axis=0) % pM != (q + 1) * self.boundary % pM):
-            raise ArithmeticError(f"T_{q} is not {q}+1 on the Eisenstein boundary line")
-        W = np.asarray(W, dtype=np.int64) % pM
+        cols, signs = self._images(q)
+        W = np.asarray(W, dtype=np.int64) % mod.pM
         w = W.shape[1]
-        keys = (cols[:, :, None] * w + np.arange(w)).reshape(len(cols), -1)
-        weights = (signs[:, :, None] * W).reshape(len(cols), -1)
         C = np.zeros(len(self._expr) * w, dtype=np.int64)
-        batch = ((1 << 53) - 1) // (self.dim * (pM - 1))
-        for h in range(0, len(cols), batch):
-            C += np.bincount(keys[h : h + batch].ravel(), weights[h : h + batch].ravel(), C.size).astype(np.int64)
+        np.add.at(C, (cols[:, :, None] * w + np.arange(w)).ravel(), (signs[:, :, None] * W).ravel())
         return matmul_mod(self._expr.T, C.reshape(-1, w), mod)
 
 

@@ -262,12 +262,13 @@ def zeta_report(N: int, p: int, s_max: int) -> ZetaReport:
     """ord_s(zeta) for every s <= s_max, and whether zeta's Sylow projection is zero.
 
     The projection mod p^s reduces to the one mod p, so it vanishes for some
-    s exactly when it vanishes at s = 1.
+    s exactly when it vanishes at s = 1.  ``ord_zeta`` returns AtLeast(cap)
+    at s = 1 exactly then, as the v-coordinates are a unitriangular
+    transform of the projection.
     """
     t = valuation_p(N - 1, p)
     ords = {s: ord_zeta(N, p, s) for s in range(1, s_max + 1)}
-    sylow_zero = not _sylow_projection(zeta_element(N, p, 1), p, 1, t).any()
-    return ZetaReport(N=N, p=p, ord_s=ords, cap=p**t + 1, sylow_zero=sylow_zero)
+    return ZetaReport(N=N, p=p, ord_s=ords, cap=p**t + 1, sylow_zero=isinstance(ords[1], AtLeast))
 
 
 def lecouturier_check(N: int, p: int, s: int) -> bool:

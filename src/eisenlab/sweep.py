@@ -10,8 +10,14 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import sympy
 
-from .corering.zmod import AtLeast, valuation_p
-from .hecke.eisenstein import eisenstein_local_factor, rank_consistency_check
+from .corering.newton import newton_polygon, t_sequence
+from .corering.zmod import AtLeast, Modulus, PadicPoly, valuation_p
+from .hecke.eisenstein import (
+    ConsistencyError,
+    PrecisionExhausted,
+    component_slopes,
+    eisenstein_local_factor,
+)
 from .invariants import check_pair, lecouturier_check, merel_report, zeta_report
 from .records import ResultRecord, append_records, encode_valuation, existing_keys
 
@@ -76,10 +82,6 @@ def compute_record(
         rec.lecouturier_ok = None
     if with_hecke:
         rep = eisenstein_local_factor(N, p, ell=ell, precision=precision)
-        ok, diag = rank_consistency_check(N, p, rep)
-        if not ok:
-            flags.append("rank-consistency-failed")
-            rec.diagnostics["rank_consistency"] = {k: str(v) for k, v in diag.items()}
         rec.e = rep.e
         rec.ell_used = rep.ell_used
         rec.precision = rep.M or None
@@ -217,13 +219,48 @@ class VerificationReport:
         return not self.fatal_failures
 
 
+def _rederivation_failures(rec: ResultRecord, tag: str) -> list[str]:
+    """One line per Hecke field of ``rec`` that its f_coeffs and precision do
+    not reproduce: f must be a reduced distinguished polynomial of degree e
+    with v_p(f(0)) = t, and t_seq, np_vertices and components must be what
+    ``t_sequence``, ``newton_polygon`` and ``component_slopes`` give for it."""
+    if rec.precision is None or rec.f_coeffs is None:
+        missing = "precision" if rec.precision is None else "f_coeffs"
+        return [f"{tag}: {missing} is missing, so the Hecke data cannot be re-derived"]
+    try:
+        f = PadicPoly(rec.f_coeffs, Modulus(rec.p, rec.precision))
+        if f.coeffs != rec.f_coeffs or not f.is_distinguished():
+            return [f"{tag}: f_coeffs is not a reduced distinguished polynomial mod {rec.p}^{rec.precision}"]
+        polygon = newton_polygon(f)
+        derived = {
+            "t_seq": [encode_valuation(v) for v in t_sequence(f)],
+            "np_vertices": [[i, v] for i, v in polygon.vertices],
+            "components": [c.as_dict() for c in component_slopes(polygon, f)],
+        }
+    except (ArithmeticError, ValueError, ConsistencyError, PrecisionExhausted) as exc:
+        return [f"{tag}: f_coeffs at precision {rec.precision} cannot be re-derived ({type(exc).__name__}: {exc})"]
+    out = []
+    if f.degree != rec.e:
+        out.append(f"{tag}: e = {rec.e} but f_coeffs has degree {f.degree}")
+    f0_valuation = f.modulus.valuation(f.coeffs[0])
+    if f0_valuation != rec.t:
+        out.append(f"{tag}: f_coeffs has v_p(f(0)) = {f0_valuation}, not t = {rec.t}")
+    for name, want in derived.items():
+        if getattr(rec, name) != want:
+            out.append(f"{tag}: {name} = {getattr(rec, name)} but f_coeffs gives {want}")
+    return out
+
+
 def verify_records(records: list[ResultRecord], recheck_lecouturier: bool = False) -> VerificationReport:
     """Cross-check the proved equivalences on computed rows.
 
     Fatal: (a) e >= 2 iff Merel's number is a p-th power; (b) e = 1 iff
-    ord_1 = 1; (e) the discrete-log identity suite holds.  Informational:
-    (c) e = 2 iff ord_1 = 2 (conjectural); (d) tally of rows with
-    e != ord_1 against the published exception list.
+    ord_1 = 1; (e) the discrete-log identity suite holds; (f) the Hecke
+    fields re-derive from f_coeffs and precision (deg f = e,
+    v_p(f(0)) = t, and the stored t_seq, np_vertices and components), one
+    line naming the field per mismatch, or one for a row that cannot be
+    re-derived.  Informational: (c) e = 2 iff ord_1 = 2 (conjectural);
+    (d) tally of rows with e != ord_1 against the published exception list.
     """
     fatal: list[str] = []
     info: list[str] = []
@@ -235,6 +272,7 @@ def verify_records(records: list[ResultRecord], recheck_lecouturier: bool = Fals
             continue
         checked += 1
         tag = f"(N,p)=({rec.N},{rec.p})"
+        fatal += _rederivation_failures(rec, tag)
         ord1 = rec.ord_1()
         ord1_num = None if ord1 is None else (ord1.bound if isinstance(ord1, AtLeast) else ord1)
         is_pow = rec.merel_is_power_s.get("1")

@@ -16,10 +16,10 @@ from eisenlab.hecke import (
     eisenstein_local_factor,
     generator_check,
     heilbronn_matrices,
-    rank_consistency_check,
     smallest_good_prime,
 )
 from eisenlab.invariants import is_good_prime
+from eisenlab.sweep import compute_record, verify_records
 
 
 def test_trivial_when_p_does_not_divide():
@@ -32,23 +32,20 @@ def test_rank_one_11_5():
     assert rep.e == 1
     assert rep.t_seq == [1, 0]
     assert rep.np_vertices == ((0, 1), (1, 0))
-    ok, diag = rank_consistency_check(11, 5, rep)
-    assert ok, diag
+    assert verify_records([compute_record(11, 5)]).ok
 
 
 def test_rank_two_31_5():
     rep = eisenstein_local_factor(31, 5)
     assert rep.e == 2
-    ok, _ = rank_consistency_check(31, 5, rep)
-    assert ok
+    assert verify_records([compute_record(31, 5)]).ok
 
 
 def test_rank_three_181_5():
     rep = eisenstein_local_factor(181, 5)
     assert rep.e == 3
     assert rep.t_seq[0] == 1 and rep.t_seq[-1] == 0
-    ok, _ = rank_consistency_check(181, 5, rep)
-    assert ok
+    assert verify_records([compute_record(181, 5)]).ok
 
 
 def test_rank_three_181_5_at_precision_13():
@@ -300,25 +297,31 @@ def test_hecke_apply_matches_full_operator(p):
 
 def test_hecke_apply_catches_a_dropped_heilbronn_matrix(monkeypatch):
     # a T_q missing one Heilbronn image fails the boundary certificate or
-    # differs from the full operator, for every matrix that could be lost
+    # differs from the full operator, for every matrix that could be lost,
+    # whether T_q is applied to W or built in full
     from eisenlab.hecke import manin
 
     rep = eisenstein_local_factor(181, 5)
     space, W = rep._workspace["space"], rep._workspace["W"]
     full = {q: heilbronn_matrices(q) for q in (2, 3, 5, 7)}
-    want = {q: matmul_mod(space.hecke_full(q), W, space.modulus) for q in full}
-    raised = 0
-    for q, mats in full.items():
-        for h in range(len(mats)):
-            monkeypatch.setattr(manin, "heilbronn_matrices", lambda n: full[n][:h] + full[n][h + 1 :])
-            try:
-                got = space.hecke_apply(q, W)
-            except ArithmeticError as exc:
-                assert str(exc) == f"T_{q} is not {q}+1 on the Eisenstein boundary line"
-                raised += 1
-            else:
-                assert not np.array_equal(got, want[q]), (q, mats[h])
-    assert raised > 0
+    inputs = {
+        "hecke_apply": lambda q: space.hecke_apply(q, W),
+        "hecke_full": space.hecke_full,
+    }
+    want = {(name, q): compute(q) for name, compute in inputs.items() for q in full}
+    for name, compute in inputs.items():
+        raised = 0
+        for q, mats in full.items():
+            for h in range(len(mats)):
+                monkeypatch.setattr(manin, "heilbronn_matrices", lambda n: full[n][:h] + full[n][h + 1 :])
+                try:
+                    got = compute(q)
+                except ArithmeticError as exc:
+                    assert str(exc) == f"T_{q} is not {q}+1 on the Eisenstein boundary line"
+                    raised += 1
+                else:
+                    assert not np.array_equal(got, want[name, q]), (name, q, mats[h])
+        assert raised > 0, name
 
 
 def _component_slopes_reference(np_poly, f):

@@ -239,12 +239,13 @@ def test_cli_sweep_stats_verify(tmp_path, capsys):
 
 
 def test_cli_verify_json_encodes_exception_ords(tmp_path, capsys):
-    # one rank != ord_1 row with ord_1 an AtLeast, one with an int
+    # one rank != ord_1 row with ord_1 an AtLeast, one with an int; the
+    # ords are tampered, so each row's Hecke data still re-derives
     rec = compute_record(31, 5)
     rows = [
         rec,
-        dataclasses.replace(rec, e=3, ord_zeta_s={**rec.ord_zeta_s, "1": {"geq": 2}}),
-        dataclasses.replace(rec, N=41, e=3),
+        dataclasses.replace(rec, ord_zeta_s={**rec.ord_zeta_s, "1": {"geq": 3}}),
+        dataclasses.replace(rec, N=41, ord_zeta_s={**rec.ord_zeta_s, "1": 3}),
     ]
     out = str(tmp_path / "rows.jsonl")
     append_records(out, rows)
@@ -254,13 +255,55 @@ def test_cli_verify_json_encodes_exception_ords(tmp_path, capsys):
         "ok": True,
         "fatal": [],
         "informational": [
-            "(N,p)=(31,5): e=3 != ord_1=>=2 (not in the published list)",
-            "(N,p)=(41,5): e=3 != ord_1=2 (not in the published list)",
+            "(N,p)=(31,5): e=2 != ord_1=>=3 (not in the published list)",
+            "(N,p)=(41,5): e=2 != ord_1=3 (not in the published list)",
             "rank-2 conjecture violations: [(31, 5), (41, 5)]",
         ],
-        "rank_ord_exceptions": [[31, 5, 3, ">=2"], [41, 5, 3, "2"]],
+        "rank_ord_exceptions": [[31, 5, 2, ">=3"], [41, 5, 2, "3"]],
         "conjecture_rank2_violations": [[31, 5], [41, 5]],
     }
+
+
+_TAMPERED = {
+    # case: (field, value, the start of the FATAL line after the (N, p) tag)
+    "f0-valuation": ("f_coeffs", [475, 425, 330, 1], "f_coeffs has v_p(f(0)) = 2, not t = 1"),
+    "f0-zero": ("f_coeffs", [0, 425, 330, 1], "f_coeffs at precision 4 cannot be re-derived (PrecisionExhausted"),
+    "not-distinguished": ("f_coeffs", [595, 426, 330, 1], "f_coeffs is not a reduced distinguished polynomial"),
+    "rank": ("e", 4, "e = 4 but f_coeffs has degree 3"),
+    "t-sequence": ("t_seq", [1, 1, 0, 0], "t_seq = [1, 1, 0, 0] but f_coeffs gives [1, 1, 1, 0]"),
+    "polygon": ("np_vertices", [[0, 1], [1, 1], [3, 0]], "np_vertices = [[0, 1], [1, 1], [3, 0]] but f_coeffs gives"),
+    "components": (
+        "components",
+        [{"degree": 3, "resolved": False, "slope": [1, 3]}],
+        "components = [{'degree': 3, 'resolved': False, 'slope': [1, 3]}] but f_coeffs gives",
+    ),
+    "no-precision": ("precision", None, "precision is missing"),
+    "zero-precision": ("precision", 0, "f_coeffs at precision 0 cannot be re-derived"),
+}
+
+
+@pytest.mark.parametrize("case", [None, *_TAMPERED])
+def test_cli_verify_rederives_hecke_data(tmp_path, capsys, case):
+    # verify re-derives t_seq, the polygon and the components from f_coeffs:
+    # a row tampered in any Hecke field exits 4 with a FATAL line naming
+    # (N, p, field), never a traceback; the row as computed exits 0
+    row = json.loads(compute_record(181, 5).to_json())
+    assert row["f_coeffs"] == [595, 425, 330, 1] and row["precision"] == 4
+    path = tmp_path / "rows.jsonl"
+    if case is not None:
+        field, value, _ = _TAMPERED[case]
+        row[field] = value
+    path.write_text(json.dumps(row) + "\n")
+    rc = main(["verify", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    fatal = [line for line in captured.out.splitlines() if line.startswith("  FATAL: ")]
+    if case is None:
+        assert rc == 0 and fatal == []
+        return
+    assert rc == 4
+    start = f"  FATAL: (N,p)=(181,5): {_TAMPERED[case][2]}"
+    assert any(line.startswith(start) for line in fatal), fatal
 
 
 def test_cli_massey_selftest_quick(capsys):
