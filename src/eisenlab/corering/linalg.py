@@ -6,8 +6,13 @@ valuation.  There is one elimination, the blocked unit-pivot Gauss-Jordan
 ``_unit_gauss_jordan``: pivots are found on a panel of columns, and the
 panel's row operations reach the columns still open as one product: those
 right of the panel and the free ones left of its end.  Pivot columns are
-unit vectors, which are written, not computed.  Inside a panel the
-rank-1 updates are left unreduced (delayed reduction, as in FFLAS-FFPACK,
+unit vectors, which are written, not computed.  Only the rows from the
+panel's first pivot row down are eliminated inside the panel.  The rows
+above it hold no pivot candidate: each only subtracts its entries on the
+panel's pivot columns times the new pivot rows, so their share of the
+panel's row operations is one product at the panel's end (the rank-profile
+panel view of Jeannerod, Pernet and Storjohann, JSC 2013).  Inside a panel
+the rank-1 updates are left unreduced (delayed reduction, as in FFLAS-FFPACK,
 below): each subtracts a product of two residues, below (p^M - 1)^2, so
 after j of them an entry lies in (-j (p^M - 1)^2, p^M).  The block read
 from a panel is reduced once at its end, and the whole panel earlier
@@ -331,9 +336,13 @@ def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None):
     and over the open columns only: those right of the panel and the free
     columns left of its end.  Earlier pivot columns are unit vectors that
     the panel leaves as they are, and its own become unit vectors, so they
-    are written rather than computed.  E is reduced mod p^M at the panel's
-    end, and all of G after every ``_delay_room`` rank-1 updates, not after
-    each one (see the module docstring).
+    are written rather than computed.  G holds only the rows from the
+    panel's first pivot row down, where pivots are searched.  A row above
+    them only loses its entries on the panel's pivot columns, so its E row
+    is -A[row, panel pivot columns] @ E[pivot rows], all of them in one
+    product at the panel's end.  E is reduced mod p^M at the panel's end,
+    and all of G after every ``_delay_room`` rank-1 updates, not after each
+    one (see the module docstring).
     A panel is (first pivot row, row swaps, rows E touches, E on those rows).
     """
     p, pM = mod.p, mod.pM
@@ -350,30 +359,32 @@ def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None):
             break
         c1 = min(c0 + _PANEL, stop)
         w = c1 - c0
-        G = buf[:, : 2 * w]
-        G[:, :w] = A[:, c0:c1]
-        G[:, w:] = 0
         r0, swaps, pc = r, [], []
+        # G holds rows r0, r0 + 1, ... only: row i of G is row r0 + i of A
+        G = buf[: m - r0, : 2 * w]
+        G[:, :w] = A[r0:, c0:c1]
+        G[:, w:] = 0
         pending = 0  # rank-1 updates since G was last reduced
         for c in range(w):
             if r >= m:
                 break
-            nz = np.flatnonzero(G[r:, c] % p)
+            i = r - r0
+            nz = np.flatnonzero(G[i:, c] % p)
             if nz.size == 0:
                 continue
-            sel = r + int(nz[0])
-            if sel != r:
-                G[[r, sel]] = G[[sel, r]]
-                swaps.append((r, sel))
-            G[r, w + r - r0] = 1
-            # row r is zero past its own E column; only the columns right of
+            sel = i + int(nz[0])
+            if sel != i:
+                G[[i, sel]] = G[[sel, i]]
+                swaps.append((r, r0 + sel))
+            G[i, w + i] = 1
+            # row i is zero past its own E column; only the columns right of
             # c change: the panel's columns left of c are never read again
-            hi = w + r - r0 + 1
-            G[r, c:hi] %= pM
-            G[r, c:hi] = G[r, c:hi] * pow(int(G[r, c]), -1, pM) % pM
+            hi = w + i + 1
+            G[i, c:hi] %= pM
+            G[i, c:hi] = G[i, c:hi] * pow(int(G[i, c]), -1, pM) % pM
             mult = G[:, c] % pM
-            mult[r] = 0
-            G[:, c + 1 : hi] -= mult[:, None] * G[r, c + 1 : hi]
+            mult[i] = 0
+            G[:, c + 1 : hi] -= mult[:, None] * G[i, c + 1 : hi]
             pending += 1
             if pending == room:
                 G %= pM
@@ -383,7 +394,12 @@ def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None):
         pivcols += pc
         free += sorted(set(range(c0, c1)) - set(pc))
         if r > r0:
-            E = _narrow(G[:, w : w + r - r0] % pM, pM)
+            E = np.empty((m, r - r0), dtype=np.int64)
+            E[r0:] = G[:, w : w + r - r0] % pM
+            # a row above the panel only loses its entries on the panel's
+            # pivot columns, to the new pivot rows E[r0:r] @ (old pivot rows)
+            E[:r0] = -matmul_mod(A[:r0, pc], E[r0:r], mod) % pM
+            E = _narrow(E, pM)
             rows = np.flatnonzero(E.any(axis=1))
             panels.append((r0, swaps, rows, E[rows]))
             _apply_panel(A, panels[-1], mod, slice(c1, None))

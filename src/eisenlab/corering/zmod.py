@@ -56,9 +56,10 @@ class Modulus:
             raise ValueError(f"p must be a prime > 3, got {self.p}")
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
-        pM = self.p**self.M
+        # p > 3, so p^M >= 2^127 once M >= 127: refuse that without building p^M
+        pM = self.p**self.M if self.M < 127 else 1 << 127
         if pM >= 1 << 127:
-            raise ValueError(f"p^M = {pM} does not fit a 128-bit word")
+            raise ValueError(f"p^M = {self.p}^{self.M} does not fit a 128-bit word")
         object.__setattr__(self, "_pM", pM)
 
     @property

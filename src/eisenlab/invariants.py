@@ -120,24 +120,29 @@ def _sylow_projection(z: np.ndarray, p: int, s: int, t: int) -> np.ndarray:
 
 
 def _v_coordinates(vec: np.ndarray, p: int, s: int, t: int) -> np.ndarray:
-    """sum_k vec[k] u^k rewritten in v = u - 1: d[j] = sum_k vec[k] C(k, j) mod p^s.
+    """sum_k vec[k] u^k rewritten in v = u - 1: d[j] = sum_k vec[k] C(k, j) mod p^s,
+    for j up to the first j > 0 with d[j] a unit, or all p^t of them when
+    there is no such j.
 
     Substituting u = 1 + v turns (Z/p^s)[u]/(u^(p^t) - 1) into
     R = (Z/p^s)[v]/(rho), rho = (1+v)^(p^t) - 1, with I = (v).  So d is in
     I^r exactly when (d mod v^r) lies in rho * (Z/p^s)[v]/(v^r).  Mod p,
     rho = v^(p^t), so ord_1 is the index of the first entry of d not
-    divisible by p; reduction mod p maps I^r into I^r, so ord_s <= ord_1.
-    Pascal rows mod p^s come from the additive recurrence, exact in int64.
+    divisible by p; reduction mod p maps I^r into I^r, so ord_s <= ord_1,
+    and no membership test reads d past ord_1.  Column j of C(k, j),
+    k < p^t, is the shifted cumulative sum of column j - 1, exact in int64.
     """
     pt, ps = p**t, p**s
+    vec = np.asarray(vec, dtype=np.int64) % ps
     d = np.zeros(pt, dtype=np.int64)
-    row = np.zeros(pt, dtype=np.int64)  # row[j] = C(k, j) mod p^s
-    row[0] = 1
-    for c in vec:
-        c = int(c) % ps
-        if c:
-            d = (d + c * row) % ps
-        row[1:] = (row[1:] + row[:-1]) % ps
+    col = np.ones(pt, dtype=np.int64)  # col[k] = C(k, j) mod p^s
+    for j in range(pt):
+        if j:
+            col[1:] = np.cumsum(col[:-1]) % ps
+            col[0] = 0
+        d[j] = (vec * col % ps).sum() % ps
+        if j and d[j] % p:
+            return d[: j + 1]
     return d
 
 
@@ -149,13 +154,14 @@ def _toeplitz_member(col: np.ndarray, target: np.ndarray, p: int, s: int) -> boo
     return howell_membership(np.where(diag >= 0, col[diag.clip(0)], 0), target, Modulus(p, s))[0]
 
 
-def _sylow_member(d: np.ndarray, p: int, s: int, r: int) -> bool:
-    """Is the element with v-coordinates d (mod p^s) in I^r?
+def _sylow_member(d: np.ndarray, p: int, s: int, r: int, pt: int) -> bool:
+    """Is the element with v-coordinates d (mod p^s) in I^r, the Sylow-p
+    quotient of order pt = p^t?  d needs min(r, pt) entries.
 
     Decided in (Z/p^s)[v]/(v^r): column k of the r x r lower-triangular
     Toeplitz matrix is rho * v^k mod v^r (zero-padded when r > p^t).
     """
-    pt, ps = len(d), p**s
+    ps = p**s
     rho = np.zeros(r, dtype=np.int64)
     rho[1 : pt + 1] = [comb(pt, j) % ps for j in range(1, min(r, pt + 1))]
     target = np.zeros(r, dtype=np.int64)
@@ -164,21 +170,24 @@ def _sylow_member(d: np.ndarray, p: int, s: int, r: int) -> bool:
 
 
 def _sylow_ord(d: np.ndarray, p: int, s: int, cap: int) -> int | AtLeast:
-    """Largest r < cap with d in I^r (d[0] = 0 assumed), else AtLeast(cap).
+    """Largest r < cap = p^t + 1 with d in I^r (d[0] = 0 assumed), else
+    AtLeast(cap).
 
     ord_1 is read off d mod p; at s >= 2 the bisection runs below
-    min(ord_1 + 1, cap), since ord_s <= ord_1.
+    min(ord_1 + 1, cap), since ord_s <= ord_1.  So d may stop at its first
+    unit past d[0] (see ``_v_coordinates``).
     """
+    pt = cap - 1
     nonzero = np.flatnonzero(d % p)
     ord1 = int(nonzero[0]) if nonzero.size else cap
-    if ord1 >= cap and (s == 1 or _sylow_member(d, p, s, cap)):
+    if ord1 >= cap and (s == 1 or _sylow_member(d, p, s, cap, pt)):
         return AtLeast(cap)
     if s == 1:
         return ord1
     lo, hi = 1, min(ord1 + 1, cap)  # member(lo) true, member(hi) false
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _sylow_member(d, p, s, mid):
+        if _sylow_member(d, p, s, mid, pt):
             lo = mid
         else:
             hi = mid

@@ -219,6 +219,22 @@ class VerificationReport:
         return not self.fatal_failures
 
 
+def _pair_failures(rec: ResultRecord, tag: str) -> list[str]:
+    """The lines for a row whose t is not v_p(N - 1), or whose t = 0 comes
+    with a rank: the re-derivation ties e, f and the t-sequence to the
+    stored t, so this ties them to N."""
+    try:
+        t = valuation_p(rec.N - 1, rec.p)
+    except ValueError as exc:  # N = 1, or p < 2
+        return [f"{tag}: t = {rec.t} but v_p(N - 1) is undefined ({exc})"]
+    out = []
+    if rec.t != t:
+        out.append(f"{tag}: t = {rec.t} but v_p(N - 1) = {t}")
+    if rec.t == 0 and rec.e not in (None, 0):
+        out.append(f"{tag}: t = 0 but e = {rec.e}")
+    return out
+
+
 def _rederivation_failures(rec: ResultRecord, tag: str) -> list[str]:
     """One line per Hecke field of ``rec`` that its f_coeffs and precision do
     not reproduce: f must be a reduced distinguished polynomial of degree e
@@ -259,8 +275,11 @@ def verify_records(records: list[ResultRecord], recheck_lecouturier: bool = Fals
     fields re-derive from f_coeffs and precision (deg f = e,
     v_p(f(0)) = t, and the stored t_seq, np_vertices and components), one
     line naming the field per mismatch, or one for a row that cannot be
-    re-derived.  Informational: (c) e = 2 iff ord_1 = 2 (conjectural);
-    (d) tally of rows with e != ord_1 against the published exception list.
+    re-derived; (g) on every row, t = v_p(N - 1), and a row with t = 0
+    has e None or 0.  Informational: (c) e = 2 iff ord_1 = 2
+    (conjectural); (d) tally of rows with e != ord_1 against the published
+    exception list.  Rows with t = 0 or no Hecke data are not counted in
+    ``checked``.
     """
     fatal: list[str] = []
     info: list[str] = []
@@ -268,10 +287,11 @@ def verify_records(records: list[ResultRecord], recheck_lecouturier: bool = Fals
     violations: list[tuple[int, int]] = []
     checked = 0
     for rec in records:
+        tag = f"(N,p)=({rec.N},{rec.p})"
+        fatal += _pair_failures(rec, tag)
         if rec.e is None or rec.t == 0:
             continue
         checked += 1
-        tag = f"(N,p)=({rec.N},{rec.p})"
         fatal += _rederivation_failures(rec, tag)
         ord1 = rec.ord_1()
         ord1_num = None if ord1 is None else (ord1.bound if isinstance(ord1, AtLeast) else ord1)

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 import sympy
 
-from eisenlab.corering import Modulus, PadicPoly, matmul_mod, newton_polygon
+import eisenlab.hecke.eisenstein as eisenstein
+from eisenlab.corering import (
+    FullPivotFactor,
+    Modulus,
+    PadicPoly,
+    kernel_of_free_summand,
+    matmul_mod,
+    newton_polygon,
+    valuation_p,
+)
 from eisenlab.corering.newton import _fp_factor, unit_window_factor
 from eisenlab.hecke import (
     ConsistencyError,
@@ -18,6 +27,7 @@ from eisenlab.hecke import (
     heilbronn_matrices,
     smallest_good_prime,
 )
+from eisenlab.hecke.manin import build_manin_space
 from eisenlab.invariants import is_good_prime
 from eisenlab.sweep import compute_record, verify_records
 
@@ -383,3 +393,119 @@ def test_components_match_hensel_window_reference():
                 for i1, v1, i2, v2 in newton_polygon(f).segments()
             )
     assert windows >= 500
+
+
+# -- the Eisenstein summand certified at the short exponent --------------------
+
+
+def _full_power_kernel(B, mod):
+    """ker B^K with K the first power of two >= n * M, the exponent that
+    needs no certificate."""
+    P, K = B % mod.pM, 1
+    while K < max(1, B.shape[0] * mod.M):
+        P, K = matmul_mod(P, P, mod), 2 * K
+    return kernel_of_free_summand(P, mod)
+
+
+def _unipotent_inverse(T, mod):
+    """T^-1 for T = I + X with X nilpotent: (I - X)(I + X^2)(I + X^4)...,
+    as X^n = 0."""
+    n = T.shape[0]
+    I = np.eye(n, dtype=np.int64)
+    Y = (I - T) % mod.pM  # -X
+    inv, k = (I + Y) % mod.pM, 2
+    while k < n:
+        Y = matmul_mod(Y, Y, mod)
+        inv, k = matmul_mod(inv, (I + Y) % mod.pM, mod), 2 * k
+    return inv
+
+
+def _planted_fitting(nil, m, mod, seed):
+    """B = U diag(nil, V) U^-1 over Z/p^M: U unimodular, V (m x m)
+    invertible mod p, so the Eisenstein-like summand is the span of the
+    first nil.shape[0] columns of U."""
+    gen = np.random.default_rng(seed)
+    d, pM = nil.shape[0], mod.pM
+    n = d + m
+    L = np.tril(gen.integers(0, pM, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    R = np.triu(gen.integers(0, pM, (n, n)), 1) + np.eye(n, dtype=np.int64)
+    U = matmul_mod(L, R, mod)
+    U_inv = matmul_mod(_unipotent_inverse(R, mod), _unipotent_inverse(L, mod), mod)
+    assert np.array_equal(matmul_mod(U, U_inv, mod), np.eye(n, dtype=np.int64))
+    V = np.triu(gen.integers(0, pM, (m, m)), 1)
+    V[np.arange(m), np.arange(m)] = gen.integers(1, mod.p, m) + mod.p * gen.integers(0, pM // mod.p, m)
+    D = np.zeros((n, n), dtype=np.int64)
+    D[:d, :d], D[d:, d:] = nil % pM, V
+    return matmul_mod(matmul_mod(U, D, mod), U_inv, mod), U[:, :d]
+
+
+def _companion(coeffs):
+    """Companion matrix of the monic y^k + coeffs[k-1] y^(k-1) + ... + coeffs[0]."""
+    k = len(coeffs)
+    C = np.zeros((k, k), dtype=np.int64)
+    C[np.arange(1, k), np.arange(k - 1)] = 1
+    C[:, -1] = [-c for c in coeffs]
+    return C
+
+
+_FITTING_CASES = {
+    # a nilpotent part with a one-dimensional kernel mod p but d = 6, which
+    # B^32 kills: the kernel at K = 32 certifies itself
+    "certified": (lambda p: _companion([-p] + [0] * 5), 10, 4, 1),
+    # y^10 - p: B^32 = p^3 B^2 on that block, whose kernel mod p^4 has
+    # p-torsion, so the kernel at K = 32 is no free summand
+    "not free at 32": (lambda p: _companion([-p] + [0] * 9), 6, 4, 2),
+    # a 40 x 40 Jordan block mod p: ker B^32 is free of rank 32, too large
+    # to certify d
+    "rank 32 at 32": (lambda p: np.eye(40, k=1, dtype=np.int64), 4, 2, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_FITTING_CASES))
+def test_summand_kernel_on_planted_fitting_structure(case, monkeypatch):
+    nil, m, M, calls_expected = _FITTING_CASES[case]
+    mod = Modulus(5, M)
+    B, G = _planted_fitting(nil(mod.p), m, mod, seed=len(case))
+    calls = []
+    kernel = eisenstein.kernel_of_free_summand
+
+    def counted(P, mod):
+        try:
+            out = kernel(P, mod)
+        except ArithmeticError:
+            calls.append("raised")
+            raise
+        calls.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(eisenstein, "kernel_of_free_summand", counted)
+    W = eisenstein._summand_kernel(B, mod)
+    assert np.array_equal(W, _full_power_kernel(B, mod))
+    assert len(calls) == calls_expected, calls
+    if case == "not free at 32":
+        assert calls[0] == "raised"
+    if case == "rank 32 at 32":
+        assert calls[0] == 32
+    # W spans the planted summand: each is in the span of the other
+    d = G.shape[1]
+    assert W.shape[1] == d
+    for X, Y in ((W, G), (G, W)):
+        F = FullPivotFactor(Y, mod)
+        assert all(F.solve(col) is not None for col in X.T)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_summand_kernel_matches_full_power_below_2000(p):
+    # the first Eisenstein summand, certified at K = 32 where n * M > 32,
+    # is the kernel taken at K >= n * M, entry for entry
+    from eisenlab.sweep import sweep_primes
+
+    short = 0
+    for N in sweep_primes(p, 2000):
+        mod = Modulus(p, default_precision(valuation_p(N - 1, p)))
+        ell = smallest_good_prime(N, p)
+        T = build_manin_space(N, mod).hecke_on_plus(ell)
+        B = (T - (ell + 1) * np.eye(T.shape[0], dtype=np.int64)) % mod.pM
+        assert np.array_equal(eisenstein._summand_kernel(B, mod), _full_power_kernel(B, mod)), N
+        short += B.shape[0] * mod.M > 32
+    assert short >= len(sweep_primes(p, 2000)) // 2

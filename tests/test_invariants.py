@@ -211,9 +211,41 @@ def _pairs(p, bound):
             yield N, int(valuation_p(N - 1, p))
 
 
+def _v_coordinates_full(vec, p, s, t):
+    """All p^t v-coordinates d[j] = sum_k vec[k] C(k, j) mod p^s, one Pascal
+    row per k by the additive recurrence (independent oracle)."""
+    pt, ps = p**t, p**s
+    d = np.zeros(pt, dtype=np.int64)
+    row = np.zeros(pt, dtype=np.int64)  # row[j] = C(k, j) mod p^s
+    row[0] = 1
+    for c in vec:
+        c = int(c) % ps
+        if c:
+            d = (d + c * row) % ps
+        row[1:] = (row[1:] + row[:-1]) % ps
+    return d
+
+
 def _zeta_v_coordinates(N, p, s, t):
     proj = _sylow_projection(zeta_element(N, p, s), p, s, t)
-    return _v_coordinates(proj, p, s, t)
+    return _v_coordinates_full(proj, p, s, t)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_v_coordinates_stop_at_first_unit(p):
+    # the prefix up to the first unit past d[0], or all of d when there is
+    # none, on zeta's projections and on vectors with no unit coordinate
+    gen = np.random.default_rng(p)
+    for N, t in _pairs(p, 2000 if p < 11 else 5000):
+        for s in range(1, t + 1):
+            proj = _sylow_projection(zeta_element(N, p, s), p, s, t)
+            vecs = [proj, p * proj % p**s, gen.integers(0, p**s, p**t)]
+            for vec in vecs:
+                full = _v_coordinates_full(vec, p, s, t)
+                got = _v_coordinates(vec, p, s, t)
+                units = np.flatnonzero(full[1:] % p)
+                want = full[: units[0] + 2] if units.size else full
+                assert np.array_equal(got, want), (N, p, s)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -239,7 +271,7 @@ def test_full_ring_oracle_agrees_at_every_r(p, monkeypatch):
             for r in range(1, cap + 1):
                 member = isinstance(o, AtLeast) or r <= o
                 assert _aug_power_membership_full(z, p, s, r) == member, (N, p, s, r)
-                assert _sylow_member(d, p, s, r) == member, (N, p, s, r)
+                assert _sylow_member(d, p, s, r, p**t) == member, (N, p, s, r)
 
 
 @pytest.mark.parametrize(
@@ -318,7 +350,7 @@ def test_planted_sylow_vectors(p, t, monkeypatch):
     probes = []
     member = invariants._sylow_member
     monkeypatch.setattr(
-        invariants, "_sylow_member", lambda d, p, s, r: probes.append(r) or member(d, p, s, r)
+        invariants, "_sylow_member", lambda d, p, s, r, pt: probes.append(r) or member(d, p, s, r, pt)
     )
     gen = np.random.default_rng(p * 10 + t)
     cap = p**t + 1

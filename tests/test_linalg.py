@@ -20,7 +20,7 @@ from eisenlab.corering import (
     unit_echelon,
     valuation_p,
 )
-from eisenlab.corering.linalg import _delay_room, _narrow
+from eisenlab.corering.linalg import _apply_panel, _delay_room, _narrow, _unit_gauss_jordan
 
 rng = np.random.default_rng(417)
 
@@ -373,14 +373,16 @@ def _mulmod(A, B, pM):
     return ((np.asarray(A).astype(object) @ np.asarray(B).astype(object)) % pM).astype(np.int64)
 
 
-def _unit_echelon_unblocked(A, mod):
-    """One rank-1 Gauss-Jordan update per unit pivot (independent oracle)."""
+def _gauss_jordan_unblocked(A, mod, stop=None):
+    """One rank-1 Gauss-Jordan update per unit pivot, pivots taken among the
+    first ``stop`` columns (independent oracle); returns the reduced matrix
+    and the pivot columns."""
     pM, p = mod.pM, mod.p
     A = np.asarray(A, dtype=np.int64) % pM
     m, n = A.shape
     pivcols = []
     r = 0
-    for c in range(n):
+    for c in range(n if stop is None else stop):
         if r >= m:
             break
         nz = np.nonzero(A[r:, c] % p)[0]
@@ -396,9 +398,15 @@ def _unit_echelon_unblocked(A, mod):
         A %= pM
         pivcols.append(c)
         r += 1
-    if np.any(A[r:] % pM != 0):
+    return A, pivcols
+
+
+def _unit_echelon_unblocked(A, mod):
+    A, pivcols = _gauss_jordan_unblocked(A, mod)
+    r = len(pivcols)
+    if np.any(A[r:] % mod.pM != 0):
         raise ArithmeticError("non-unit pivot needed: row space has p-torsion")
-    return A[:r], pivcols, [c for c in range(n) if c not in pivcols]
+    return A[:r], pivcols, [c for c in range(A.shape[1]) if c not in pivcols]
 
 
 def _kernel_of_free_summand_unblocked(P, mod):
@@ -843,3 +851,33 @@ def test_delayed_reduction_at_edge_moduli(pm, room):
     At = np.vstack([A[:40], p * v % pM])
     assert _same(_outcome(unit_echelon, At, mod), _outcome(_unit_echelon_unblocked, At, mod))
     _matches_reference(At[:, :40], mod, gen)
+
+
+@pytest.mark.parametrize("stop", [72, 40, 7], ids=lambda s: f"stop={s}")
+@pytest.mark.parametrize("pm", [(2147483647, 1), (5, 13)], ids=["2^31-1", "5^13"])
+def test_unit_gauss_jordan_matches_unblocked(pm, stop):
+    # the whole matrix after the blocked elimination, pivots searched in the
+    # first ``stop`` columns only, is the unblocked one's, and so is its
+    # panels' replay on the original; rows above a panel take their share of
+    # its row operations as one product at its end, so the panels must have
+    # such rows with nonzero multipliers
+    mod = Modulus(*pm)
+    pM = mod.pM
+    gen = np.random.default_rng(stop)
+    above = 0
+    for A0 in (
+        pM - 1 - gen.integers(0, 3, (80, 72)),  # dense, every entry as large as it can be
+        gen.integers(0, pM, (50, 72)),  # wide: the last panel has no pivot row left
+        _free_columns_at(gen, 90, 72, _FREE_COLS, pM),  # free columns, zero rows below the rank
+    ):
+        A = A0.copy()
+        pivcols, panels = _unit_gauss_jordan(A, mod, stop)
+        want, want_pivcols = _gauss_jordan_unblocked(A0, mod, stop)
+        assert pivcols == want_pivcols
+        assert np.array_equal(A, want)
+        X = A0.copy()
+        for panel in panels:
+            _apply_panel(X, panel, mod)
+        assert np.array_equal(X, want)
+        above += sum(int((rows < r0).sum()) for r0, _, rows, _ in panels)
+    assert above > 0 if stop > 32 else above == 0

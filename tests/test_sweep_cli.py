@@ -279,6 +279,13 @@ _TAMPERED = {
     ),
     "no-precision": ("precision", None, "precision is missing"),
     "zero-precision": ("precision", 0, "f_coeffs at precision 0 cannot be re-derived"),
+    # refused before 5^(10^7) is built, which takes seconds
+    "huge-precision": (
+        "precision",
+        10**7,
+        "f_coeffs at precision 10000000 cannot be re-derived (ValueError: p^M = 5^10000000 does not fit",
+    ),
+    "t": ("t", 2, "t = 2 but v_p(N - 1) = 1"),
 }
 
 
@@ -304,6 +311,32 @@ def test_cli_verify_rederives_hecke_data(tmp_path, capsys, case):
     assert rc == 4
     start = f"  FATAL: (N,p)=(181,5): {_TAMPERED[case][2]}"
     assert any(line.startswith(start) for line in fatal), fatal
+
+
+def test_verify_ties_t_to_N():
+    # a row's t must be v_p(N - 1), else e, f and the t-sequence, which the
+    # re-derivation checks against t, are tied to nothing: (31, 5) relabelled
+    # N = 3001 re-derives cleanly, and a t = 0 row with a rank skips every
+    # other check
+    rec = compute_record(31, 5)
+    assert verify_records([rec]).ok
+    moved = ResultRecord.from_json(rec.to_json().replace('"N":31,', '"N":3001,'))
+    report = verify_records([moved])
+    assert report.fatal_failures == ["(N,p)=(3001,5): t = 1 but v_p(N - 1) = 3"]
+    assert report.checked == 1
+    trivial = compute_record(13, 5)
+    assert (trivial.t, trivial.e) == (0, 0)
+    assert verify_records([trivial]).ok and verify_records([trivial]).checked == 0
+    trivial.e = 2
+    report = verify_records([trivial])
+    assert report.fatal_failures == ["(N,p)=(13,5): t = 0 but e = 2"]
+    assert report.checked == 0
+    trivial.e, trivial.t = 0, 1
+    assert verify_records([trivial]).fatal_failures[0] == "(N,p)=(13,5): t = 1 but v_p(N - 1) = 0"
+    one = ResultRecord(N=1, p=5, t=0)
+    assert verify_records([one]).fatal_failures == [
+        "(N,p)=(1,5): t = 0 but v_p(N - 1) is undefined (valuation of 0 is not an integer)"
+    ]
 
 
 def test_cli_massey_selftest_quick(capsys):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from eisenlab.corering import AtLeast, Modulus, PadicPoly, valuation_p
@@ -24,6 +26,17 @@ def test_modulus_basic():
         Modulus(3, 2)  # p must exceed 3
     with pytest.raises(ValueError):
         Modulus(5, 0)
+
+
+def test_modulus_refuses_wide_moduli_at_once():
+    # 5^55 is the first power of 5 past 2^127; a precision read from a
+    # records file can be far larger, and is refused without building p^M
+    assert Modulus(5, 54).pM == 5**54
+    for M in (55, 126, 127, 10**7):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"5\\^{M} does not fit a 128-bit word"):
+            Modulus(5, M)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_modulus_valuation_cap():
