@@ -47,7 +47,7 @@ from functools import cache
 import numpy as np
 
 from ..corering.dlog import build_dlog_table
-from ..corering.linalg import kernel_of_free_summand, matmul_mod
+from ..corering.linalg import matmul_mod
 from ..corering.zmod import Modulus
 
 
@@ -142,9 +142,9 @@ def _tree_solve(cols: np.ndarray, vals: np.ndarray, ncols: int, p: int, pM: int)
 class ManinSpace:
     """The plus quotient V+ (rank g+1) of weight-2 modular symbols mod p^M.
 
-    Exposes the Hecke operators on V+, the boundary functional to the cusp
-    oo (the cusp 0 carries its negative), and the cuspidal plus subspace,
-    its kernel (rank g).
+    Exposes the Hecke operators on V+ and the boundary functional to the
+    cusp oo (the cusp 0 carries its negative), a unit functional whose
+    kernel is the cuspidal plus subspace (rank g).
     """
 
     def __init__(self, N: int, modulus: Modulus):
@@ -228,8 +228,9 @@ class ManinSpace:
         c, d = self._basis_c % self.N, self._basis_d % self.N
         self.boundary = ((c == 0).astype(np.int64) - (d == 0)) % mod.pM
         self._column_boundary = matmul_mod(self._expr, self.boundary, mod)  # of every column
-        self.cuspidal_plus_in_plus = kernel_of_free_summand(self.boundary[None, :], mod)
-        if self.cuspidal_plus_in_plus.shape[1] != self.genus:
+        # entries are 0 or +-1, so a nonzero functional has a unit pivot, and
+        # its kernel, the cuspidal part of V+, is free of rank genus
+        if not self.boundary.any():
             raise ArithmeticError("boundary functional is not a unit functional on V+")
 
     # -- Hecke action ------------------------------------------------------

@@ -49,6 +49,16 @@ def is_good_prime(ell: int, N: int, p: int) -> bool:
     return not is_power(ell % N, N, p)
 
 
+def _log_terms(N: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, i mod q, log(i) mod q) over F_N^x, in log order, for q | N - 1.
+
+    q < N < 2^26 (the dlog limit), so products of two residues and sums of
+    N residues stay below 2^52: reduce each term, and int64 sums are exact.
+    """
+    i = build_dlog_table(N).powers
+    return i, i % q, np.arange(N - 1, dtype=np.int64) % q
+
+
 @dataclass
 class MerelReport:
     N: int
@@ -69,12 +79,10 @@ def merel_report(N: int, p: int, s_max: int) -> MerelReport:
         raise ValueError(f"p = {p} does not divide N-1 = {N - 1}")
     if s_max > t:
         raise ValueError(f"s_max = {s_max} exceeds v_p(N-1) = {t}")
-    dlog = build_dlog_table(N)
     value = merel_number(N)
-    half = (N - 1) // 2
-    total = 0
-    for i in range(1, half + 1):
-        total += i * dlog.table[i]
+    q = p**s_max
+    i, iq, log = _log_terms(N, q)
+    total = int((iq * log % q)[i <= (N - 1) // 2].sum())
     log_sum_s = {}
     is_power_s = {}
     prev = True
@@ -290,21 +298,13 @@ def lecouturier_check(N: int, p: int, s: int) -> bool:
     if (N - 1) % p != 0 or p <= 3:
         raise ValueError("need p | N-1 and p > 3")
     ps = p**s
-    dlog = build_dlog_table(N)
-    s_log = 0
-    s_ilog = 0
-    s_i2log = 0
-    s_half = 0
-    half = (N - 1) // 2
-    for i in range(1, N):
-        li = dlog.table[i]
-        s_log += li
-        s_ilog += i * li
-        s_i2log += i * i * li
-        if i <= half:
-            s_half += i * li
-    if s_log % ps != 0 or s_ilog % ps != 0:
+    if (N - 1) % ps != 0:
+        return False  # sum log(i) = (N-1)(N-2)/2 has valuation v_p(N-1) < s
+    i, iq, log = _log_terms(N, ps)
+    i_log = iq * log % ps
+    if log.sum() % ps != 0 or i_log.sum() % ps != 0:
         return False
-    lhs = s_i2log % ps
+    s_half = int(i_log[i <= (N - 1) // 2].sum())
+    lhs = int((iq * iq % ps * log % ps).sum()) % ps
     rhs = (-s_half * 4 * pow(3, -1, ps)) % ps
     return lhs == rhs

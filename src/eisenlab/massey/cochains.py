@@ -62,7 +62,7 @@ class CoeffModule:
             char = np.asarray(char, dtype=np.int64) % q
             if any(not modulus.is_unit(int(c)) for c in char):
                 raise ValueError("character values must be units")
-            if not _is_matrix_homomorphism(group, char.reshape(n, 1, 1), modulus):
+            if not is_homomorphism(group, char.reshape(n, 1, 1), modulus):
                 raise ValueError("character is not a homomorphism")
             char.setflags(write=False)
             self.char = char
@@ -71,7 +71,7 @@ class CoeffModule:
             rho = np.asarray(rho, dtype=np.int64) % q
             if rho.shape != (n, 2, 2):
                 raise ValueError("rho must be (order, 2, 2)")
-            if not _is_matrix_homomorphism(group, rho, modulus):
+            if not is_homomorphism(group, rho, modulus):
                 raise ValueError("rho is not a homomorphism")
             # then rho(g) rho(g^-1) = rho(1), so rho(1) = I makes every rho(g) invertible
             if not np.array_equal(rho[group.identity], np.eye(2, dtype=np.int64)):
@@ -359,6 +359,7 @@ def all_cocycles(module: CoeffModule):
     return [Cochain(module, 1, values[k].reshape(shape)) for k in np.sort(first)]
 
 
-def _is_matrix_homomorphism(G: FiniteGroup, nu: np.ndarray, mod: Modulus) -> bool:
-    """nu(g) nu(h) = nu(gh) for all g, h, for a table of square matrices."""
+def is_homomorphism(G: FiniteGroup, nu: np.ndarray, mod: Modulus) -> bool:
+    """nu(g) nu(h) = nu(gh) for all g, h, for a table of square matrices
+    (characters, representations, unipotent and deformation tables)."""
     return np.array_equal(matmul_mod(nu[:, None], nu[None, :], mod), nu[G.table] % mod.pM)

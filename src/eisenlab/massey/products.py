@@ -29,13 +29,12 @@ from ..corering.zmod import Modulus
 from .cochains import (
     Cochain,
     CoeffModule,
-    _is_matrix_homomorphism,
     coboundary,
     cup,
     is_cocycle,
+    is_homomorphism,
     vanishes_in_h2,
 )
-from .groups import FiniteGroup
 
 
 class InvalidDefiningSystem(Exception):
@@ -98,7 +97,7 @@ def coordinate_relation(D: DefiningSystem, coord: tuple[int, int]) -> bool:
     s, t = coord
     if s not in (1, 2) or t not in (1, 2):
         raise ValueError("coordinate indices must be in {1, 2}")
-    if D.module.kind != "matrix" or not D.module.is_diagonal():
+    if not D.module.is_diagonal():
         raise ValueError("coordinate relations need End(chi1 + chi2) coefficients")
     z = massey_product_cocycle(D)
     ok, _ = vanishes_in_h2(z.entry(s, t))
@@ -114,7 +113,7 @@ def shifted_system(D: DefiningSystem) -> tuple[DefiningSystem, Cochain]:
     (2,1)-entry chi1 * a21^(1).  Returns (D', c) where c is the shifted
     obstruction cocycle; its vanishing matches the (2,1) relation of D.
     """
-    if D.module.kind != "matrix" or not D.module.is_diagonal():
+    if not D.module.is_diagonal():
         raise ValueError("index shift needs End(chi1 + chi2) coefficients")
     r = D.n
     if r < 3:
@@ -151,31 +150,42 @@ def shifted_system(D: DefiningSystem) -> tuple[DefiningSystem, Cochain]:
     return Dp, c
 
 
-# -- unipotent picture -------------------------------------------------------
+# -- unipotent picture and deformations --------------------------------------
 
 
-def _require_trivial_scalar(module: CoeffModule):
+def deformation_tables(rho: np.ndarray, chain: list[Cochain], mod: Modulus) -> np.ndarray:
+    """nu_r(g) = rho(g) + sum_j m_j(g) rho(g) eps^j, r = len(chain), as the
+    (r+1)d x (r+1)d block upper-triangular Toeplitz matrix whose block (i, j)
+    is the eps^(j-i) coefficient (d x d, d = rho.shape[1]).
+
+    A product of two such matrices is the matrix of the eps-truncated
+    product, so nu_r is a homomorphism mod eps^(r+1) iff ``is_homomorphism``
+    accepts the table.
+    """
+    m, d = rho.shape[:2]
+    size = len(chain) + 1
+    coeffs = [rho % mod.pM] + [matmul_mod(mj.table.reshape(m, d, d), rho, mod) for mj in chain]
+    out = np.zeros((m, size, d, size, d), dtype=np.int64)
+    for i in range(size):
+        for j in range(i, size):
+            out[:, i, :, j] = coeffs[j - i]
+    return out.reshape(m, size * d, size * d)
+
+
+def _trivial_character(module: CoeffModule) -> np.ndarray:
+    """The trivial character as a table of 1 x 1 matrices; the unipotent
+    picture is the deformation of it by a chain of scalar cochains."""
     if module.kind != "scalar" or np.any(module.char != 1):
         raise ValueError("unipotent construction needs trivial scalar coefficients")
-
-
-def _unipotent(chain: list[Cochain]) -> np.ndarray:
-    """The (r+1) x (r+1) upper-unipotent table with chain[l-1] on the l-th
-    superdiagonal, r = len(chain)."""
-    size = len(chain) + 1
-    nu = np.tile(np.eye(size, dtype=np.int64), (chain[0].module.group.order, 1, 1))
-    for l, m in enumerate(chain, start=1):
-        for r in range(size - l):
-            nu[:, r, r + l] = m.table
-    return nu
+    return module.char.reshape(-1, 1, 1)
 
 
 def unipotent_hom(D: DefiningSystem) -> np.ndarray:
     """The n x n upper-unipotent homomorphism of D, m_l on the l-th
     superdiagonal; verified to be a homomorphism."""
-    _require_trivial_scalar(D.module)
-    nu = _unipotent(D.chain)
-    if not _is_matrix_homomorphism(D.module.group, nu, D.module.modulus):
+    mod = D.module.modulus
+    nu = deformation_tables(_trivial_character(D.module), D.chain, mod)
+    if not is_homomorphism(D.module.group, nu, mod):
         raise InvalidDefiningSystem("defining system does not give a unipotent hom")
     return nu
 
@@ -186,39 +196,15 @@ def unipotent_concatenation(D: DefiningSystem):
     Returns the homomorphism table when the Massey obstruction <...>_D
     vanishes (the corner entry is a primitive of -c(D)); None otherwise.
     """
-    _require_trivial_scalar(D.module)
+    trivial = _trivial_character(D.module)
     ok, prim = vanishes_in_h2(-massey_product_cocycle(D))
     if not ok:
         return None
-    nu = _unipotent(D.chain + [prim])
-    if not _is_matrix_homomorphism(D.module.group, nu, D.module.modulus):
+    mod = D.module.modulus
+    nu = deformation_tables(trivial, D.chain + [prim], mod)
+    if not is_homomorphism(D.module.group, nu, mod):
         raise AssertionError("concatenated unipotent map is not a homomorphism")
     return nu
-
-
-# -- deformations ------------------------------------------------------------
-
-
-def deformation_tables(rho: np.ndarray, chain: list[Cochain], mod: Modulus) -> np.ndarray:
-    """nu_r(g) = rho(g) + sum_j m_j(g) rho(g) eps^j as an (r+1)-vector of
-    matrices per group element; multiplication truncates eps^(r+1)."""
-    m = rho.shape[0]
-    r = len(chain)
-    out = np.zeros((m, r + 1, 2, 2), dtype=np.int64)
-    out[:, 0] = rho % mod.pM
-    for j, mj in enumerate(chain, start=1):
-        out[:, j] = matmul_mod(mj.table, rho, mod)
-    return out
-
-
-def is_deformation_homomorphism(G: FiniteGroup, nu: np.ndarray, mod: Modulus) -> bool:
-    """Check nu(gh) = nu(g) nu(h) with eps-truncated multiplication."""
-    for k in range(nu.shape[1]):
-        # [g, h] = sum_i nu(g)_i nu(h)_(k-i)
-        acc = sum(matmul_mod(nu[:, None, i], nu[None, :, k - i], mod) for i in range(k + 1))
-        if not np.array_equal(acc % mod.pM, nu[G.table, k]):
-            return False
-    return True
 
 
 # -- exhaustive oracle on a small cyclic group -------------------------------

@@ -19,6 +19,7 @@ from .cochains import (
     coboundary,
     cup,
     is_cocycle,
+    is_homomorphism,
     random_cocycle,
     vanishes_in_h2,
 )
@@ -28,7 +29,6 @@ from .products import (
     coordinate_relation,
     cup_sum,
     deformation_tables,
-    is_deformation_homomorphism,
     massey_power_vanishes,
     massey_power_vanishes_somewhere,
     massey_product_cocycle,
@@ -222,14 +222,14 @@ def run_selftest(seed: int = 20250809, quick: bool = False) -> SelftestResult:
             continue
         m2 = part + random_cocycle(End, rng)
         nu2 = deformation_tables(rho, [m1, m2], modm)
-        if not is_deformation_homomorphism(Gm, nu2, modm):
+        if not is_homomorphism(Gm, nu2, modm):
             ok = False
         # breaking the law must break the homomorphism
         bad = m2 + Cochain(End, 1, rng.integers(1, 5, m2.table.shape))
         if (coboundary(bad) + square).is_zero():
             continue  # perturbation accidentally repaired the law; skip
         nu_bad = deformation_tables(rho, [m1, bad], modm)
-        if is_deformation_homomorphism(Gm, nu_bad, modm):
+        if is_homomorphism(Gm, nu_bad, modm):
             ok = False
         count += 1
     res.record("defining-system law iff deformation is a homomorphism", ok, count)

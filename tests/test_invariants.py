@@ -138,6 +138,35 @@ def test_lecouturier_identities():
     assert lecouturier_check(1321, 11, 1)
 
 
+def _python_int_log_sums(N):
+    """(sum log i, sum i log i, sum i^2 log i, sum_{i <= (N-1)/2} i log i)
+    over F_N^x, unreduced, in Python ints."""
+    table = build_dlog_table(N).table
+    sums = [0, 0, 0, 0]
+    for i in range(1, N):
+        li = table[i]
+        sums[0] += li
+        sums[1] += i * li
+        sums[2] += i * i * li
+        if i <= (N - 1) // 2:
+            sums[3] += i * li
+    return sums
+
+
+@pytest.mark.parametrize("N, p", [(60101, 5), (99991, 5), (99991, 11)])
+def test_log_sums_match_python_ints(N, p):
+    s_log, s_ilog, s_i2log, s_half = _python_int_log_sums(N)
+    if N == 99991:
+        assert s_i2log >= 2**63  # an unreduced int64 sum would wrap here
+    t = valuation_p(N - 1, p)
+    assert merel_report(N, p, t).log_sum_s == {s: s_half % p**s for s in range(1, t + 1)}
+    for s in range(1, t + 2):
+        ps = p**s
+        want = s_log % ps == 0 and s_ilog % ps == 0 and (s_i2log + s_half * 4 * pow(3, -1, ps)) % ps == 0
+        assert lecouturier_check(N, p, s) == want
+        assert want == (s <= t)
+
+
 def _merel_power_matches_ord(N, p, s):
     """Equivalence: Merel's number is a p^s-th power iff ord_s(zeta) >= 2."""
     o = ord_zeta(N, p, s)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eisenlab.corering import Modulus
+from eisenlab.corering import Modulus, matmul_mod
 from eisenlab.massey import (
     Cochain,
     CoeffModule,
@@ -17,7 +17,7 @@ from eisenlab.massey import (
     dihedral,
     direct_product,
     is_cocycle,
-    is_deformation_homomorphism,
+    is_homomorphism,
     massey_power_vanishes,
     massey_power_vanishes_somewhere,
     massey_product_cocycle,
@@ -202,6 +202,35 @@ def test_unipotent_pair_and_concatenation():
             assert np.array_equal(big[:, :3, :3], nu)
 
 
+def _superdiagonal(chain):
+    """The (r+1) x (r+1) upper-unipotent table with chain[l-1] on the l-th
+    superdiagonal, r = len(chain), entry by entry."""
+    size = len(chain) + 1
+    nu = np.tile(np.eye(size, dtype=np.int64), (chain[0].module.group.order, 1, 1))
+    for l, m in enumerate(chain, start=1):
+        for r in range(size - l):
+            nu[:, r, r + l] = m.table
+    return nu
+
+
+def test_unipotent_tables_are_the_superdiagonal_construction():
+    G = cyclic(5)
+    V = CoeffModule.scalar(G, Modulus(5, 1))
+    a = Cochain(V, 1, np.arange(5, dtype=np.int64))
+    pool = all_cocycles(V)
+    concatenated = 0
+    for k in range(2, 6):
+        for D in power_defining_systems(a, k, pool):
+            assert np.array_equal(unipotent_hom(D), _superdiagonal(D.chain))
+            ok, prim = vanishes_in_h2(-massey_product_cocycle(D))
+            big = unipotent_concatenation(D)
+            assert (big is not None) == ok
+            if ok:
+                assert np.array_equal(big, _superdiagonal(D.chain + [prim]))
+                concatenated += 1
+    assert concatenated == 1 + 5 + 25  # every system at k <= 4, none at k = 5
+
+
 def test_unipotent_obstruction_blocks_all_corners():
     # at k = 5 no defining system vanishes; check no corner works by brute
     # force for one system
@@ -211,7 +240,6 @@ def test_unipotent_obstruction_blocks_all_corners():
     pool = all_cocycles(V)
     D = power_defining_systems(a, 5, pool)[0]
     assert unipotent_concatenation(D) is None
-    from eisenlab.massey.products import _is_matrix_homomorphism
 
     n = D.n
     base = np.zeros((5, n + 1, n + 1), dtype=np.int64)
@@ -227,7 +255,7 @@ def test_unipotent_obstruction_blocks_all_corners():
         nu = base.copy()
         nu[1:, 0, n] = corner  # corner at identity must be its own value
         nu[0, 0, n] = 0
-        if _is_matrix_homomorphism(G, nu, Modulus(5, 1)):
+        if is_homomorphism(G, nu, Modulus(5, 1)):
             raise AssertionError("found a corner despite nonvanishing obstruction")
 
 
@@ -302,7 +330,7 @@ def test_deformation_round_trip():
             continue
         m2 = part + random_cocycle(End, rng)
         nu = deformation_tables(End.rho, [m1, m2], mod)
-        assert is_deformation_homomorphism(G, nu, mod)
+        assert is_homomorphism(G, nu, mod)
         done += 1
     assert done >= 6
 
@@ -327,16 +355,84 @@ def test_deformation_top_obstruction_both_directions():
         solvable, m3 = vanishes_in_h2(-c)
         if solvable:
             nu3 = deformation_tables(End.rho, [m1, m2, m3], mod)
-            assert is_deformation_homomorphism(G, nu3, mod)
+            assert is_homomorphism(G, nu3, mod)
             # perturbing m3 off the -c(D) solution set breaks it
             for z in (random_cocycle(End, rng),):
                 bad = m3 + z + Cochain(End, 1, rng.integers(1, 5, m3.table.shape))
                 if (coboundary(bad) + c).is_zero():
                     continue
                 nu_bad = deformation_tables(End.rho, [m1, m2, bad], mod)
-                assert not is_deformation_homomorphism(G, nu_bad, mod)
+                assert not is_homomorphism(G, nu_bad, mod)
         done += 1
     assert done >= 4
+
+
+def _deformation_coefficients(rho, chain, mod):
+    """[g, j]: the eps^j coefficient of rho(g) + sum_j m_j(g) rho(g) eps^j."""
+    out = np.zeros((rho.shape[0], len(chain) + 1, 2, 2), dtype=np.int64)
+    out[:, 0] = rho % mod.pM
+    for j, mj in enumerate(chain, start=1):
+        out[:, j] = matmul_mod(mj.table, rho, mod)
+    return out
+
+
+def _is_truncated_homomorphism(G, coeffs, mod):
+    """coeffs(gh) = coeffs(g) coeffs(h), multiplying eps-polynomials by
+    convolution truncated at eps^(r+1)."""
+    for k in range(coeffs.shape[1]):
+        # [g, h] = sum_i coeffs(g)_i coeffs(h)_(k-i)
+        acc = sum(matmul_mod(coeffs[:, None, i], coeffs[None, :, k - i], mod) for i in range(k + 1))
+        if not np.array_equal(acc % mod.pM, coeffs[G.table, k]):
+            return False
+    return True
+
+
+def _check_deformations_against_convolution(End, gen, perturb):
+    """Build valid chains of length 1-3 over End (as far as each level is
+    solvable), perturb every entry of each, and compare the Toeplitz table
+    under ``is_homomorphism`` with the convolution oracle.  Returns the
+    numbers of (valid, rejected perturbed) chains decided."""
+    mod, G = End.modulus, End.group
+    d = End.rho.shape[1]
+    valid = rejected = 0
+    chain = [random_cocycle(End, gen)]
+    while True:
+        for j in range(-1, len(chain)):  # -1: the chain itself
+            trial = list(chain)
+            if j >= 0:
+                trial[j] = trial[j] + Cochain(End, 1, perturb(trial[j].table.shape))
+            coeffs = _deformation_coefficients(End.rho, trial, mod)
+            nu = deformation_tables(End.rho, trial, mod)
+            size = len(trial) + 1
+            assert nu.shape == (G.order, size * d, size * d)
+            blocks = nu.reshape(G.order, size, d, size, d)
+            for i in range(size):  # block (i, j) is the eps^(j - i) coefficient, 0 below
+                for jj in range(size):
+                    want = coeffs[:, jj - i] if jj >= i else np.zeros_like(coeffs[:, 0])
+                    assert np.array_equal(blocks[:, i, :, jj], want)
+            expected = _is_truncated_homomorphism(G, coeffs, mod)
+            assert is_homomorphism(G, nu, mod) == expected
+            if j < 0:
+                assert expected
+                valid += 1
+            else:
+                rejected += not expected
+        if len(chain) == 3:
+            return valid, rejected
+        ok, part = vanishes_in_h2(-cup_sum(chain))
+        if not ok:
+            return valid, rejected
+        chain.append(part + random_cocycle(End, gen))
+
+
+def test_toeplitz_deformation_check_matches_convolution():
+    End = _end_module()
+    gen = np.random.default_rng(11)
+    valid = rejected = 0
+    for _ in range(8):
+        v, r = _check_deformations_against_convolution(End, gen, lambda shape: gen.integers(1, 5, shape))
+        valid, rejected = valid + v, rejected + r
+    assert valid >= 8 and rejected >= 8
 
 
 def test_coboundary_built_and_factored_once_per_module(monkeypatch):
@@ -562,11 +658,22 @@ def test_deformation_check_at_edge_moduli(mod):
     gen = np.random.default_rng(20 + mod.M)
     for End in _edge_modules(mod)[2:]:
         m1 = random_cocycle(End, gen)
-        assert is_deformation_homomorphism(End.group, deformation_tables(End.rho, [m1], mod), mod)
+        assert is_homomorphism(End.group, deformation_tables(End.rho, [m1], mod), mod)
         for _ in range(3):
             bad = m1 + Cochain(End, 1, _edge_table(End, 1, gen))
             nu = deformation_tables(End.rho, [bad], mod)
-            assert is_deformation_homomorphism(End.group, nu, mod) == is_cocycle(bad)
+            assert is_homomorphism(End.group, nu, mod) == is_cocycle(bad)
+
+
+@pytest.mark.parametrize("mod", EDGE_MODULI, ids=EDGE_IDS)
+def test_toeplitz_deformation_check_matches_convolution_at_edge_moduli(mod):
+    gen = np.random.default_rng(30 + mod.M)
+    for End in _edge_modules(mod)[2:]:
+        valid = rejected = 0
+        for _ in range(2):
+            v, r = _check_deformations_against_convolution(End, gen, lambda shape: _edge_table(End, 1, gen))
+            valid, rejected = valid + v, rejected + r
+        assert valid >= 2 and rejected >= 2
 
 
 def test_coefficient_modules_reject_moduli_beyond_the_int64_kernels():
