@@ -3,8 +3,9 @@
 Tables are built by full enumeration of the powers of the smallest
 generator, doubled in int64 blocks (products of two residues below 2^26
 are exact); this is cheap and avoids Pohlig-Hellman machinery.
-The composite map x -> table[x] mod p^s realizes a surjection
-F_N^* ->> Z/p^s whenever p^s | N - 1.
+A table holds the powers g^k in log order; a function on F_N^* evaluated
+at them is indexed by the log, and the composite x -> log_g(x) mod p^s
+realizes a surjection F_N^* ->> Z/p^s whenever p^s | N - 1.
 """
 
 from __future__ import annotations
@@ -33,15 +34,15 @@ def smallest_generator(N: int) -> int:
 
 @dataclass
 class DlogTable:
-    """Lookup table x -> log_g(x) for x in [1, N), and its inverse.
+    """The smallest generator g of F_N^* and its powers.
 
     ``powers`` is the read-only int64 array k -> g^k mod N for k in [0, N-1),
-    so a function on F_N^* evaluated at ``powers`` is in log order.
+    so a function on F_N^* evaluated at ``powers`` is in log order; the logs
+    themselves are ``powers`` scattered: log[powers[k]] = k.
     """
 
     N: int
     g: int
-    table: list[int] = field(repr=False)
     powers: np.ndarray = field(repr=False)
 
 
@@ -60,9 +61,7 @@ def build_dlog_table(N: int) -> DlogTable:
         powers[k : k + m] = powers[:m] * pow(g, k, N) % N
         k += m
     powers.setflags(write=False)
-    table = np.zeros(N, dtype=np.int64)
-    table[powers] = np.arange(N - 1, dtype=np.int64)
-    return DlogTable(N=N, g=g, table=table.tolist(), powers=powers)
+    return DlogTable(N=N, g=g, powers=powers)
 
 
 def is_power(x: int, N: int, q: int) -> bool:

@@ -10,6 +10,8 @@ class FiniteGroup:
 
     Associativity, identity, and inverses are checked on construction
     (table sizes here are <= 36, so the cubic check is cheap).
+    ``generators`` generates the group: each smallest element outside the
+    subgroup generated so far, or ``(identity,)`` for the trivial group.
     """
 
     def __init__(self, table: np.ndarray, name: str = ""):
@@ -37,6 +39,22 @@ class FiniteGroup:
         self.inverse = inv
         self.order = n
         self.name = name or f"group{n}"
+        self.generators = self._greedy_generators()
+
+    def _greedy_generators(self) -> tuple[int, ...]:
+        gens: list[int] = []
+        inside = np.zeros(self.order, dtype=bool)
+        inside[self.identity] = True
+        for g in range(self.order):
+            if inside[g]:
+                continue
+            gens.append(g)
+            frontier = np.flatnonzero(inside)
+            while frontier.size:  # close up under right multiplication by gens
+                reached = np.unique(self.table[np.ix_(frontier, gens)])
+                frontier = reached[~inside[reached]]
+                inside[frontier] = True
+        return tuple(gens) or (self.identity,)
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order {self.order})"

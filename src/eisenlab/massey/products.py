@@ -22,6 +22,8 @@ statements are unaffected by the sign.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..corering.linalg import matmul_mod
@@ -54,7 +56,8 @@ class DefiningSystem:
     """Defining system for <m_1>^n, held as its chain m_1, ..., m_{n-1}.
 
     Raises InvalidDefiningSystem unless the defining-system law holds for
-    every entry of the chain.
+    every entry of the chain.  Its obstruction c(D) is built once, on first
+    use, by ``massey_product_cocycle``.
     """
 
     def __init__(self, chain: list[Cochain]):
@@ -68,15 +71,22 @@ class DefiningSystem:
             if not law.is_zero():
                 raise InvalidDefiningSystem(f"defining-system law fails at m_{i}")
 
+    @functools.cached_property
+    def obstruction(self) -> Cochain:
+        """c(D) = cup_sum(m_1, ..., m_{n-1}), its table read-only."""
+        c = cup_sum(self.chain)
+        c.table.setflags(write=False)
+        return c
+
 
 def massey_product_cocycle(D: DefiningSystem) -> Cochain:
-    """c(D) = cup_sum(m_1, ..., m_{n-1}).
+    """c(D) = cup_sum(m_1, ..., m_{n-1}), built once per system.
 
     The law checked when D was built makes c(D) a cocycle.  This is not
     re-checked here: ``vanishes_in_h2`` checks every 2-cochain it decides,
     and ``shifted_system``, which decides nothing, checks its own.
     """
-    return cup_sum(D.chain)
+    return D.obstruction
 
 
 def massey_power_vanishes(D: DefiningSystem) -> bool:

@@ -4,24 +4,33 @@ import pytest
 from eisenlab.corering import build_dlog_table, is_power
 
 
+def dlog_logs(d) -> list[int]:
+    """log_g x for x in [0, N) as Python ints (0 at x = 0), by scattering
+    ``d.powers``: log[g^k] = k."""
+    logs = np.zeros(d.N, dtype=np.int64)
+    logs[d.powers] = np.arange(d.N - 1, dtype=np.int64)
+    return logs.tolist()
+
+
 def test_small_tables():
     d7 = build_dlog_table(7)
     assert d7.g == 3
-    assert d7.table[3] == 1
-    assert d7.table[2] == 2  # 3^2 = 2 mod 7
-    assert build_dlog_table(5).table[1] == 0
+    assert dlog_logs(d7)[3] == 1
+    assert dlog_logs(d7)[2] == 2  # 3^2 = 2 mod 7
+    assert dlog_logs(build_dlog_table(5))[1] == 0
     d11 = build_dlog_table(11)
     assert d11.g == 2
-    assert d11.table[10] == 5  # 2^5 = 32 = 10 mod 11
+    assert dlog_logs(d11)[10] == 5  # 2^5 = 32 = 10 mod 11
 
 
 def test_round_trip_and_injectivity():
     for N in (13, 101, 181):
         d = build_dlog_table(N)
+        logs = dlog_logs(d)
         seen = set()
         for x in range(1, N):
-            assert pow(d.g, d.table[x], N) == x
-            seen.add(d.table[x])
+            assert pow(d.g, logs[x], N) == x
+            seen.add(logs[x])
         assert seen == set(range(N - 1))
 
 
@@ -39,7 +48,7 @@ def _per_residue_table(N, g):
 def test_table_matches_per_residue_loop(N):
     d = build_dlog_table(N)
     table, powers = _per_residue_table(N, d.g)
-    assert type(d.table) is list and d.table == table and d.table[0] == 0
+    assert dlog_logs(d) == table
     assert d.powers.dtype == np.int64 and d.powers.tolist() == powers
     assert not d.powers.flags.writeable
 
@@ -53,7 +62,7 @@ def _log_mod(d, x, modulus):
     """log as a homomorphism F_N^* -> Z/modulus (modulus | N-1)."""
     if (d.N - 1) % modulus != 0:
         raise ValueError(f"{modulus} does not divide N-1 = {d.N - 1}")
-    return d.table[x % d.N] % modulus
+    return dlog_logs(d)[x % d.N] % modulus
 
 
 def test_log_mod_homomorphism():

@@ -704,5 +704,133 @@ def test_coboundary_matrix_matches_column_construction(monkeypatch):
     assert {m.kind for m in built} == {"scalar", "matrix"}
     for module in built:
         D = cochains._coboundary_matrix(module)
-        old = _coboundary_matrix_by_columns(module)
-        assert D.dtype == old.dtype and np.array_equal(D, old)
+        n, vs = module.group.order, module.action.shape[1]
+        old = _coboundary_matrix_by_columns(module).reshape(n, n, vs, n * vs)
+        on_generators = old[:, list(module.group.generators)].reshape(-1, n * vs)
+        assert D.dtype == old.dtype and np.array_equal(D, on_generators)
+
+
+# -- D^1 on the generator rows against all n^2 rows ---------------------------
+
+
+def _full_coboundary_matrix(module):
+    """All n^2 row blocks (g, h) of D^1: g.(-) at column block h, -1 at gh,
+    +1 at g.  The generator-row factor must agree with this one."""
+    action = module.action
+    n, vs = action.shape[:2]
+    g, h = np.indices((n, n))
+    eye = np.eye(vs, dtype=np.int64)
+    D = np.zeros((n, n, vs, n, vs), dtype=np.int64)
+    D[g, h, :, h, :] += action[g]
+    D[g, h, :, module.group.table, :] -= eye
+    D[g, h, :, g, :] += eye
+    return D.reshape(n * n * vs, n * vs) % module.modulus.pM
+
+
+SELFTEST_GROUPS = [
+    cyclic(36),
+    direct_product(cyclic(6), cyclic(6)),
+    dihedral(18),
+    symmetric(3),
+    direct_product(symmetric(3), cyclic(5)),
+    cyclic(25),
+    cyclic(4),
+    cyclic(5),
+    direct_product(cyclic(5), cyclic(4)),
+    cyclic(1),
+]
+
+
+def _generated_subgroup(G, gens):
+    reached = frontier = {G.identity}
+    while frontier:
+        frontier = {int(G.table[x, s]) for x in frontier for s in gens} - reached
+        reached = reached | frontier
+    return reached
+
+
+def _candidate_modules(G, mod):
+    """The scalar module and End(1 + chi) for chi trivial and for the first
+    of g -> u^(g mod 4) (u of order 4) and g -> (-1)^g that is a
+    homomorphism, if any; then also a non-diagonal End(nu) over 1 + chi."""
+    q, n = mod.pM, G.order
+    one = np.ones(n, dtype=np.int64)
+    u = pow(2, q // mod.p, q)  # the Teichmueller lift of 2: order 4
+    chis = [np.array([pow(u, g % 4, q) for g in range(n)]), np.array([(-1) ** g % q for g in range(n)])]
+    chis = [one] + [chi for chi in chis if is_homomorphism(G, chi.reshape(n, 1, 1), mod) and np.any(chi != 1)][:1]
+    modules = []
+    for chi in chis:
+        modules += [CoeffModule.scalar(G, mod, chi), CoeffModule.end_of_characters(G, mod, one, chi)]
+    if len(chis) == 2:
+        modules.append(modules[-1].with_lower_entry((1 - chis[1]) * 2))  # the coboundary of 2
+    return modules
+
+
+@pytest.mark.parametrize("G", SELFTEST_GROUPS, ids=[G.name for G in SELFTEST_GROUPS])
+def test_generator_rows_decide_h2_as_all_rows_do(G):
+    from eisenlab.corering.linalg import FullPivotFactor
+
+    gens = G.generators
+    assert len(_generated_subgroup(G, gens)) == G.order
+    assert all(g not in _generated_subgroup(G, gens[:i]) for i, g in enumerate(gens)) or gens == (G.identity,)
+    gen = np.random.default_rng(G.order)
+    for mod in (Modulus(5, 1), Modulus(5, 2), Modulus(5, 3)):
+        trivial = CoeffModule.scalar(G, mod)
+        for module in _candidate_modules(G, mod):
+            full = FullPivotFactor(_full_coboundary_matrix(module), mod)
+            assert np.array_equal(module.cocycle_span, full.kernel())
+            left = trivial if module.kind == "scalar" else module
+            for _ in range(2):
+                dx = coboundary(Cochain.random(module, 1, gen))
+                cupped = cup(random_cocycle(left, gen), random_cocycle(module, gen))
+                for z in (dx, cupped, dx + cupped):
+                    ok, w = vanishes_in_h2(z)
+                    want = full.solve(z.table.reshape(-1))
+                    assert ok == (want is not None)
+                    if ok:
+                        assert np.array_equal(w.table.reshape(-1), want) and coboundary(w) == z
+            bad = Cochain.random(module, 2, gen)
+            if not is_cocycle(bad):
+                with pytest.raises(ValueError, match="not a 2-cocycle"):
+                    vanishes_in_h2(bad)
+
+
+def test_selftest_matches_pinned_fixture():
+    import json
+
+    from make_selftest_fixture import FIXTURE, FIXTURE_RUNS, run_key, selftest_row
+
+    with open(FIXTURE, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    assert sorted(pinned) == sorted(run_key(seed, quick) for seed, quick in FIXTURE_RUNS)
+    for seed, quick in FIXTURE_RUNS:
+        got, want = selftest_row(seed, quick), pinned[run_key(seed, quick)]
+        for field in ("ok", "passed", "failed", "counts"):
+            assert got[field] == want[field], (run_key(seed, quick), field)
+
+
+def test_selftest_enumerates_defining_systems_and_obstructions_once(monkeypatch):
+    import functools
+
+    from eisenlab.massey import products, selftest
+
+    ks, built = [], []
+    enumerate_systems = products.power_defining_systems
+    obstruction = products.DefiningSystem.obstruction.func
+
+    def counting_enumerate(a, k, pool):
+        ks.append(k)
+        return enumerate_systems(a, k, pool)
+
+    def counting_obstruction(D):
+        built.append(D)  # kept alive, so ids stay distinct
+        return obstruction(D)
+
+    counted = functools.cached_property(counting_obstruction)
+    counted.__set_name__(products.DefiningSystem, "obstruction")
+    monkeypatch.setattr(products.DefiningSystem, "obstruction", counted)
+    monkeypatch.setattr(products, "power_defining_systems", counting_enumerate)
+    monkeypatch.setattr(selftest, "power_defining_systems", counting_enumerate)
+    assert selftest.run_selftest(5, quick=True).ok
+    assert ks == [2, 3, 4, 5]  # once per k, shared by both properties on Z/5
+    assert built and len({id(D) for D in built}) == len(built)  # c(D) once per system
