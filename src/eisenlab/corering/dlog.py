@@ -19,13 +19,9 @@ import sympy
 _DLOG_TABLE_LIMIT = 1 << 26
 
 
-def _prime_factors(n: int) -> list[int]:
-    return sorted(sympy.factorint(n))
-
-
 def smallest_generator(N: int) -> int:
     """Smallest g in [2, N) generating F_N^*."""
-    facs = _prime_factors(N - 1)
+    facs = sorted(sympy.factorint(N - 1))
     g = 2
     while any(pow(g, (N - 1) // q, N) == 1 for q in facs):
         g += 1

@@ -64,25 +64,20 @@ def lower_convex_hull(points) -> NewtonPolygon:
     return NewtonPolygon(tuple(hull))
 
 
-def running_min_valuations(g: PadicPoly) -> list[Valuation]:
-    """z_0 = v(coeff_0), z_i = min(z_{i-1}, v(coeff_i)), precision-capped."""
-    vals = g.coefficient_valuations()
+def t_sequence(g: PadicPoly) -> list[Valuation]:
+    """The running-minimum valuation sequence of a distinguished monic g:
+    z_0 = v(coeff_0), z_i = min(z_{i-1}, v(coeff_i)), precision-capped."""
+    if not g.is_distinguished():
+        raise ValueError("polynomial is not monic distinguished")
     out: list[Valuation] = []
     cur: Valuation = AtLeast(g.modulus.M)
-    for v in vals:
+    for v in g.coefficient_valuations():
         if isinstance(cur, AtLeast):
             cur = v
         elif not isinstance(v, AtLeast):
             cur = min(cur, v)
         out.append(cur)
     return out
-
-
-def t_sequence(g: PadicPoly) -> list[Valuation]:
-    """The running-minimum valuation sequence of a distinguished monic g."""
-    if not g.is_distinguished():
-        raise ValueError("polynomial is not monic distinguished")
-    return running_min_valuations(g)
 
 
 def newton_polygon(f: PadicPoly) -> NewtonPolygon:

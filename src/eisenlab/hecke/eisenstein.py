@@ -102,13 +102,16 @@ def default_precision(t: int) -> int:
     return max(t + 3, 2 * t + 1)
 
 
-def smallest_good_prime(N: int, p: int, bound: int = 1000) -> int:
+_GOOD_PRIME_BOUND = 1000
+
+
+def smallest_good_prime(N: int, p: int) -> int:
     ell = 2
-    while ell < bound:
+    while ell < _GOOD_PRIME_BOUND:
         if ell != N and is_good_prime(ell, N, p):
             return ell
         ell = sympy.nextprime(ell)
-    raise NoGoodPrime(f"no good prime below {bound} for (N, p) = ({N}, {p})")
+    raise NoGoodPrime(f"no good prime below {_GOOD_PRIME_BOUND} for (N, p) = ({N}, {p})")
 
 
 _SHORT_EXPONENT = 32

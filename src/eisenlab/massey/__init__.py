@@ -19,8 +19,6 @@ from .products import (
     cup_sum,
     deformation_tables,
     massey_power_vanishes,
-    massey_power_vanishes_somewhere,
-    massey_product_cocycle,
     power_defining_systems,
     shifted_system,
     unipotent_concatenation,
@@ -45,8 +43,6 @@ __all__ = [
     "is_cocycle",
     "is_homomorphism",
     "massey_power_vanishes",
-    "massey_power_vanishes_somewhere",
-    "massey_product_cocycle",
     "power_defining_systems",
     "random_cocycle",
     "shifted_system",

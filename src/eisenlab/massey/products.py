@@ -57,7 +57,9 @@ class DefiningSystem:
 
     Raises InvalidDefiningSystem unless the defining-system law holds for
     every entry of the chain.  Its obstruction c(D) is built once, on first
-    use, by ``massey_product_cocycle``.
+    use.  That law makes c(D) a cocycle, and it is not re-checked here:
+    ``vanishes_in_h2`` checks every 2-cochain it decides, and
+    ``shifted_system``, which decides nothing, checks its own.
     """
 
     def __init__(self, chain: list[Cochain]):
@@ -67,8 +69,8 @@ class DefiningSystem:
         self.module = chain[0].module
         self.n = len(chain) + 1
         for i, m in enumerate(self.chain, start=1):
-            law = coboundary(m) if i == 1 else coboundary(m) + cup_sum(self.chain[: i - 1])
-            if not law.is_zero():
+            holds = is_cocycle(m) if i == 1 else (coboundary(m) + cup_sum(self.chain[: i - 1])).is_zero()
+            if not holds:
                 raise InvalidDefiningSystem(f"defining-system law fails at m_{i}")
 
     @functools.cached_property
@@ -79,18 +81,8 @@ class DefiningSystem:
         return c
 
 
-def massey_product_cocycle(D: DefiningSystem) -> Cochain:
-    """c(D) = cup_sum(m_1, ..., m_{n-1}), built once per system.
-
-    The law checked when D was built makes c(D) a cocycle.  This is not
-    re-checked here: ``vanishes_in_h2`` checks every 2-cochain it decides,
-    and ``shifted_system``, which decides nothing, checks its own.
-    """
-    return D.obstruction
-
-
 def massey_power_vanishes(D: DefiningSystem) -> bool:
-    ok, _ = vanishes_in_h2(massey_product_cocycle(D))
+    ok, _ = vanishes_in_h2(D.obstruction)
     return ok
 
 
@@ -109,8 +101,7 @@ def coordinate_relation(D: DefiningSystem, coord: tuple[int, int]) -> bool:
         raise ValueError("coordinate indices must be in {1, 2}")
     if not D.module.is_diagonal():
         raise ValueError("coordinate relations need End(chi1 + chi2) coefficients")
-    z = massey_product_cocycle(D)
-    ok, _ = vanishes_in_h2(z.entry(s, t))
+    ok, _ = vanishes_in_h2(D.obstruction.entry(s, t))
     return ok
 
 
@@ -154,7 +145,7 @@ def shifted_system(D: DefiningSystem) -> tuple[DefiningSystem, Cochain]:
 
     chain_p = [mprime(i) for i in range(1, r - 1)]
     Dp = DefiningSystem(chain_p)
-    c = massey_product_cocycle(Dp)
+    c = Dp.obstruction
     if not is_cocycle(c):
         raise InvalidDefiningSystem("c(D') is not a 2-cocycle")
     return Dp, c
@@ -207,7 +198,7 @@ def unipotent_concatenation(D: DefiningSystem):
     vanishes (the corner entry is a primitive of -c(D)); None otherwise.
     """
     trivial = _trivial_character(D.module)
-    ok, prim = vanishes_in_h2(-massey_product_cocycle(D))
+    ok, prim = vanishes_in_h2(-D.obstruction)
     if not ok:
         return None
     mod = D.module.modulus
@@ -244,17 +235,3 @@ def power_defining_systems(a: Cochain, k: int, cocycle_pool: list[Cochain]):
     rec([a])
     return systems
 
-
-def massey_power_vanishes_somewhere(a: Cochain, k: int, cocycle_pool: list[Cochain]):
-    """Brute-force: does <a>^k vanish for SOME defining system over the pool?
-
-    Returns (vanishes, n_systems).  When no defining system exists at all,
-    returns (None, 0) -- the power is undefined at this k.
-    """
-    systems = power_defining_systems(a, k, cocycle_pool)
-    if not systems:
-        return None, 0
-    for D in systems:
-        if massey_power_vanishes(D):
-            return True, len(systems)
-    return False, len(systems)

@@ -220,14 +220,18 @@ class VerificationReport:
 
 
 def _pair_failures(rec: ResultRecord, tag: str) -> list[str]:
-    """The lines for a row whose t is not v_p(N - 1), or whose t = 0 comes
-    with a rank: the re-derivation ties e, f and the t-sequence to the
-    stored t, so this ties them to N."""
+    """The lines for a row whose N is not prime or p not a prime > 3, whose
+    t is not v_p(N - 1), or whose t = 0 comes with a rank: the re-derivation
+    ties e, f and the t-sequence to the stored t, so this ties them to N."""
     try:
         t = valuation_p(rec.N - 1, rec.p)
     except ValueError as exc:  # N = 1, or p < 2
         return [f"{tag}: t = {rec.t} but v_p(N - 1) is undefined ({exc})"]
     out = []
+    try:
+        check_pair(rec.N, rec.p)
+    except ValueError as exc:
+        out.append(f"{tag}: {exc}")
     if rec.t != t:
         out.append(f"{tag}: t = {rec.t} but v_p(N - 1) = {t}")
     if rec.t == 0 and rec.e not in (None, 0):
@@ -275,11 +279,11 @@ def verify_records(records: list[ResultRecord], recheck_lecouturier: bool = Fals
     fields re-derive from f_coeffs and precision (deg f = e,
     v_p(f(0)) = t, and the stored t_seq, np_vertices and components), one
     line naming the field per mismatch, or one for a row that cannot be
-    re-derived; (g) on every row, t = v_p(N - 1), and a row with t = 0
-    has e None or 0.  Informational: (c) e = 2 iff ord_1 = 2
-    (conjectural); (d) tally of rows with e != ord_1 against the published
-    exception list.  Rows with t = 0 or no Hecke data are not counted in
-    ``checked``.
+    re-derived; (g) on every row, N is prime, p is a prime > 3,
+    t = v_p(N - 1), and a row with t = 0 has e None or 0.  Informational:
+    (c) e = 2 iff ord_1 = 2 (conjectural); (d) tally of rows with
+    e != ord_1 against the published exception list.  Rows with t = 0 or
+    no Hecke data are not counted in ``checked``.
     """
     fatal: list[str] = []
     info: list[str] = []

@@ -247,11 +247,12 @@ def test_t_sequence_invariant_under_generator_rescaling():
         assert [int(v) for v in base[1:]] == rep.t_seq
 
 
-def test_no_good_prime_bound():
-    from eisenlab.hecke import NoGoodPrime, smallest_good_prime as sgp
+def test_no_good_prime_bound(monkeypatch):
+    from eisenlab.hecke import NoGoodPrime, eisenstein
 
-    with pytest.raises(NoGoodPrime):
-        sgp(31, 5, bound=2)
+    monkeypatch.setattr(eisenstein, "_GOOD_PRIME_BOUND", 2)
+    with pytest.raises(NoGoodPrime, match="no good prime below 2"):
+        smallest_good_prime(31, 5)
 
 
 def test_precision_exhausted_on_tiny_precision():

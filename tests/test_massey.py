@@ -19,8 +19,6 @@ from eisenlab.massey import (
     is_cocycle,
     is_homomorphism,
     massey_power_vanishes,
-    massey_power_vanishes_somewhere,
-    massey_product_cocycle,
     power_defining_systems,
     random_cocycle,
     shifted_system,
@@ -128,7 +126,7 @@ def test_massey_square_is_cup_square():
     V = CoeffModule.scalar(G, Modulus(5, 1))
     for a in all_cocycles(V):
         D = DefiningSystem([a])
-        assert (massey_product_cocycle(D) - cup(a, a)).is_zero()
+        assert (D.obstruction - cup(a, a)).is_zero()
 
 
 def test_zero_cochain_power_vanishes():
@@ -136,7 +134,7 @@ def test_zero_cochain_power_vanishes():
     V = CoeffModule.scalar(G, Modulus(5, 1))
     z = Cochain.zero(V, 1)
     D = DefiningSystem([z, z, z])
-    assert massey_product_cocycle(D).is_zero()
+    assert D.obstruction.is_zero()
 
 
 def test_invalid_defining_system_rejected():
@@ -171,19 +169,6 @@ def test_chain_law_is_the_table_law():
         for k in range(1, n):
             c = c - cup(D.chain[k - 1], D.chain[n - k - 1])
         assert c.is_zero()
-
-
-def test_massey_power_oracle_on_z5():
-    # <a>^k for the identity character of Z/5 vanishes exactly for k <= 4
-    G = cyclic(5)
-    V = CoeffModule.scalar(G, Modulus(5, 1))
-    a = Cochain(V, 1, np.arange(5, dtype=np.int64))
-    pool = all_cocycles(V)
-    assert len(pool) == 5
-    for k in (2, 3, 4, 5):
-        vanishes, n_sys = massey_power_vanishes_somewhere(a, k, pool)
-        assert vanishes is (k <= 4), k
-        assert n_sys == 5 ** (k - 2)
 
 
 def test_unipotent_pair_and_concatenation():
@@ -222,7 +207,7 @@ def test_unipotent_tables_are_the_superdiagonal_construction():
     for k in range(2, 6):
         for D in power_defining_systems(a, k, pool):
             assert np.array_equal(unipotent_hom(D), _superdiagonal(D.chain))
-            ok, prim = vanishes_in_h2(-massey_product_cocycle(D))
+            ok, prim = vanishes_in_h2(-D.obstruction)
             big = unipotent_concatenation(D)
             assert (big is not None) == ok
             if ok:
@@ -351,7 +336,7 @@ def test_deformation_top_obstruction_both_directions():
             continue
         m2 = part + random_cocycle(End, rng)
         D = DefiningSystem([m1, m2])
-        c = massey_product_cocycle(D)
+        c = D.obstruction
         solvable, m3 = vanishes_in_h2(-c)
         if solvable:
             nu3 = deformation_tables(End.rho, [m1, m2, m3], mod)
@@ -790,10 +775,65 @@ def test_generator_rows_decide_h2_as_all_rows_do(G):
                     if ok:
                         assert np.array_equal(w.table.reshape(-1), want) and coboundary(w) == z
             bad = Cochain.random(module, 2, gen)
-            if not is_cocycle(bad):
+            if not coboundary(bad).is_zero():
                 with pytest.raises(ValueError, match="not a 2-cocycle"):
                     vanishes_in_h2(bad)
 
+
+
+def _changed_at_a_non_generator(z, gen):
+    """z with one entry changed, at a random row whose last argument is not
+    a generator; never a cocycle, since the change vanishes on every row
+    ending in a generator (module docstring of ``cochains``)."""
+    G = z.module.group
+    others = [x for x in range(G.order) if x not in G.generators]
+    row = tuple(gen.integers(G.order, size=z.degree - 1)) + (gen.choice(others),)
+    t = z.table.copy()
+    t[row] += 1
+    return Cochain(z.module, z.degree, t)
+
+
+def _coset_cochain(module, degree, gen):
+    """A random cochain whose value at (..., x) depends on x only through
+    the coset xH, H generated by all generators but the last, and is 0 on
+    H: its coboundary vanishes on every row ending in one of those
+    generators, so only the rows ending in the last one can show that it is
+    not a cocycle."""
+    G = module.group
+    H = sorted(_generated_subgroup(G, G.generators[:-1]))
+    coset = np.array([min(G.table[x, H]) for x in range(G.order)])
+    lead = (slice(None),) * (degree - 1)
+    t = Cochain.random(module, degree, gen).table[lead + (coset,)]
+    t[lead + (H,)] = 0
+    return Cochain(module, degree, t)
+
+
+@pytest.mark.parametrize("G", SELFTEST_GROUPS, ids=[G.name for G in SELFTEST_GROUPS])
+def test_is_cocycle_on_generator_rows_matches_all_rows(G):
+    # is_cocycle reads dc on the rows ending in a generator only; the full
+    # table of coboundary(c) is the oracle, in degrees 0, 1 and 2
+    gen = np.random.default_rng(100 + G.order)
+    decided = {True: 0, False: 0}
+    for mod in (Modulus(5, 1), Modulus(5, 2), Modulus(5, 3)):
+        trivial = CoeffModule.scalar(G, mod)
+        for module in _candidate_modules(G, mod):
+            left = trivial if module.kind == "scalar" else module
+            unit = np.eye(2, dtype=np.int64) if left.value_shape else 1  # its multiples are 0-cocycles of left
+            cocycles = [
+                cup(Cochain(left, 0, unit * int(gen.integers(mod.pM))), random_cocycle(module, gen)),
+                cup(random_cocycle(left, gen), random_cocycle(module, gen)),
+                coboundary(Cochain.random(module, 0, gen)),
+                coboundary(Cochain.random(module, 1, gen)),
+            ]
+            cases = [Cochain.random(module, degree, gen) for degree in (0, 1, 2)] + cocycles
+            cases += [_coset_cochain(module, degree, gen) for degree in (1, 2)]
+            if G.order > len(G.generators):
+                cases += [_changed_at_a_non_generator(z, gen) for z in cocycles]
+            for c in cases:
+                want = coboundary(c).is_zero()
+                assert is_cocycle(c) == want, (module.kind, c.degree)
+                decided[want] += 1
+    assert decided[True] and decided[False]
 
 def test_selftest_matches_pinned_fixture():
     import json

@@ -339,6 +339,20 @@ def test_verify_ties_t_to_N():
     ]
 
 
+def test_cli_verify_rejects_rows_whose_pair_is_not_valid(tmp_path, capsys):
+    # hand-written t = 0 rows skip every Hecke check, so N and p are checked
+    # on their own: p = 9 is not prime and N = 15 is composite
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(ResultRecord(N=N, p=p, t=0).to_json() + "\n" for N, p in ((3001, 9), (15, 5))))
+    assert main(["verify", "--in", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    fatal = [line for line in captured.out.splitlines() if line.startswith("  FATAL: ")]
+    assert fatal == [
+        "  FATAL: (N,p)=(3001,9): p = 9 must be a prime > 3",
+        "  FATAL: (N,p)=(15,5): N = 15 must be prime",
+    ]
+
 def test_cli_massey_selftest_quick(capsys):
     rc = main(["massey-selftest", "--quick", "--json"])
     assert rc == 0
