@@ -24,17 +24,16 @@ class FiniteGroup:
         # associativity: table[table[i,j],k] == table[i,table[j,k]]
         if not np.array_equal(table[table, :], table[:, table]):
             raise ValueError("multiplication table is not associative")
-        idents = [e for e in range(n) if np.array_equal(table[e], np.arange(n))
-                  and np.array_equal(table[:, e], np.arange(n))]
-        if len(idents) != 1:
+        idx = np.arange(n)
+        idents = np.flatnonzero((table == idx).all(axis=1) & (table.T == idx).all(axis=1))
+        if idents.size != 1:
             raise ValueError("table has no two-sided identity")
-        self.identity = idents[0]
-        inv = np.full(n, -1, dtype=np.int64)
-        for g in range(n):
-            js = np.nonzero(table[g] == self.identity)[0]
-            if len(js) != 1 or table[js[0], g] != self.identity:
-                raise ValueError(f"element {g} has no two-sided inverse")
-            inv[g] = js[0]
+        self.identity = int(idents[0])
+        hits = table == self.identity
+        inv = hits.argmax(axis=1)
+        bad = (hits.sum(axis=1) != 1) | (table[inv, idx] != self.identity)
+        if bad.any():
+            raise ValueError(f"element {bad.argmax()} has no two-sided inverse")
         self.table = table
         self.inverse = inv
         self.order = n
@@ -49,11 +48,12 @@ class FiniteGroup:
             if inside[g]:
                 continue
             gens.append(g)
-            frontier = np.flatnonzero(inside)
-            while frontier.size:  # close up under right multiplication by gens
-                reached = np.unique(self.table[np.ix_(frontier, gens)])
-                frontier = reached[~inside[reached]]
-                inside[frontier] = True
+            inside[g] = True
+            while True:  # close up: each step squares the reached set
+                reached = np.flatnonzero(inside)
+                inside[self.table[np.ix_(reached, reached)]] = True
+                if np.count_nonzero(inside) == reached.size:
+                    break
         return tuple(gens) or (self.identity,)
 
     def __repr__(self):
@@ -66,15 +66,10 @@ def cyclic(n: int) -> FiniteGroup:
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    nG, nH = G.order, H.order
-    n = nG * nH
-    table = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        g1, h1 = divmod(a, nH)
-        for b in range(n):
-            g2, h2 = divmod(b, nH)
-            table[a, b] = G.table[g1, g2] * nH + H.table[h1, h2]
-    return FiniteGroup(table, name=f"{G.name} x {H.name}")
+    """Pairs (g, h) as g * |H| + h, multiplied componentwise."""
+    nH = H.order
+    table = G.table[:, None, :, None] * nH + H.table[None, :, None, :]
+    return FiniteGroup(table.reshape(G.order * nH, G.order * nH), name=f"{G.name} x {H.name}")
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -93,14 +88,8 @@ def symmetric(n: int) -> FiniteGroup:
 
 def dihedral(k: int) -> FiniteGroup:
     """Dihedral group of order 2k: elements (r^i, r^i s)."""
-    n = 2 * k
-    table = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        i, s1 = a % k, a // k
-        for b in range(n):
-            j, s2 = b % k, b // k
-            if s1 == 0:
-                table[a, b] = ((i + j) % k) + k * s2
-            else:
-                table[a, b] = ((i - j) % k) + k * (1 - s2)
+    a = np.arange(2 * k)
+    i, s = (a % k)[:, None], (a // k)[:, None]
+    j, t = i.T, s.T
+    table = np.where(s == 0, (i + j) % k + k * t, (i - j) % k + k * (1 - t))
     return FiniteGroup(table, name=f"D{k}")

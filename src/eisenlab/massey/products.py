@@ -18,6 +18,15 @@ deformation coefficients multiplicative.  The obstruction cocycle is
 c(D) = cup_sum(m_1, ..., m_{n-1}); a next entry m_n, the concatenating
 corner of the unipotent picture, is a primitive of -c(D).  Vanishing
 statements are unaffected by the sign.
+
+Systems grow by extension.  The law for m_n is d m_n + c(D) = 0 with D the
+system m_1, ..., m_{n-1}, so ``DefiningSystem.extend`` checks it against
+D's cached obstruction, and a chain is built as m_1 extended entry by
+entry: each law is checked once, with no cup product beyond the parents'
+obstructions.  Once D's laws hold, c(D) is a 2-cocycle, and so is
+d m_n + c(D); the law is therefore decided on the generator rows G x S
+only (``cochains`` module docstring), through the differential that
+``is_cocycle`` uses for the law d m_1 = 0.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from ..corering.zmod import Modulus
 from .cochains import (
     Cochain,
     CoeffModule,
-    coboundary,
+    _differential,
     cup,
     is_cocycle,
     is_homomorphism,
@@ -56,22 +65,42 @@ class DefiningSystem:
     """Defining system for <m_1>^n, held as its chain m_1, ..., m_{n-1}.
 
     Raises InvalidDefiningSystem unless the defining-system law holds for
-    every entry of the chain.  Its obstruction c(D) is built once, on first
-    use.  That law makes c(D) a cocycle, and it is not re-checked here:
-    ``vanishes_in_h2`` checks every 2-cochain it decides, and
-    ``shifted_system``, which decides nothing, checks its own.
+    every entry of the chain: m_1 is checked by ``is_cocycle`` and every
+    later entry by ``extend`` on the system before it, so the constructor
+    is m_1 extended entry by entry.  Its obstruction c(D) and the H^2
+    decision of c(D) are each built once, on first use.  The law makes c(D)
+    a cocycle, and it is not re-checked here: ``vanishes_in_h2`` checks
+    every 2-cochain it decides, and ``shifted_system``, which decides
+    nothing, checks its own.
     """
 
     def __init__(self, chain: list[Cochain]):
         if not chain:
             raise ValueError("need n >= 2")
-        self.chain = list(chain)
-        self.module = chain[0].module
-        self.n = len(chain) + 1
-        for i, m in enumerate(self.chain, start=1):
-            holds = is_cocycle(m) if i == 1 else (coboundary(m) + cup_sum(self.chain[: i - 1])).is_zero()
-            if not holds:
-                raise InvalidDefiningSystem(f"defining-system law fails at m_{i}")
+        if not is_cocycle(chain[0]):
+            raise InvalidDefiningSystem("defining-system law fails at m_1")
+        D = DefiningSystem._lawful(chain[:1])
+        for m in chain[1:]:
+            D = D.extend(m)
+        self.chain, self.module, self.n = D.chain, D.module, D.n
+
+    @classmethod
+    def _lawful(cls, chain: list[Cochain]) -> "DefiningSystem":
+        """The system of a chain whose laws are known to hold."""
+        D = cls.__new__(cls)
+        D.chain, D.module, D.n = chain, chain[0].module, len(chain) + 1
+        return D
+
+    def extend(self, m: Cochain) -> "DefiningSystem":
+        """The system m_1, ..., m_{n-1}, m; raises InvalidDefiningSystem
+        unless d m + c(D) = 0, decided on the rows G x S (module docstring)."""
+        c = self.obstruction
+        if m.degree != 1 or not m.module.compatible(c.module):
+            raise ValueError("cochain mismatch")
+        gens = list(self.module.group.generators)
+        if np.any((_differential(m, gens) + c.table[:, gens]) % c.module.modulus.pM):
+            raise InvalidDefiningSystem(f"defining-system law fails at m_{self.n}")
+        return DefiningSystem._lawful(self.chain + [m])
 
     @functools.cached_property
     def obstruction(self) -> Cochain:
@@ -80,10 +109,19 @@ class DefiningSystem:
         c.table.setflags(write=False)
         return c
 
+    @functools.cached_property
+    def h2(self) -> tuple[bool, Cochain | None]:
+        """``vanishes_in_h2(-c(D))``: whether c(D) vanishes in H^2, and if
+        so a primitive x of -c(D), its table read-only.  The entries that
+        extend D are then x + z, z in Z^1."""
+        ok, x = vanishes_in_h2(-self.obstruction)
+        if ok:
+            x.table.setflags(write=False)
+        return ok, x
+
 
 def massey_power_vanishes(D: DefiningSystem) -> bool:
-    ok, _ = vanishes_in_h2(D.obstruction)
-    return ok
+    return D.h2[0]
 
 
 # -- matrix coordinates ------------------------------------------------------
@@ -195,14 +233,15 @@ def unipotent_concatenation(D: DefiningSystem):
     """Extend the unipotent hom of D to an (n+1) x (n+1) hom.
 
     Returns the homomorphism table when the Massey obstruction <...>_D
-    vanishes (the corner entry is a primitive of -c(D)); None otherwise.
+    vanishes (the corner entry is the primitive of -c(D) in ``D.h2``); None
+    otherwise.
     """
     trivial = _trivial_character(D.module)
-    ok, prim = vanishes_in_h2(-D.obstruction)
+    ok, x = D.h2
     if not ok:
         return None
     mod = D.module.modulus
-    nu = deformation_tables(trivial, D.chain + [prim], mod)
+    nu = deformation_tables(trivial, D.chain + [x], mod)
     if not is_homomorphism(D.module.group, nu, mod):
         raise AssertionError("concatenated unipotent map is not a homomorphism")
     return nu
@@ -216,22 +255,22 @@ def power_defining_systems(a: Cochain, k: int, cocycle_pool: list[Cochain]):
     by level.
 
     The solution set of each d m_i = -cup_sum(m_1, ..., m_{i-1}) is a coset
-    of Z^1, so a particular solution shifted by every pool cocycle
-    enumerates all defining systems over the pool's span; a branch dies
-    when some level is unsolvable.
+    of Z^1, so the primitive x in ``D.h2`` shifted by every pool cocycle
+    enumerates all defining systems over the pool's span, each built by
+    ``extend`` from its parent; a branch dies when some level is
+    unsolvable.
     """
     systems: list[DefiningSystem] = []
 
-    def rec(chain: list[Cochain]):
-        if len(chain) == k - 1:
-            systems.append(DefiningSystem(chain))
+    def rec(D: DefiningSystem):
+        if D.n == k:
+            systems.append(D)
             return
-        ok, part = vanishes_in_h2(-cup_sum(chain))
+        ok, x = D.h2
         if not ok:
             return
         for z in cocycle_pool:
-            rec(chain + [part + z])
+            rec(D.extend(x + z))
 
-    rec([a])
+    rec(DefiningSystem([a]))
     return systems
-

@@ -835,6 +835,145 @@ def test_is_cocycle_on_generator_rows_matches_all_rows(G):
                 decided[want] += 1
     assert decided[True] and decided[False]
 
+
+def _extension_cases(G, gen):
+    """(D, m) pairs over every candidate module of G at p^M in {5, 25, 125}:
+    systems of length 1 and 2, each with a valid next entry x + z (x from
+    ``D.h2``, z in Z^1) and perturbations of it that keep it valid (+ a
+    cocycle) or break it, at random, at one row whose last argument is not
+    a generator, or only on the rows ending in the last generator."""
+    for mod in (Modulus(5, 1), Modulus(5, 2), Modulus(5, 3)):
+        for module in _candidate_modules(G, mod):
+            D = DefiningSystem([random_cocycle(module, gen)])
+            for _ in range(2):
+                ok, x = D.h2
+                target = D.obstruction.module
+                if not ok:
+                    yield D, Cochain.random(target, 1, gen)
+                    break
+                m = x + random_cocycle(target, gen)
+                yield D, m
+                yield D, m + random_cocycle(target, gen)
+                yield D, m + Cochain.random(target, 1, gen)
+                yield D, m + _coset_cochain(target, 1, gen)
+                if G.order > len(G.generators):
+                    yield D, _changed_at_a_non_generator(m, gen)
+                D = D.extend(m)
+
+
+@pytest.mark.parametrize("G", SELFTEST_GROUPS, ids=[G.name for G in SELFTEST_GROUPS])
+def test_extend_matches_the_constructor(G):
+    decided = {True: 0, False: 0}
+    for D, m in _extension_cases(G, np.random.default_rng(200 + G.order)):
+        try:
+            E = D.extend(m)
+        except InvalidDefiningSystem:
+            E = None
+        try:
+            F = DefiningSystem(D.chain + [m])
+        except InvalidDefiningSystem:
+            F = None
+        assert (E is None) == (F is None)
+        decided[E is not None] += 1
+        if E is None:
+            continue
+        assert E.n == F.n == D.n + 1 and E.chain == F.chain == D.chain + [m]
+        assert E.obstruction == F.obstruction
+        (ok_e, x_e), (ok_f, x_f) = E.h2, F.h2
+        assert ok_e == ok_f and (x_e == x_f if ok_e else x_e is x_f is None)
+    assert decided[True] and decided[False]
+
+
+@pytest.mark.parametrize("G", SELFTEST_GROUPS, ids=[G.name for G in SELFTEST_GROUPS])
+def test_extension_law_on_generator_rows_matches_all_rows(G):
+    # extend decides d m + c(D) = 0 on the rows G x S only; the full table
+    # of coboundary(m) + cup_sum(chain) is the oracle
+    decided = {True: 0, False: 0}
+    for D, m in _extension_cases(G, np.random.default_rng(300 + G.order)):
+        want = (coboundary(m) + cup_sum(D.chain)).is_zero()
+        try:
+            D.extend(m)
+            got = True
+        except InvalidDefiningSystem:
+            got = False
+        assert got == want
+        decided[want] += 1
+    assert decided[True] and decided[False]
+
+
+def test_extend_builds_no_cup_product(monkeypatch):
+    from eisenlab.massey import cochains, products, selftest
+
+    calls = []
+
+    def counting_cup(a, b):
+        calls.append((a.degree, b.degree))
+        return cup(a, b)
+
+    for module in (cochains, products, selftest):
+        monkeypatch.setattr(module, "cup", counting_cup)
+    V = CoeffModule.scalar(cyclic(5), Modulus(5, 1))
+    a = Cochain(V, 1, np.arange(5, dtype=np.int64))
+    D = DefiningSystem([a])
+    D = D.extend(D.h2[1])
+    ok, x = D.h2  # caches c(D)
+    assert ok and calls
+    calls.clear()
+    E = D.extend(x + a)
+    with pytest.raises(InvalidDefiningSystem):
+        D.extend(x + Cochain(V, 1, np.array([0, 1, 1, 0, 2], dtype=np.int64)))
+    assert not calls and E.n == 4
+    assert selftest.run_selftest(9, quick=True).ok
+    assert 0 < len(calls) <= 900  # 1683 when every system re-derived all of its laws
+
+
+def _loop_direct_product_table(G, H):
+    nH = H.order
+    n = G.order * nH
+    table = np.zeros((n, n), dtype=np.int64)
+    for a in range(n):
+        g1, h1 = divmod(a, nH)
+        for b in range(n):
+            g2, h2 = divmod(b, nH)
+            table[a, b] = G.table[g1, g2] * nH + H.table[h1, h2]
+    return table
+
+
+def _loop_dihedral_table(k):
+    n = 2 * k
+    table = np.zeros((n, n), dtype=np.int64)
+    for a in range(n):
+        i, s1 = a % k, a // k
+        for b in range(n):
+            j, s2 = b % k, b // k
+            if s1 == 0:
+                table[a, b] = ((i + j) % k) + k * s2
+            else:
+                table[a, b] = ((i - j) % k) + k * (1 - s2)
+    return table
+
+
+def test_group_tables_and_generators_are_pinned():
+    S3, Z5 = symmetric(3), cyclic(5)
+    for G, H in [(cyclic(6), cyclic(6)), (S3, Z5), (Z5, cyclic(4)), (dihedral(3), S3), (cyclic(1), Z5)]:
+        assert np.array_equal(direct_product(G, H).table, _loop_direct_product_table(G, H))
+    for k in (1, 2, 3, 4, 18):
+        assert np.array_equal(dihedral(k).table, _loop_dihedral_table(k))
+    pinned = {
+        "Z/36": (cyclic(36), (1,)),
+        "Z/6 x Z/6": (direct_product(cyclic(6), cyclic(6)), (1, 6)),
+        "D18": (dihedral(18), (1, 18)),
+        "S3": (S3, (1, 2)),
+        "S3 x Z/5": (direct_product(S3, Z5), (1, 5, 10)),
+        "Z/5 x Z/4": (direct_product(Z5, cyclic(4)), (1, 4)),
+        "Z/1": (cyclic(1), (0,)),
+    }
+    for name, (G, gens) in pinned.items():
+        assert G.name == name and G.generators == gens
+        assert len(_generated_subgroup(G, gens)) == G.order
+        assert np.array_equal(G.table[np.arange(G.order), G.inverse], np.full(G.order, G.identity))
+
+
 def test_selftest_matches_pinned_fixture():
     import json
 
