@@ -286,13 +286,23 @@ def _narrow(X: np.ndarray, pM: int) -> np.ndarray:
 
 def _apply_panel(X: np.ndarray, panel, mod: Modulus, cols=...) -> None:
     """Replay one panel's row operations on X (a matrix or a vector) in place:
-    its row swaps on whole rows, then X[rows] += E @ X[pivot rows] with the
-    pivot rows taken out first, on ``cols`` only.  Rows outside ``rows`` are
-    left untouched."""
-    r0, swaps, rows, E = panel
-    for r, sel in swaps:
-        X[[r, sel]] = X[[sel, r]]
+    its row permutation on whole rows, as one gather X[dst] = X[src], then
+    X[rows] += E @ X[pivot rows] with the pivot rows taken out first, on
+    ``cols`` only.  Rows outside ``rows`` are left untouched."""
+    r0, (dst, src), rows, E = panel
+    if dst.size:
+        X[dst] = X[src]
     _replay(X, r0, rows, E, mod, cols)
+
+
+def _composed(swaps: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The row swaps (a, b), applied in order, as one permutation of the rows
+    they touch: (dst, src) with X[dst] = X[src] afterwards (FFLAS-FFPACK
+    applies a panel's permutation the same way).  Empty arrays for none."""
+    src: dict[int, int] = {}  # row -> the original row it holds
+    for a, b in swaps:
+        src[a], src[b] = src.get(b, b), src.get(a, a)
+    return np.fromiter(src, np.intp, len(src)), np.fromiter(src.values(), np.intp, len(src))
 
 
 def _replay(X: np.ndarray, r0: int, rows, E, mod: Modulus, cols) -> None:
@@ -343,7 +353,8 @@ def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None):
     product at the panel's end.  E is reduced mod p^M at the panel's end,
     and all of G after every ``_delay_room`` rank-1 updates, not after each
     one (see the module docstring).
-    A panel is (first pivot row, row swaps, rows E touches, E on those rows).
+    A panel is (first pivot row, its row swaps composed into one gather
+    (dst, src) over the rows they touch, rows E touches, E on those rows).
     """
     p, pM = mod.p, mod.pM
     m, n = A.shape
@@ -401,7 +412,7 @@ def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None):
             E[:r0] = -matmul_mod(A[:r0, pc], E[r0:r], mod) % pM
             E = _narrow(E, pM)
             rows = np.flatnonzero(E.any(axis=1))
-            panels.append((r0, swaps, rows, E[rows]))
+            panels.append((r0, _composed(swaps), rows, E[rows]))
             _apply_panel(A, panels[-1], mod, slice(c1, None))
             if free:
                 _replay(A, r0, rows, panels[-1][3], mod, np.array(free))

@@ -30,8 +30,8 @@ import numpy as np
 import sympy
 
 from ..corering.linalg import (
+    FullPivotFactor,
     berkowitz_charpoly,
-    howell_solve,
     kernel_of_free_summand,
     matmul_mod,
     restrict_operator,
@@ -343,6 +343,18 @@ def component_slopes(np_poly: NewtonPolygon, f: PadicPoly) -> list[SlopeComponen
 # -- structural checks -------------------------------------------------------
 
 
+def _power_basis_factor(workspace: dict) -> FullPivotFactor:
+    """The columns I, Y, ..., Y^(dimW - 1), flattened, factored once per
+    report: every generator check solves against the same Y."""
+    if "powers" not in workspace:
+        Y, mod = workspace["Y"], workspace["space"].modulus
+        pows = [np.eye(Y.shape[0], dtype=np.int64)]
+        for _ in range(Y.shape[0] - 1):
+            pows.append(matmul_mod(pows[-1], Y, mod))
+        workspace["powers"] = FullPivotFactor(np.stack([P.reshape(-1) for P in pows], axis=1), mod)
+    return workspace["powers"]
+
+
 def generator_check(report: EisensteinReport, ellp: int) -> bool:
     """Does T_ellp - ellp - 1 generate the Eisenstein-local ideal?
 
@@ -357,15 +369,10 @@ def generator_check(report: EisensteinReport, ellp: int) -> bool:
         raise ValueError("report carries no workspace; recompute eisenstein_local_factor")
     space: ManinSpace = report._workspace["space"]
     mod = space.modulus
-    Y = report._workspace["Y"]
-    dimW = Y.shape[0]
+    dimW = report._workspace["Y"].shape[0]
     Bq_W = _eisenstein_shift(space, ellp, report._workspace["W"])
     # solve sum_i c_i Y^i = Bq_W
-    pows = [np.eye(dimW, dtype=np.int64)]
-    for _ in range(dimW - 1):
-        pows.append(matmul_mod(pows[-1], Y, mod))
-    A = np.stack([P.reshape(-1) for P in pows], axis=1)
-    x = howell_solve(A, Bq_W.reshape(-1), mod)
+    x = _power_basis_factor(report._workspace).solve(Bq_W.reshape(-1))
     if x is None:
         raise ConsistencyError("Hecke action is not polynomial in the generator")
     if x[0] % mod.pM != 0:

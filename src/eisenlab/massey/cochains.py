@@ -3,24 +3,26 @@
 Two module shapes cover everything needed: a scalar module Z/p^s with a
 character action, and the module of 2x2 matrices End(rho) for an explicit
 representation rho, acted on by conjugation and paired by matrix
-multiplication.  Both run through one code path:
+multiplication:
 
 * each module holds one read-only action tensor ``action`` of shape
   (order, vs, vs), the matrix of v -> g.v on flattened values (vs = 1 or
   4): the character as 1 x 1 blocks, or rho(g) (x) rho(g)^-T, since
-  row-major vec(r X s) = (r (x) s^T) vec(X);
-* acting on a cochain table with any number of leading axes is one
-  ``matmul_mod`` against it, and so are the coboundaries in degrees 0-2;
-  D^1 for ``vanishes_in_h2`` is scattered from it, on the rows (g, s) with
-  s in the generating set S = ``group.generators`` only (see below);
-* the cup pairing multiplies values as d x d matrices (d = 1 for scalars)
-  through ``matmul_mod``.
+  row-major vec(r X s) = (r (x) s^T) vec(X).  D^1 for ``vanishes_in_h2``
+  is scattered from it, on the rows (g, s) with s in the generating set
+  S = ``group.generators`` only (see below);
+* acting on a cochain table with any number of leading axes, as the
+  coboundaries in degrees 0-2 and the cup product do, is one
+  ``matmul_mod`` against the tensor for End(rho), and one elementwise
+  product by ``char`` for a scalar module;
+* the cup pairing multiplies values as 2 x 2 matrices through
+  ``matmul_mod`` for End(rho), and elementwise for a scalar module.
 
 Every product is therefore exact.  The modulus must be below 2^31, the
 bound of ``matmul_mod``, whose first call in ``CoeffModule`` (the
 homomorphism check) raises otherwise; so an elementwise product of two
-residues, as in the action tensor, fits int64.  The inhomogeneous
-differential is the standard one:
+residues, as in the action tensor and the scalar paths, is below 2^62 and
+fits int64.  The inhomogeneous differential is the standard one:
 
   (dc)(g_1,...,g_{n+1}) = g_1 c(g_2,...) + sum (-1)^i c(..., g_i g_{i+1}, ...)
                           + (-1)^{n+1} c(g_1,...,g_n).
@@ -181,23 +183,23 @@ class CoeffModule:
 
     def act_all(self, table: np.ndarray) -> np.ndarray:
         """out[g, ...] = g . table[...], for any number of leading axes."""
+        if not self.value_shape:  # char[g] * table, residues: below 2^62
+            return self.char.reshape((-1,) + (1,) * table.ndim) * table % self.modulus.pM
         n, vs = self.action.shape[:2]
         lead = table.shape[: table.ndim - len(self.value_shape)]
         out = matmul_mod(self.action.reshape(n * vs, vs), table.reshape(-1, vs).T, self.modulus)
         return out.reshape(n, vs, -1).swapaxes(1, 2).reshape((n,) + lead + self.value_shape)
 
     def pair(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a . b, multiplying values as d x d matrices (d = 1 for scalars);
-        leading axes broadcast."""
-        square, k = self.value_shape or (1, 1), len(self.value_shape)
-        out = matmul_mod(
-            a.reshape(a.shape[: a.ndim - k] + square),
-            b.reshape(b.shape[: b.ndim - k] + square),
-            self.modulus,
-        )
-        return out.reshape(out.shape[:-2] + self.value_shape)
+        """a . b, multiplying values elementwise for scalars (residues: below
+        2^62) and as 2 x 2 matrices otherwise; leading axes broadcast."""
+        if not self.value_shape:
+            return a * b % self.modulus.pM
+        return matmul_mod(a, b, self.modulus)
 
     def compatible(self, other: "CoeffModule") -> bool:
+        if self is other:
+            return True
         if self.group is not other.group or self.modulus != other.modulus:
             return False
         if self.kind != other.kind:
@@ -208,6 +210,8 @@ class CoeffModule:
 
     def cup_target(self, other: "CoeffModule") -> "CoeffModule":
         """Module receiving a cup product of cochains in self and other."""
+        if self is other and self.kind == "matrix":
+            return self
         if self.group is not other.group or self.modulus != other.modulus:
             raise ValueError("module mismatch")
         if self.kind == "scalar" and other.kind == "scalar":

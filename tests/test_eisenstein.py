@@ -510,3 +510,21 @@ def test_summand_kernel_matches_full_power_below_2000(p):
         assert np.array_equal(eisenstein._summand_kernel(B, mod), _full_power_kernel(B, mod)), N
         short += B.shape[0] * mod.M > 32
     assert short >= len(sweep_primes(p, 2000)) // 2
+
+
+def test_generator_checks_share_one_power_basis_factor(monkeypatch):
+    # the four checks of a report solve against the same I, Y, ..., Y^e
+    built = []
+
+    class CountingFactor(FullPivotFactor):
+        def __init__(self, A, mod):
+            built.append(A.shape)
+            super().__init__(A, mod)
+
+    monkeypatch.setattr(eisenstein, "FullPivotFactor", CountingFactor)
+    rep = eisenstein_local_factor(181, 5)
+    assert sorted(rep.diagnostics["generator_checks"]) == [2, 3, 5, 7]
+    dimW = rep.e + 1
+    assert rep._workspace["Y"].shape == (dimW, dimW) and built == [(dimW * dimW, dimW)]
+    assert generator_check(rep, rep.ell_used) is True
+    assert len(built) == 1

@@ -20,7 +20,7 @@ from eisenlab.corering import (
     unit_echelon,
     valuation_p,
 )
-from eisenlab.corering.linalg import _apply_panel, _delay_room, _narrow, _unit_gauss_jordan
+from eisenlab.corering.linalg import _PANEL, _apply_panel, _delay_room, _narrow, _replay, _unit_gauss_jordan
 
 rng = np.random.default_rng(417)
 
@@ -373,10 +373,11 @@ def _mulmod(A, B, pM):
     return ((np.asarray(A).astype(object) @ np.asarray(B).astype(object)) % pM).astype(np.int64)
 
 
-def _gauss_jordan_unblocked(A, mod, stop=None):
+def _gauss_jordan_unblocked(A, mod, stop=None, swaps=None):
     """One rank-1 Gauss-Jordan update per unit pivot, pivots taken among the
     first ``stop`` columns (independent oracle); returns the reduced matrix
-    and the pivot columns."""
+    and the pivot columns.  Each row swap is appended to ``swaps``, when
+    given, as (pivot column, row, row)."""
     pM, p = mod.pM, mod.p
     A = np.asarray(A, dtype=np.int64) % pM
     m, n = A.shape
@@ -391,6 +392,8 @@ def _gauss_jordan_unblocked(A, mod, stop=None):
         sel = r + int(nz[0])
         if sel != r:
             A[[r, sel]] = A[[sel, r]]
+            if swaps is not None:
+                swaps.append((c, r, sel))
         A[r] = (A[r] * pow(int(A[r, c]), -1, pM)) % pM
         colvals = A[:, c].copy()
         colvals[r] = 0
@@ -881,3 +884,45 @@ def test_unit_gauss_jordan_matches_unblocked(pm, stop):
         assert np.array_equal(X, want)
         above += sum(int((rows < r0).sum()) for r0, _, rows, _ in panels)
     assert above > 0 if stop > 32 else above == 0
+
+
+@pytest.mark.parametrize("pm", [(5, 1), (5, 13), (2147483647, 1)], ids=["5", "5^13", "2^31-1"])
+def test_panel_swaps_replay_as_one_gather(pm):
+    # rows 0 and 40 are p times random rows: their leading entries are never
+    # units, so each sinks one row per pivot, and every panel swaps rows,
+    # one of them twice; the panel's one gather must replay what its swaps,
+    # one at a time, do
+    mod = Modulus(*pm)
+    p, pM = mod.p, mod.pM
+    gen = np.random.default_rng(pM % 1009)
+    A0 = gen.integers(0, pM, (80, 72))
+    A0[[0, 40]] = p * gen.integers(0, pM, (2, 72)) % pM
+    swaps = []
+    want, want_pivcols = _gauss_jordan_unblocked(A0, mod, swaps=swaps)
+    A = A0.copy()
+    pivcols, panels = _unit_gauss_jordan(A, mod)
+    assert pivcols == want_pivcols and np.array_equal(A, want)
+    assert len(panels) == 3
+    by_panel = [[(r, sel) for c, r, sel in swaps if c // _PANEL == k] for k in range(len(panels))]
+    for panel, panel_swaps in zip(panels, by_panel):
+        touched = [row for swap in panel_swaps for row in swap]
+        assert len(touched) > len(set(touched))  # a row swapped twice
+        dst, src = panel[1]
+        assert sorted(dst) == sorted(src) == sorted(set(touched))
+    for X0 in (gen.integers(0, pM, 80), gen.integers(0, pM, (80, 5))):
+        X, Y = X0.copy(), X0.copy()
+        for panel, panel_swaps in zip(panels, by_panel):
+            _apply_panel(X, panel, mod)
+            for r, sel in panel_swaps:  # the oracle: one swap at a time
+                Y[[r, sel]] = Y[[sel, r]]
+            r0, _, rows, E = panel
+            _replay(Y, r0, rows, E, mod, ...)
+            assert np.array_equal(X, Y)
+
+
+def test_panel_without_swaps_stores_empty_gather():
+    mod = Modulus(5, 2)
+    A = np.eye(40, dtype=np.int64) + np.triu(5 * np.ones((40, 40), dtype=np.int64), 1)
+    _, panels = _unit_gauss_jordan(A, mod)
+    assert len(panels) == 2
+    assert all(dst.size == src.size == 0 for _, (dst, src), _, _ in panels)

@@ -1013,3 +1013,64 @@ def test_selftest_enumerates_defining_systems_and_obstructions_once(monkeypatch)
     assert selftest.run_selftest(5, quick=True).ok
     assert ks == [2, 3, 4, 5]  # once per k, shared by both properties on Z/5
     assert built and len({id(D) for D in built}) == len(built)  # c(D) once per system
+
+
+def _counting_matmul(monkeypatch):
+    """Route every eisenlab reference to ``matmul_mod`` through a counter."""
+    import sys
+
+    from eisenlab.corering import linalg
+
+    calls = []
+    original = linalg.matmul_mod
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("eisenlab") and getattr(module, "matmul_mod", None) is original:
+            monkeypatch.setattr(module, "matmul_mod", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mod", EDGE_MODULI, ids=EDGE_IDS)
+def test_scalar_cochain_products_make_no_matrix_products(mod, monkeypatch):
+    # scalar modules multiply values elementwise; End modules still go
+    # through matmul_mod.  Each twisted scalar module V is cupped with the
+    # trivial U on its group, so the cup lands in V or U and builds no module
+    gen = np.random.default_rng(40 + mod.M)
+    modules = _edge_modules(mod)
+    pairs = [(V, CoeffModule.scalar(V.group, mod)) for V in modules[:2]]
+    calls = _counting_matmul(monkeypatch)
+    q = mod.pM
+    for V, U in pairs:
+        for module in (V, U):
+            for degree in (0, 1, 2):
+                t = _edge_table(module, degree, gen)
+                assert np.array_equal(module.act_all(t), _ref_act_all(module, t))
+                assert np.array_equal(coboundary(Cochain(module, degree, t)).table, _ref_coboundary(module, t))
+            x, y = _edge_table(module, 2, gen), _edge_table(module, 1, gen)
+            assert np.array_equal(module.pair(x, y), (x.astype(object) * y.astype(object)) % q)
+        a = Cochain(V, 1, _edge_table(V, 1, gen))
+        for j in (1, 2):
+            b = Cochain(U, j, _edge_table(U, j, gen))
+            assert np.array_equal(cup(a, b).table, _ref_cup(a, b))
+        c = Cochain(U, 1, _edge_table(U, 1, gen))
+        assert np.array_equal(cup(c, a).table, _ref_cup(c, a)) and cup(c, a).module is V
+    assert not calls
+    for End in modules[2:]:
+        a = Cochain(End, 1, _edge_table(End, 1, gen))
+        for step in (lambda: End.act_all(a.table), lambda: End.pair(a.table, a.table),
+                     lambda: cup(a, a), lambda: coboundary(a)):
+            before = len(calls)
+            step()
+            assert len(calls) > before
+
+
+def test_quick_selftest_matrix_products(monkeypatch):
+    from eisenlab.massey import selftest
+
+    calls = _counting_matmul(monkeypatch)
+    assert selftest.run_selftest(9, quick=True).ok
+    assert 0 < len(calls) <= 1400  # 3431 when scalar cochains multiplied through matmul_mod
