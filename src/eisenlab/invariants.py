@@ -4,6 +4,17 @@ Merel's number prod i^i, the group-ring zeta element built from the second
 Bernoulli polynomial, its order along the augmentation filtration, Mazur's
 good primes, and the discrete-log identities underpinning the equivalences
 between them.
+
+Merel's number is taken without discrete logs.  With h = (N-1)/2 and the
+suffix products S(j) = j (j+1) ... h mod N, each i <= h is a factor of
+exactly i of them (S(1), ..., S(i)), so prod_{i<=h} i^i = prod_{j<=h} S(j).
+The S(j) come from a Hillis-Steele scan, ceil(log2 h) shifted int64
+multiply-and-reduce passes, and their product from a pairwise tree.  Both
+factors of every product are residues below N, so N^2 < 2^63 keeps them
+exact, and no inverse is taken, so any odd N >= 3 works.  ``merel_report``
+then tests the number two ways: by the exponent test on that value, and by
+the log sum sum_{i<=h} i log(i) over the dlog table.  As the value never
+touches the table, their agreement checks both.
 """
 
 from __future__ import annotations
@@ -28,13 +39,37 @@ def check_pair(N: int, p: int) -> None:
 
 
 def merel_number(N: int) -> int:
-    """prod_{i=1}^{(N-1)/2} i^i mod N."""
+    """prod_{i=1}^{(N-1)/2} i^i mod N, for odd N >= 3 (composites too).
+
+    The product of the suffix products S(j) = j ... h mod N, h = (N-1)/2
+    (module docstring): ceil(log2 h) scan passes, then a pairwise product
+    tree, in place in one int64 array of h entries, half a dlog table.
+    Overlapping ufunc operands read as if copied first; numpy buffers them
+    in small chunks.  Raises ValueError for even N, N < 3, and (before
+    allocating) N^2 >= 2^63, where a product of two residues could overflow.
+    """
     if N < 3 or N % 2 == 0:
-        raise ValueError(f"N = {N} must be an odd prime")
-    out = 1
-    for i in range(1, (N - 1) // 2 + 1):
-        out = (out * pow(i, i, N)) % N
-    return out
+        raise ValueError(f"N = {N} must be odd and >= 3")
+    if N * N >= 1 << 63:
+        raise ValueError(f"N = {N} too large for exact int64 products of residues")
+    h = (N - 1) // 2
+    a = np.arange(1, h + 1, dtype=np.int64)
+    k = 1
+    while k < h:  # a[j] = (j+1) (j+2) ... min(j+k, h) mod N
+        head = a[:-k]
+        np.multiply(head, a[k:], out=head)
+        np.remainder(head, N, out=head)
+        k *= 2
+    n = h
+    while n > 1:  # a[:n] -> its pairwise products, an odd last entry carried
+        m = n // 2
+        head = a[:m]
+        np.multiply(a[0 : 2 * m : 2], a[1 : 2 * m : 2], out=head)
+        np.remainder(head, N, out=head)
+        if n % 2:
+            a[m] = a[n - 1]
+        n = m + n % 2
+    return int(a[0])
 
 
 def is_good_prime(ell: int, N: int, p: int) -> bool:
@@ -72,7 +107,10 @@ def merel_report(N: int, p: int, s_max: int) -> MerelReport:
     """Power status of Merel's number for every s <= s_max.
 
     The exponent test (x^((N-1)/p^s) = 1) and the log-sum test
-    (sum i*log(i) = 0 in Z/p^s) are computed independently and must agree.
+    (sum i*log(i) = 0 in Z/p^s) are computed independently and must agree:
+    x comes from ``merel_number``'s suffix-product scan, which reads no dlog
+    table, and only the log sum reads ``build_dlog_table``.  A fault in
+    either the scan or the table therefore shows as a disagreement.
     """
     t = valuation_p(N - 1, p)
     if t == 0:
@@ -251,40 +289,57 @@ def ord_zeta(N: int, p: int, s: int) -> int | AtLeast:
     Sylow quotient) certifies the result: zeta must lie in I^ord and not in
     I^(ord+1), or in I^cap for AtLeast(cap).
     """
+    return _zeta_ords(N, p, [s])[s]
+
+
+def _zeta_ords(N: int, p: int, levels) -> dict[int, int | AtLeast]:
+    """``ord_zeta(N, p, s)`` for each s in levels, from one zeta element and
+    one Sylow projection built mod p^s_top, s_top = max(levels).
+
+    Mod p^s both are the reductions of those mod p^s_top: 1/N and 1/6 mod
+    p^s reduce from their values mod p^s_top, and the projection only adds.
+    """
+    s_top = max(levels)
     t = valuation_p(N - 1, p)
     if t == 0:
         raise ValueError(f"p = {p} does not divide N-1")
-    if s > t:
-        raise ValueError(f"s = {s} exceeds v_p(N-1) = {t}")
+    if s_top > t:
+        raise ValueError(f"s = {s_top} exceeds v_p(N-1) = {t}")
     cap = p**t + 1
-    z = zeta_element(N, p, s)
-    proj = _sylow_projection(z, p, s, t)
-    if not proj.any():
-        return AtLeast(cap)
-    d = _v_coordinates(proj, p, s, t)
-    if d[0]:
-        raise AssertionError(f"ord_s(zeta) = 0 at (N,p,s)=({N},{p},{s}); should be >= 1")
-    out = _sylow_ord(d, p, s, cap)
-    if N - 1 <= _FULL_ORACLE_LIMIT:
-        probes = [(cap, True)] if isinstance(out, AtLeast) else [(out, True), (out + 1, False)]
-        for r, member in probes:
-            if _aug_power_membership_full(z, p, s, r) != member:
-                raise AssertionError(
-                    f"Sylow and full-ring I^r membership disagree at r={r}, (N,p,s)=({N},{p},{s})"
-                )
-    return out
+    z_top = zeta_element(N, p, s_top)
+    proj_top = _sylow_projection(z_top, p, s_top, t)
+    ords = {}
+    for s in levels:
+        proj = proj_top % p**s
+        if not proj.any():
+            ords[s] = AtLeast(cap)
+            continue
+        d = _v_coordinates(proj, p, s, t)
+        if d[0]:
+            raise AssertionError(f"ord_s(zeta) = 0 at (N,p,s)=({N},{p},{s}); should be >= 1")
+        out = _sylow_ord(d, p, s, cap)
+        if N - 1 <= _FULL_ORACLE_LIMIT:
+            probes = [(cap, True)] if isinstance(out, AtLeast) else [(out, True), (out + 1, False)]
+            for r, member in probes:
+                if _aug_power_membership_full(z_top % p**s, p, s, r) != member:
+                    raise AssertionError(
+                        f"Sylow and full-ring I^r membership disagree at r={r}, (N,p,s)=({N},{p},{s})"
+                    )
+        ords[s] = out
+    return ords
 
 
 def zeta_report(N: int, p: int, s_max: int) -> ZetaReport:
     """ord_s(zeta) for every s <= s_max, and whether zeta's Sylow projection is zero.
 
-    The projection mod p^s reduces to the one mod p, so it vanishes for some
-    s exactly when it vanishes at s = 1.  ``ord_zeta`` returns AtLeast(cap)
-    at s = 1 exactly then, as the v-coordinates are a unitriangular
-    transform of the projection.
+    zeta and its Sylow projection are built once, mod p^s_max, and reduced
+    for each lower s (``_zeta_ords``).  The projection mod p^s reduces to
+    the one mod p, so it vanishes for some s exactly when it vanishes at
+    s = 1.  ``ord_zeta`` returns AtLeast(cap) at s = 1 exactly then, as the
+    v-coordinates are a unitriangular transform of the projection.
     """
     t = valuation_p(N - 1, p)
-    ords = {s: ord_zeta(N, p, s) for s in range(1, s_max + 1)}
+    ords = _zeta_ords(N, p, range(1, s_max + 1))
     return ZetaReport(N=N, p=p, ord_s=ords, cap=p**t + 1, sylow_zero=isinstance(ords[1], AtLeast))
 
 

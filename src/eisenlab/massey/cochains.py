@@ -72,6 +72,7 @@ class CoeffModule:
         self.modulus = modulus
         self.kind = kind
         self._lower_modules: dict[bytes, CoeffModule] = {}  # see with_lower_entry
+        self._cup_targets: dict[CoeffModule, CoeffModule] = {}  # see cup_target
         q = modulus.pM
         n = group.order
         if kind == "scalar":
@@ -209,7 +210,15 @@ class CoeffModule:
         return np.array_equal(self.char, other.char)
 
     def cup_target(self, other: "CoeffModule") -> "CoeffModule":
-        """Module receiving a cup product of cochains in self and other."""
+        """Module receiving a cup product of cochains in self and other,
+        decided once per other module; the action data is read-only, so the
+        decision cannot go stale."""
+        target = self._cup_targets.get(other)
+        if target is None:
+            target = self._cup_targets[other] = self._decide_cup_target(other)
+        return target
+
+    def _decide_cup_target(self, other: "CoeffModule") -> "CoeffModule":
         if self is other and self.kind == "matrix":
             return self
         if self.group is not other.group or self.modulus != other.modulus:
@@ -228,12 +237,15 @@ class CoeffModule:
 class Cochain:
     """Function table G^n -> V, degree n <= 3."""
 
-    def __init__(self, module: CoeffModule, degree: int, table: np.ndarray):
+    def __init__(self, module: CoeffModule, degree: int, table: np.ndarray, *, reduced=False):
+        """reduced: table is an int64 array of residues mod p^M already (as
+        ``CoeffModule.pair`` returns), so it is not reduced again."""
         if degree < 0 or degree > 3:
             raise ValueError("degree must be between 0 and 3")
         n = module.group.order
         expected = (n,) * degree + module.value_shape
-        table = np.asarray(table, dtype=np.int64) % module.modulus.pM
+        if not reduced:
+            table = np.asarray(table, dtype=np.int64) % module.modulus.pM
         if table.shape != expected:
             raise ValueError(f"table shape {table.shape} != {expected}")
         self.module = module
@@ -330,7 +342,7 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
         prefix = G.table[prefix]
     acted = b.module.act_all(b.table)[prefix]
     front = a.table.reshape(a.table.shape[:i] + (1,) * j + target.value_shape)
-    return Cochain(target, i + j, target.pair(front, acted))
+    return Cochain(target, i + j, target.pair(front, acted), reduced=True)
 
 
 def is_cocycle(c: Cochain) -> bool:

@@ -21,7 +21,7 @@ from eisenlab.invariants import (
     zeta_element,
     zeta_report,
 )
-from eisenlab.sweep import compute_record
+from eisenlab.sweep import compute_record, sweep_primes
 from test_dlog import dlog_logs
 
 
@@ -29,6 +29,55 @@ def test_merel_number_values():
     assert merel_number(337) == 227
     assert merel_number(5) == 4
     assert merel_number(3) == 1
+
+
+def _merel_loop(N):
+    """prod_{i<=(N-1)/2} i^i mod N, one Python pow per i (the oracle)."""
+    out = 1
+    for i in range(1, (N - 1) // 2 + 1):
+        out = (out * pow(i, i, N)) % N
+    return out
+
+
+def test_merel_number_matches_loop_oracle():
+    # odd composites too: the scan takes no inverse
+    for N in [*range(3, 3000, 2), 60101, 99991, 100151]:
+        assert merel_number(N) == _merel_loop(N), N
+
+
+@pytest.mark.parametrize("N", [-3, 0, 1, 2, 4, 100, 1000152])
+def test_merel_number_rejects_even_and_small_N(N):
+    with pytest.raises(ValueError, match="odd"):
+        merel_number(N)
+
+
+def test_merel_number_peak_memory_within_a_dlog_table():
+    import tracemalloc
+
+    N = 100151
+    tracemalloc.start()
+    try:
+        merel_number(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (N - 1)  # the int64 powers of build_dlog_table(N)
+
+
+def test_merel_number_int64_guard_allocates_nothing():
+    import tracemalloc
+
+    # 3037000499^2 < 2^63 <= 3037000501^2: past the guard the scan would
+    # need one int64 array of 1.5e9 entries (12 GB)
+    for N in (3037000501, 2**63 + 1):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="int64"):
+                merel_number(N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, (N, peak)
 
 
 def test_merel_report_337():
@@ -105,6 +154,15 @@ def test_ord_zeta_two_paths_agree(monkeypatch):
         for N, t in _pairs(p, 2000):
             for s in range(1, t + 1):
                 ord_zeta(N, p, s)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_zeta_report_reductions_match_ord_zeta(p):
+    # zeta_report builds zeta once, mod p^t, and reduces it for each lower s
+    for N in sweep_primes(p, 2000):
+        t = int(valuation_p(N - 1, p))
+        rep = zeta_report(N, p, t)
+        assert rep.ord_s == {s: ord_zeta(N, p, s) for s in range(1, t + 1)}, (N, p)
 
 
 def test_zeta_report_records_all_s():

@@ -492,6 +492,55 @@ def test_scalar_cochains_with_different_characters_do_not_mix():
     assert Cochain(tw, 1, t) == Cochain(CoeffModule.scalar(G, mod, np.array([1, 2, 4, 3])), 1, t)
 
 
+def test_cochain_tables_are_reduced_except_cup_residues():
+    G, mod = cyclic(4), Modulus(5, 2)
+    M = CoeffModule.scalar(G, mod, np.array([1, 7, 24, 18]))  # 7 has order 4 mod 25
+    a = Cochain(M, 1, np.array([-1, 25, 26, 3]))
+    assert a.table.tolist() == [24, 0, 1, 3]
+    for c in (a + a, a - 3 * a, -a, a * -7, coboundary(a), cup(a, a)):
+        assert c.table.dtype == np.int64 and c.table.min() >= 0 and c.table.max() < 25
+    residues = np.arange(4, dtype=np.int64)
+    assert Cochain(M, 1, residues, reduced=True).table is residues
+
+
+def _fresh_cup_target(U, V):
+    """cup_target decided from the modules' data on every call, as before it
+    was kept per pair; None where it builds a new scalar module."""
+    if U is V and U.kind == "matrix":
+        return U
+    if U.kind == V.kind == "scalar":
+        char = U.char * V.char % U.modulus.pM
+        return next((m for m in (U, V) if np.array_equal(char, m.char)), None)
+    assert U.kind == "matrix" and np.array_equal(U.rho, V.rho)
+    return U
+
+
+def test_cup_target_is_decided_once_per_pair_of_modules(monkeypatch):
+    from eisenlab.massey import selftest
+
+    seen, decided = [], []
+    cup_target = CoeffModule.cup_target
+    decide = CoeffModule._decide_cup_target
+
+    def recording(U, V):
+        seen.append((U, V, cup_target(U, V)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(CoeffModule, "cup_target", recording)
+    monkeypatch.setattr(CoeffModule, "_decide_cup_target", lambda U, V: decided.append(1) or decide(U, V))
+    assert selftest.run_selftest(9, quick=True).ok
+    pairs = {(id(U), id(V)) for U, V, _ in seen}
+    assert len(seen) > len(pairs) == len(decided)
+    for U, V, got in seen:
+        assert got is _fresh_cup_target(U, V)
+    G, mod = cyclic(4), Modulus(5, 1)
+    triv, tw = CoeffModule.scalar(G, mod), CoeffModule.scalar(G, mod, np.array([1, 2, 4, 3]))
+    assert tw.cup_target(triv) is tw and triv.cup_target(tw) is tw
+    square = tw.cup_target(tw)  # chi^2 is neither operand: a new module, kept
+    assert _fresh_cup_target(tw, tw) is None and square.char.tolist() == [1, 4, 1, 4]
+    assert tw.cup_target(tw) is square and tw.cup_target(triv) is tw
+
+
 def test_shifted_system_builds_each_end_nu_once(monkeypatch):
     from eisenlab.massey import cochains
 
