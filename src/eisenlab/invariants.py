@@ -15,6 +15,11 @@ exact, and no inverse is taken, so any odd N >= 3 works.  ``merel_report``
 then tests the number two ways: by the exponent test on that value, and by
 the log sum sum_{i<=h} i log(i) over the dlog table.  As the value never
 touches the table, their agreement checks both.
+
+Every log-side sum of a record comes from one pass over the dlog table
+(``_log_sums``): Merel's half log sum and the three discrete-log identities
+behind ``lecouturier_check``.  ord_s(zeta) is decided in the Sylow-p
+quotient of the group ring alone (``ord_zeta``).
 """
 
 from __future__ import annotations
@@ -84,14 +89,23 @@ def is_good_prime(ell: int, N: int, p: int) -> bool:
     return not is_power(ell % N, N, p)
 
 
-def _log_terms(N: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, i mod q, log(i) mod q) over F_N^x, in log order, for q | N - 1.
+def _log_sums(N: int, q: int) -> tuple[int, bool]:
+    """(Merel's half log sum mod q, whether the identities hold mod q), for q | N - 1.
 
+    One pass over ``build_dlog_table(N).powers`` in log order, log(g^k) = k
+    mod q.  The half sum is sum_{i<=(N-1)/2} i log(i); the identities are
+    sum log(i) = 0, sum i log(i) = 0 and sum i^2 log(i) = -(4/3) half, summed
+    over all of F_N^x.  The first reads no table and always holds: the sum
+    is sum_{k<N-1} k = (N-1)/2 (N-2), and q is odd and divides N - 1.
     q < N < 2^26 (the dlog limit), so products of two residues and sums of
     N residues stay below 2^52: reduce each term, and int64 sums are exact.
     """
     i = build_dlog_table(N).powers
-    return i, i % q, np.arange(N - 1, dtype=np.int64) % q
+    iq = i % q
+    i_log = iq * (np.arange(N - 1, dtype=np.int64) % q) % q
+    half = int(i_log[i <= (N - 1) // 2].sum()) % q
+    i2_log = int((iq * i_log % q).sum()) % q
+    return half, int(i_log.sum()) % q == 0 and (i2_log + half * 4 * pow(3, -1, q)) % q == 0
 
 
 @dataclass
@@ -101,6 +115,7 @@ class MerelReport:
     merel_value: int
     log_sum_s: dict[int, int]
     is_power_s: dict[int, bool]
+    identities_ok: bool
 
 
 def merel_report(N: int, p: int, s_max: int) -> MerelReport:
@@ -111,6 +126,8 @@ def merel_report(N: int, p: int, s_max: int) -> MerelReport:
     x comes from ``merel_number``'s suffix-product scan, which reads no dlog
     table, and only the log sum reads ``build_dlog_table``.  A fault in
     either the scan or the table therefore shows as a disagreement.
+    ``identities_ok`` is ``lecouturier_check(N, p, s_max)``, from the same
+    pass over the table as the log sum.
     """
     t = valuation_p(N - 1, p)
     if t == 0:
@@ -118,9 +135,7 @@ def merel_report(N: int, p: int, s_max: int) -> MerelReport:
     if s_max > t:
         raise ValueError(f"s_max = {s_max} exceeds v_p(N-1) = {t}")
     value = merel_number(N)
-    q = p**s_max
-    i, iq, log = _log_terms(N, q)
-    total = int((iq * log % q)[i <= (N - 1) // 2].sum())
+    total, identities_ok = _log_sums(N, p**s_max)
     log_sum_s = {}
     is_power_s = {}
     prev = True
@@ -137,7 +152,9 @@ def merel_report(N: int, p: int, s_max: int) -> MerelReport:
         log_sum_s[s] = ls
         is_power_s[s] = ip
         prev = ip
-    return MerelReport(N=N, p=p, merel_value=value, log_sum_s=log_sum_s, is_power_s=is_power_s)
+    return MerelReport(
+        N=N, p=p, merel_value=value, log_sum_s=log_sum_s, is_power_s=is_power_s, identities_ok=identities_ok
+    )
 
 
 def zeta_element(N: int, p: int, s: int) -> np.ndarray:
@@ -192,14 +209,6 @@ def _v_coordinates(vec: np.ndarray, p: int, s: int, t: int) -> np.ndarray:
     return d
 
 
-def _toeplitz_member(col: np.ndarray, target: np.ndarray, p: int, s: int) -> bool:
-    """Is target in the column span, mod p^s, of the r x r lower-triangular
-    Toeplitz matrix with first column col (r = len(col))?"""
-    r = len(col)
-    diag = np.subtract.outer(np.arange(r), np.arange(r))
-    return howell_membership(np.where(diag >= 0, col[diag.clip(0)], 0), target, Modulus(p, s))[0]
-
-
 def _sylow_member(d: np.ndarray, p: int, s: int, r: int, pt: int) -> bool:
     """Is the element with v-coordinates d (mod p^s) in I^r, the Sylow-p
     quotient of order pt = p^t?  d needs min(r, pt) entries.
@@ -212,7 +221,8 @@ def _sylow_member(d: np.ndarray, p: int, s: int, r: int, pt: int) -> bool:
     rho[1 : pt + 1] = [comb(pt, j) % ps for j in range(1, min(r, pt + 1))]
     target = np.zeros(r, dtype=np.int64)
     target[:pt] = d[:r]
-    return _toeplitz_member(rho, target, p, s)
+    diag = np.subtract.outer(np.arange(r), np.arange(r))
+    return howell_membership(np.where(diag >= 0, rho[diag.clip(0)], 0), target, Modulus(p, s))[0]
 
 
 def _sylow_ord(d: np.ndarray, p: int, s: int, cap: int) -> int | AtLeast:
@@ -240,31 +250,6 @@ def _sylow_ord(d: np.ndarray, p: int, s: int, cap: int) -> int | AtLeast:
     return lo
 
 
-def _aug_power_membership_full(z: np.ndarray, p: int, s: int, r: int) -> bool:
-    """Full group-ring oracle: the log-ordered z in I_G^r inside (Z/p^s)[(Z/N)^x].
-
-    G is cyclic of order n = N - 1, so with x = [g] the ring is
-    (Z/p^s)[x]/(x^n - 1), I_G^r = ((x-1)^r), and z is in I_G^r exactly when
-    it is in the ideal ((x-1)^r, x^n - 1) of (Z/p^s)[x].  (x-1)^r is monic,
-    so z is reduced mod it in the basis (x-1)^j by r rounds of synthetic
-    division by x - 1 (each a suffix sum whose remainder is the value at 1).
-    In that basis x^n - 1 = sum_{j>=1} C(n, j) (x-1)^j, and its multiples
-    mod (x-1)^r span the columns of an r x r lower-triangular Toeplitz
-    matrix.  O(n r + r^3); independent of the Sylow reduction it certifies.
-    """
-    n, ps = len(z), p**s
-    rem = np.zeros(r, dtype=np.int64)  # z in the basis (x-1)^j, mod (x-1)^r
-    q = z % ps
-    for j in range(min(r, n)):
-        q = np.cumsum(q[::-1])[::-1] % ps  # q[k] = sum_{i>=k} q[i]
-        rem[j], q = q[0], q[1:]
-    col = np.array([0] + [comb(n, j) % ps for j in range(1, r)], dtype=np.int64)
-    return _toeplitz_member(col, rem, p, s)
-
-
-_FULL_ORACLE_LIMIT = 400
-
-
 @dataclass
 class ZetaReport:
     N: int
@@ -283,11 +268,7 @@ def ord_zeta(N: int, p: int, s: int) -> int | AtLeast:
     (``_v_coordinates``), zeta is in I^r exactly when (d mod v^r) is in
     rho * (Z/p^s)[v]/(v^r): at s = 1 that is r <= ord_1, the index of the
     first entry of d not divisible by p; at s >= 2, ord_s <= ord_1 bounds a
-    bisection of r x r Toeplitz solves.  When N - 1 <= _FULL_ORACLE_LIMIT the
-    full group-ring membership oracle (``_aug_power_membership_full``, which
-    reduces zeta mod (x-1)^r in all of (Z/p^s)[x]/(x^(N-1) - 1) without the
-    Sylow quotient) certifies the result: zeta must lie in I^ord and not in
-    I^(ord+1), or in I^cap for AtLeast(cap).
+    bisection of r x r Toeplitz solves.
     """
     return _zeta_ords(N, p, [s])[s]
 
@@ -306,8 +287,7 @@ def _zeta_ords(N: int, p: int, levels) -> dict[int, int | AtLeast]:
     if s_top > t:
         raise ValueError(f"s = {s_top} exceeds v_p(N-1) = {t}")
     cap = p**t + 1
-    z_top = zeta_element(N, p, s_top)
-    proj_top = _sylow_projection(z_top, p, s_top, t)
+    proj_top = _sylow_projection(zeta_element(N, p, s_top), p, s_top, t)
     ords = {}
     for s in levels:
         proj = proj_top % p**s
@@ -317,15 +297,7 @@ def _zeta_ords(N: int, p: int, levels) -> dict[int, int | AtLeast]:
         d = _v_coordinates(proj, p, s, t)
         if d[0]:
             raise AssertionError(f"ord_s(zeta) = 0 at (N,p,s)=({N},{p},{s}); should be >= 1")
-        out = _sylow_ord(d, p, s, cap)
-        if N - 1 <= _FULL_ORACLE_LIMIT:
-            probes = [(cap, True)] if isinstance(out, AtLeast) else [(out, True), (out + 1, False)]
-            for r, member in probes:
-                if _aug_power_membership_full(z_top % p**s, p, s, r) != member:
-                    raise AssertionError(
-                        f"Sylow and full-ring I^r membership disagree at r={r}, (N,p,s)=({N},{p},{s})"
-                    )
-        ords[s] = out
+        ords[s] = _sylow_ord(d, p, s, cap)
     return ords
 
 
@@ -348,18 +320,12 @@ def lecouturier_check(N: int, p: int, s: int) -> bool:
 
     Checks sum i^2 log(i) = -(4/3) sum_{i<=(N-1)/2} i log(i), and the two
     auxiliary vanishing identities sum log(i) = 0 and sum i log(i) = 0
-    (sums over all of F_N^x).  A failure is a bug, not data.
+    (sums over all of F_N^x), mod p^s, by ``_log_sums``.  A failure is a
+    bug, not data.
     """
     if (N - 1) % p != 0 or p <= 3:
         raise ValueError("need p | N-1 and p > 3")
     ps = p**s
     if (N - 1) % ps != 0:
         return False  # sum log(i) = (N-1)(N-2)/2 has valuation v_p(N-1) < s
-    i, iq, log = _log_terms(N, ps)
-    i_log = iq * log % ps
-    if log.sum() % ps != 0 or i_log.sum() % ps != 0:
-        return False
-    s_half = int(i_log[i <= (N - 1) // 2].sum())
-    lhs = int((iq * iq % ps * log % ps).sum()) % ps
-    rhs = (-s_half * 4 * pow(3, -1, ps)) % ps
-    return lhs == rhs
+    return _log_sums(N, ps)[1]

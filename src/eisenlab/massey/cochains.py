@@ -253,11 +253,6 @@ class Cochain:
         self.table = table
 
     @classmethod
-    def zero(cls, module, degree):
-        n = module.group.order
-        return cls(module, degree, np.zeros((n,) * degree + module.value_shape, np.int64))
-
-    @classmethod
     def random(cls, module, degree, rng):
         n = module.group.order
         shape = (n,) * degree + module.value_shape

@@ -76,7 +76,7 @@ def compute_record(
         if zet.sylow_zero:
             flags.append("sylow-projection-zero")
         # the identities mod p^s_top imply them mod every lower p^s
-        rec.lecouturier_ok = lecouturier_check(N, p, s_top)
+        rec.lecouturier_ok = mer.identities_ok
     else:
         rec.merel_value = None
         rec.lecouturier_ok = None
@@ -181,6 +181,8 @@ def _three_decimals(x: Decimal) -> str:
 
 
 def stats_from_records(records: list[ResultRecord]) -> StatsTable:
+    if not records:
+        raise ValueError("no records")
     ps = {rec.p for rec in records}
     if len(ps) != 1:
         raise ValueError(f"records mix several p: {sorted(ps)}")
@@ -292,7 +294,8 @@ def verify_records(records: list[ResultRecord], recheck_lecouturier: bool = Fals
     checked = 0
     for rec in records:
         tag = f"(N,p)=({rec.N},{rec.p})"
-        fatal += _pair_failures(rec, tag)
+        pair_failures = _pair_failures(rec, tag)
+        fatal += pair_failures
         if rec.e is None or rec.t == 0:
             continue
         checked += 1
@@ -309,7 +312,7 @@ def verify_records(records: list[ResultRecord], recheck_lecouturier: bool = Fals
             fatal.append(f"{tag}: e={rec.e} but ord_1={ord1}")
         if rec.lecouturier_ok is False:
             fatal.append(f"{tag}: discrete-log identity suite failed")
-        elif recheck_lecouturier:
+        elif recheck_lecouturier and not pair_failures:  # the recheck needs a valid pair
             if not lecouturier_check(rec.N, rec.p, rec.t):
                 fatal.append(f"{tag}: discrete-log identity recheck failed")
         if rec.e >= 2:

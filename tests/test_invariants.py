@@ -8,7 +8,7 @@ import sympy
 from eisenlab import invariants
 from eisenlab.corering import AtLeast, Modulus, build_dlog_table, howell_membership, valuation_p
 from eisenlab.invariants import (
-    _aug_power_membership_full,
+    _log_sums,
     _sylow_member,
     _sylow_ord,
     _sylow_projection,
@@ -146,14 +146,13 @@ def test_ord_zeta_at_least_one_everywhere():
         assert isinstance(o, AtLeast) or o >= 1
 
 
-def test_ord_zeta_two_paths_agree(monkeypatch):
-    # the Sylow projection is cross-checked against the full group-ring
-    # membership oracle automatically for N - 1 <= 400; force it beyond
-    monkeypatch.setattr(invariants, "_FULL_ORACLE_LIMIT", 10**6)
+def test_ord_zeta_two_paths_agree():
+    # the Sylow reduction against the full group-ring oracle, at the probes
+    # that certify ord: zeta in I^ord and not in I^(ord+1), or in I^cap
     for p in (5, 7, 11, 13):
         for N, t in _pairs(p, 2000):
             for s in range(1, t + 1):
-                ord_zeta(N, p, s)
+                _assert_full_ring_agrees(N, p, s, ord_zeta(N, p, s), p**t + 1)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -189,6 +188,16 @@ def test_good_primes():
         is_good_prime(31, 31, 5)
 
 
+def test_invariants_record_makes_one_log_pass(monkeypatch):
+    calls = []
+    log_sums = invariants._log_sums
+    monkeypatch.setattr(invariants, "_log_sums", lambda N, q: calls.append((N, q)) or log_sums(N, q))
+    rec = compute_record(3001, 5, with_hecke=False)
+    assert calls == [(3001, 125)]
+    assert rec.lecouturier_ok is True
+    assert rec.merel_log_sum_s == {str(s): log_sums(3001, 5**s)[0] for s in (1, 2, 3)}
+
+
 def test_lecouturier_identities():
     assert lecouturier_check(181, 5, 1)
     assert lecouturier_check(3001, 5, 3)
@@ -199,20 +208,17 @@ def test_lecouturier_identities():
 
 def _python_int_log_sums(N):
     """(sum log i, sum i log i, sum i^2 log i, sum_{i <= (N-1)/2} i log i)
-    over F_N^x, unreduced, in Python ints."""
-    table = dlog_logs(build_dlog_table(N))
-    sums = [0, 0, 0, 0]
-    for i in range(1, N):
-        li = table[i]
-        sums[0] += li
-        sums[1] += i * li
-        sums[2] += i * i * li
-        if i <= (N - 1) // 2:
-            sums[3] += i * li
-    return sums
+    over F_N^x, unreduced, in Python ints: logs from a dict built by
+    stepping the generator, powers of i by ``pow``."""
+    g, x, log = build_dlog_table(N).g, 1, {}
+    for k in range(N - 1):
+        log[x] = k
+        x = x * g % N
+    sums = [sum(pow(i, e) * log[i] for i in range(1, N)) for e in (0, 1, 2)]
+    return [*sums, sum(i * log[i] for i in range(1, (N - 1) // 2 + 1))]
 
 
-@pytest.mark.parametrize("N, p", [(60101, 5), (99991, 5), (99991, 11)])
+@pytest.mark.parametrize("N, p", [(181, 5), (1373, 7), (60101, 5), (99991, 5), (99991, 11), (100151, 5)])
 def test_log_sums_match_python_ints(N, p):
     s_log, s_ilog, s_i2log, s_half = _python_int_log_sums(N)
     if N == 99991:
@@ -224,6 +230,8 @@ def test_log_sums_match_python_ints(N, p):
         want = s_log % ps == 0 and s_ilog % ps == 0 and (s_i2log + s_half * 4 * pow(3, -1, ps)) % ps == 0
         assert lecouturier_check(N, p, s) == want
         assert want == (s <= t)
+        if s <= t:  # the one pass both read
+            assert _log_sums(N, ps) == (s_half % ps, want), (N, p, s)
 
 
 def _merel_power_matches_ord(N, p, s):
@@ -337,8 +345,7 @@ def test_v_coordinates_stop_at_first_unit(p):
 
 
 @pytest.mark.parametrize("p", [5, 7])
-def test_ord_zeta_matches_howell_oracle(p, monkeypatch):
-    monkeypatch.setattr(invariants, "_FULL_ORACLE_LIMIT", 0)
+def test_ord_zeta_matches_howell_oracle(p):
     for N, t in _pairs(p, 1500):
         for s in range(1, t + 1):
             d = _zeta_v_coordinates(N, p, s, t)
@@ -347,10 +354,8 @@ def test_ord_zeta_matches_howell_oracle(p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_full_ring_oracle_agrees_at_every_r(p, monkeypatch):
-    limit = invariants._FULL_ORACLE_LIMIT
-    monkeypatch.setattr(invariants, "_FULL_ORACLE_LIMIT", 0)
-    for N, t in _pairs(p, limit + 2):
+def test_full_ring_oracle_agrees_at_every_r(p):
+    for N, t in _pairs(p, _ORACLE_N_BOUND):
         cap = p**t + 1
         for s in range(1, t + 1):
             z = zeta_element(N, p, s)
@@ -461,34 +466,64 @@ def test_planted_sylow_vectors(p, t, monkeypatch):
         assert v_cap.any() and _sylow_ord(v_cap, p, t, cap) == AtLeast(cap)
 
 
-def test_ord_zeta_certifies_with_full_ring_oracle(monkeypatch):
-    calls = []
-    full = invariants._aug_power_membership_full
-    monkeypatch.setattr(
-        invariants,
-        "_aug_power_membership_full",
-        lambda z, p, s, r: calls.append(r) or full(z, p, s, r),
-    )
-    assert ord_zeta(181, 5, 1) == 3 and calls == [3, 4]
-    calls.clear()
-    assert ord_zeta(3001, 5, 1) == 7 and calls == []  # N - 1 > 400: no oracle
-    with monkeypatch.context() as m:
-        m.setattr(invariants, "_FULL_ORACLE_LIMIT", 420)
-        o = ord_zeta(421, 5, 1)
-        assert calls == [o, o + 1]
-        calls.clear()
-        m.setattr(invariants, "_FULL_ORACLE_LIMIT", 0)
-        assert ord_zeta(181, 5, 1) == 3 and calls == []
-    sylow_ord = invariants._sylow_ord
-    for wrong in (2, 4, AtLeast(6)):
-        monkeypatch.setattr(invariants, "_sylow_ord", lambda d, p, s, cap, w=wrong: w)
-        with pytest.raises(AssertionError, match="disagree"):
-            ord_zeta(181, 5, 1)
-    monkeypatch.setattr(invariants, "_sylow_ord", sylow_ord)
-    assert ord_zeta(181, 5, 1) == 3
+# -- the full group-ring oracle ------------------------------------------------
+#
+# The reference for the Sylow reduction: membership in I_G^r decided in all
+# of (Z/p^s)[(Z/N)^x], with no Sylow quotient.  It is exact at every N; the
+# tests run it on the pairs with N - 1 <= 400 and on the p <= 13, N < 2000
+# sweep.
+
+_ORACLE_N_BOUND = 402  # primes N < 402: N - 1 <= 400
 
 
-# -- the full group-ring oracle against the dense circulant -------------------
+def _aug_power_membership_full(z, p, s, r):
+    """Full group-ring oracle: the log-ordered z in I_G^r inside (Z/p^s)[(Z/N)^x].
+
+    G is cyclic of order n = N - 1, so with x = [g] the ring is
+    (Z/p^s)[x]/(x^n - 1), I_G^r = ((x-1)^r), and z is in I_G^r exactly when
+    it is in the ideal ((x-1)^r, x^n - 1) of (Z/p^s)[x].  (x-1)^r is monic,
+    so z is reduced mod it in the basis (x-1)^j by r rounds of synthetic
+    division by x - 1 (each a suffix sum whose remainder is the value at 1).
+    In that basis x^n - 1 = sum_{j>=1} C(n, j) (x-1)^j, and its multiples
+    mod (x-1)^r span the columns of an r x r lower-triangular Toeplitz
+    matrix.  O(n r + r^3).
+    """
+    n, ps = len(z), p**s
+    rem = np.zeros(r, dtype=np.int64)  # z in the basis (x-1)^j, mod (x-1)^r
+    q = z % ps
+    for j in range(min(r, n)):
+        q = np.cumsum(q[::-1])[::-1] % ps  # q[k] = sum_{i>=k} q[i]
+        rem[j], q = q[0], q[1:]
+    col = np.array([0] + [comb(n, j) % ps for j in range(1, r)], dtype=np.int64)
+    diag = np.subtract.outer(np.arange(r), np.arange(r))
+    return howell_membership(np.where(diag >= 0, col[diag.clip(0)], 0), rem, Modulus(p, s))[0]
+
+
+def _certifying_probes(o, cap):
+    """(r, zeta in I^r) pairs that pin ord_s = o down: o and o + 1, or cap."""
+    return [(cap, True)] if isinstance(o, AtLeast) else [(o, True), (o + 1, False)]
+
+
+def _assert_full_ring_agrees(N, p, s, o, cap):
+    z = zeta_element(N, p, s)
+    for r, member in _certifying_probes(o, cap):
+        assert _aug_power_membership_full(z, p, s, r) == member, (N, p, s, r)
+
+
+def test_zeta_report_matches_full_ring_oracle():
+    # every prime N with N - 1 <= 400, every prime p > 3 dividing N - 1,
+    # every s <= t
+    pairs = 0
+    for N in sympy.primerange(3, _ORACLE_N_BOUND):
+        for p in sympy.primefactors(N - 1):
+            if p <= 3:
+                continue
+            t = int(valuation_p(N - 1, p))
+            rep = zeta_report(N, p, t)
+            for s in range(1, t + 1):
+                _assert_full_ring_agrees(N, p, s, rep.ord_s[s], rep.cap)
+                pairs += 1
+    assert pairs == 79  # (N, p, s) triples
 
 
 def _aug_power(n, r, ps):
@@ -520,19 +555,15 @@ def _group_ring_product(a, b, ps):
     return out
 
 
-def test_full_ring_oracle_matches_dense_circulant(monkeypatch):
-    # every probe ord_zeta makes where the oracle runs
+def test_full_ring_oracle_matches_dense_circulant():
+    # the certifying probes for p <= 13 and N - 1 <= 400
+    full = _aug_power_membership_full
     probes = []
-    full = invariants._aug_power_membership_full
-    monkeypatch.setattr(
-        invariants,
-        "_aug_power_membership_full",
-        lambda z, p, s, r: probes.append((z, p, s, r)) or full(z, p, s, r),
-    )
     for p in (5, 7, 11, 13):
-        for N, t in _pairs(p, invariants._FULL_ORACLE_LIMIT + 2):
+        for N, t in _pairs(p, _ORACLE_N_BOUND):
             for s in range(1, t + 1):
-                ord_zeta(N, p, s)
+                z = zeta_element(N, p, s)
+                probes += [(z, p, s, r) for r, _ in _certifying_probes(ord_zeta(N, p, s), p**t + 1)]
     assert len(probes) > 80
     for z, p, s, r in probes:
         assert full(z, p, s, r) == _circulant_membership_reference(z, p, s, r), (len(z), p, s, r)

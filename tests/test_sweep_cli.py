@@ -103,6 +103,15 @@ def test_stats_rejects_mixed_p(tmp_path):
         stats_from_records(read_records(str(out)))
 
 
+def test_stats_rejects_no_records(tmp_path, capsys):
+    with pytest.raises(ValueError, match="^no records$"):
+        stats_from_records([])
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    assert main(["stats", "--in", str(path)]) == 3
+    assert capsys.readouterr().err == "error: no records\n"
+
+
 def test_verify_on_small_sweep(tmp_path):
     out = tmp_path / "p5.jsonl"
     run_sweep(5, 200, str(out), workers=1)
@@ -352,6 +361,29 @@ def test_cli_verify_rejects_rows_whose_pair_is_not_valid(tmp_path, capsys):
         "  FATAL: (N,p)=(3001,9): p = 9 must be a prime > 3",
         "  FATAL: (N,p)=(15,5): N = 15 must be prime",
     ]
+
+
+@pytest.mark.parametrize(
+    "N, shown",
+    [
+        (185, ["N = 185 must be prime", "t = 1 but v_p(N - 1) = 0"]),
+        (2001, ["N = 2001 must be prime", "t = 1 but v_p(N - 1) = 3"]),
+    ],
+)
+def test_cli_verify_recheck_skips_rows_whose_pair_is_not_valid(tmp_path, capsys, N, shown):
+    # the discrete-log recheck needs a valid pair; such a row is already fatal
+    path = tmp_path / "rows.jsonl"
+    path.write_text(dataclasses.replace(compute_record(181, 5), N=N).to_json() + "\n")
+    outputs = []
+    for extra in ([], ["--recheck-logs"]):
+        assert main(["verify", "--in", str(path), *extra]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    fatal = [line for line in outputs[1].splitlines() if line.startswith("  FATAL: ")]
+    assert fatal == [f"  FATAL: (N,p)=({N},5): {msg}" for msg in shown]
+
 
 def test_cli_massey_selftest_quick(capsys):
     rc = main(["massey-selftest", "--quick", "--json"])
