@@ -10,6 +10,7 @@ from .linalg import (
     kernel_of_free_summand,
     kernel_spanning_set,
     matmul_mod,
+    restrict_by_readoff,
     restrict_operator,
     unit_echelon,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "lower_convex_hull",
     "matmul_mod",
     "newton_polygon",
+    "restrict_by_readoff",
     "restrict_operator",
     "smallest_generator",
     "t_sequence",

@@ -30,16 +30,23 @@ it:
   ``kernel_of_free_summand`` and ``restrict_operator`` run it once and
   raise unless the rows left without a pivot vanish, which certifies that
   assumption.  ``restrict_operator`` takes T @ basis, not T, so a caller
-  can apply T without building it;
+  can apply T without building it.  A basis that is the identity on some
+  rows, as a ``kernel_of_free_summand`` basis is on its free rows, needs
+  no elimination: ``restrict_by_readoff`` reads T's matrix off those rows
+  of T @ basis and checks it with one product, and ``restrict_operator``
+  is its reference;
 * arbitrary linear systems, decided by ``FullPivotFactor``: factor once,
-  then solve many right-hand sides or read off a kernel spanning set.  The
-  factor is a stack of valuation layers: layer v runs the core mod p^(M-v)
-  on what earlier layers left, divided by p, so its pivots have valuation
-  v.  A layer keeps its panels and its pivot rows, not a lower triangle of
-  multipliers; a solve replays the panels layer by layer and then
-  back-substitutes with one product per layer.  ``howell_solve``,
-  ``howell_membership`` and ``kernel_spanning_set`` are one-shot wrappers
-  around it.
+  then solve many right-hand sides, a vector or a matrix of them at a
+  time, or read off a kernel spanning set.  The factor is a stack of
+  valuation layers: layer v runs the core mod p^(M-v) on what earlier
+  layers left, divided by p, so its pivots have valuation v.  The stack
+  ends at the first layer with nothing left to eliminate, after L layers,
+  and a solve asks the rows left over to vanish mod p^(M-L) in one test,
+  not one layer at a time.  A layer keeps its panels and its pivot rows,
+  not a lower triangle of multipliers; a solve replays the panels layer by
+  layer and then back-substitutes with one product per layer.
+  ``howell_solve``, ``howell_membership`` and ``kernel_spanning_set`` are
+  one-shot wrappers around it.
 
 Entries are residues in [0, p^M) with p^M < 2^31, a limit only this
 module knows.  A product of two entries fits int64, as the eliminations
@@ -181,7 +188,8 @@ class FullPivotFactor:
     Mulders, ESA 1998), and layer v has one pivot per elementary divisor p^v
     of A.  A layer keeps its panels, to replay its row operations on a
     right-hand side, and its reduced pivot rows off its pivot columns, to
-    back-substitute.
+    back-substitute.  The layers stop at the first one with nothing left to
+    eliminate: every later one would find no pivot either.
     """
 
     def __init__(self, A, mod: Modulus):
@@ -194,6 +202,8 @@ class FullPivotFactor:
         # (modulus, panels, pivot columns, other columns, pivot rows on those)
         self._layers = []
         for v in range(M):
+            if not B.any():  # no open column, or none with an entry left
+                break
             mod_v = Modulus(p, M - v)
             pivcols, panels = _unit_gauss_jordan(B, mod_v)
             k = len(pivcols)
@@ -209,16 +219,21 @@ class FullPivotFactor:
     def solve(self, b) -> np.ndarray | None:
         """A witness x with A x = b, or None when b is not in the column span.
 
+        b is a vector, or a matrix whose columns are right-hand sides; then x
+        is a matrix, and None means that some column is not in the span.
         Layer v's row operations leave the rows below its pivots divisible
-        by p^(v+1) in A, so they must leave them so in b too; with that, the
-        back-substitution with free variables zero is a solution.
+        by p^(v+1) in A, so they must leave them so in b too.  After the last
+        layer, L of them, the rows left are zero in A, so in b they must
+        vanish mod p^(M-L): the layers skipped would each have asked for one
+        more factor p.  With that, the back-substitution with free variables
+        zero is a solution.
         """
         p = self.mod.p
         m, n = self._shape
-        y = np.asarray(b, dtype=np.int64).reshape(-1) % self.mod.pM
-        if y.shape[0] != m:
-            raise ValueError(f"shape mismatch: A is {m}x{n}, b has {y.shape[0]}")
-        x = np.zeros(n, dtype=np.int64)
+        y = np.asarray(b, dtype=np.int64) % self.mod.pM
+        if y.ndim not in (1, 2) or y.shape[0] != m:
+            raise ValueError(f"shape mismatch: A is {m}x{n}, b has shape {y.shape}")
+        x = np.zeros((n,) + y.shape[1:], dtype=np.int64)
         for mod_v, panels, piv, _, _ in self._layers:
             for panel in panels:
                 _apply_panel(y, panel, mod_v)
@@ -227,6 +242,8 @@ class FullPivotFactor:
             if (y % p).any():
                 return None
             y //= p
+        if (y % p ** (self.mod.M - len(self._layers))).any():
+            return None
         return self._back_substitute(x)
 
     def kernel(self) -> np.ndarray:
@@ -468,6 +485,25 @@ def restrict_operator(image: np.ndarray, basis: np.ndarray, mod: Modulus) -> np.
     if A[k:, k:].any():
         raise ArithmeticError("operator does not preserve the subspace")
     return A[:k, k:].copy()
+
+
+def restrict_by_readoff(image: np.ndarray, basis: np.ndarray, rows, mod: Modulus) -> np.ndarray:
+    """``restrict_operator`` for a basis that is the identity on ``rows``
+    (basis[rows] = I, as a ``kernel_of_free_summand`` basis is on its free
+    rows), without an elimination.
+
+    If image = basis @ X, then image[rows] = basis[rows] @ X = X.  So X is
+    read off, and T preserves the span iff image = basis @ image[rows]: one
+    product decides it, with the same matrix and the same ArithmeticError as
+    ``restrict_operator``.  ValueError unless basis[rows] = I.
+    """
+    basis, image = _as_matrix(basis, mod), _as_matrix(image, mod)
+    if not np.array_equal(basis[rows], np.eye(basis.shape[1], dtype=np.int64)):
+        raise ValueError("basis is not the identity on the given rows")
+    X = image[rows]
+    if not np.array_equal(matmul_mod(basis, X, mod), image):
+        raise ArithmeticError("operator does not preserve the subspace")
+    return X
 
 
 def berkowitz_charpoly(A, mod: Modulus) -> PadicPoly:

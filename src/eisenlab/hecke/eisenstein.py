@@ -19,6 +19,15 @@ W contains the Eisenstein boundary line, on which every T_q - q - 1 acts as
 zero, so the characteristic polynomial of (T_ell - ell - 1)|W is y * f(y)
 with f the distinguished polynomial presenting the cuspidal quotient:
 rank e = deg f, f = y^e mod p, and v_p(f(0)) = v_p(N - 1).
+
+No restriction to W eliminates.  W is kept the identity on a set of rows R
+(a kernel basis is, on its free rows, and W ker is on R[free rows of ker]),
+so the matrix of T|W is (T W)[R], checked by one product
+(``restrict_by_readoff``).  Each report ends with Mazur's criterion at
+ell' in {2, 3, 5, 7}: T_ell' - ell' - 1 generates the local ideal iff ell'
+is a good prime.  The four checks run as one batch: one ``hecke_apply``
+for all four primes, four read-offs, and one solve of the four shifts
+against the power basis I, Y, ..., Y^e.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from ..corering.linalg import (
     berkowitz_charpoly,
     kernel_of_free_summand,
     matmul_mod,
-    restrict_operator,
+    restrict_by_readoff,
 )
 from ..corering.newton import (
     NewtonPolygon,
@@ -155,15 +164,26 @@ def _summand_kernel(B: np.ndarray, mod: Modulus) -> np.ndarray:
     return kernel_of_free_summand(P, mod)
 
 
-def _eisenstein_shift(space: ManinSpace, q: int, W: np.ndarray) -> np.ndarray:
-    """T_q - q - 1 on the span of W, a T_q-stable free summand of V+; T_q is
-    applied to W, never built."""
-    mod = space.modulus
-    TqW = restrict_operator(space.hecke_apply(q, W), W, mod)
-    return (TqW - (q + 1) * np.eye(W.shape[1], dtype=np.int64)) % mod.pM
+def _identity_rows(basis: np.ndarray) -> np.ndarray:
+    """Rows R with basis[R] = I: for each column, the first row that is the
+    unit vector there.  A ``kernel_of_free_summand`` basis has one for every
+    column, its free row (a pivot row may be one too, and serves as well)."""
+    unit_rows = np.count_nonzero(basis, axis=1) == 1
+    return np.argmax((basis == 1) & unit_rows[:, None], axis=0)
 
 
-def _certify(B_plus, W, mod, t):
+def _eisenstein_shifts(space: ManinSpace, qs, W: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """T_q - q - 1 on the span of W, for each q in ``qs``: a stack of
+    |W| x |W| matrices.  W is a T_q-stable free summand of V+, the identity
+    on ``rows``; T_q is applied to W, never built, and its matrix is read
+    off those rows."""
+    mod, k = space.modulus, W.shape[1]
+    X = restrict_by_readoff(space.hecke_apply(qs, W), W, rows, mod)
+    shifts = X.reshape(k, len(qs), k).transpose(1, 0, 2)
+    return (shifts - (np.asarray(qs)[:, None, None] + 1) * np.eye(k, dtype=np.int64)) % mod.pM
+
+
+def _certify(B_plus, W, rows, mod, t):
     """Check that W carries exactly the Eisenstein component.
 
     The characteristic polynomial of (T_ell - ell - 1)|W must be y * f(y)
@@ -172,7 +192,7 @@ def _certify(B_plus, W, mod, t):
     positive valuation), so the test is exact.
     Returns (Y, f) or None.
     """
-    Y = restrict_operator(matmul_mod(B_plus, W, mod), W, mod)
+    Y = restrict_by_readoff(matmul_mod(B_plus, W, mod), W, rows, mod)
     Q = berkowitz_charpoly(Y, mod)
     if not Q.is_distinguished():
         return None
@@ -201,19 +221,20 @@ def _localize(
     from eigenforms accidentally congruent at those operators alone, so
     stability of the dimension is not sufficient; the certificate is.
     Refinements act on the small intermediate space, so only the first
-    kernel is computed at full size.
+    kernel is computed at full size.  W stays the identity on ``rows``:
+    W ker is the identity on rows[free rows of ker].
     """
     W = _summand_kernel(B_plus, mod)
+    rows = _identity_rows(W)
     audit = [(ell, W.shape[1])]
-    cert = _certify(B_plus, W, mod, t)
+    cert = _certify(B_plus, W, rows, mod, t)
     q = 2
     while cert is None and q < q_bound and W.shape[1] > 1:
         if q != space.N and q != ell:
-            BqW = _eisenstein_shift(space, q, W)
-            ker = _summand_kernel(BqW, mod)
+            ker = _summand_kernel(_eisenstein_shifts(space, [q], W, rows)[0], mod)
             if ker.shape[1] < W.shape[1]:
-                W = matmul_mod(W, ker, mod)
-                cert = _certify(B_plus, W, mod, t)
+                W, rows = matmul_mod(W, ker, mod), rows[_identity_rows(ker)]
+                cert = _certify(B_plus, W, rows, mod, t)
             audit.append((q, W.shape[1]))
         q = sympy.nextprime(q)
     if cert is None:
@@ -221,7 +242,7 @@ def _localize(
             f"Eisenstein localization failed below q = {q_bound} "
             f"at (N, p) = ({space.N}, {mod.p}): v_p(f(0)) never reached {t}"
         )
-    return W, audit, cert
+    return W, rows, audit, cert
 
 
 def eisenstein_local_factor(
@@ -261,7 +282,7 @@ def eisenstein_local_factor(
 
     # a separating Hecke operator exists well below the Sturm bound ~ N/6
     q_bound = max(60, N // 4)
-    W, audit, (Y, f) = _localize(space, B_plus, ell, mod, t, q_bound)
+    W, rows, audit, (Y, f) = _localize(space, B_plus, ell, mod, t, q_bound)
     e = f.degree
 
     t_seq = []
@@ -281,11 +302,9 @@ def eisenstein_local_factor(
         N=N, p=p, ell_used=ell, M=M, t=t, e=e, f=f,
         t_seq=t_seq, np_vertices=np_poly.vertices, components=components,
         diagnostics=diagnostics,
-        _workspace={"space": space, "W": W, "Y": Y},
+        _workspace={"space": space, "W": W, "rows": rows, "Y": Y},
     )
-    for ellp in (2, 3, 5, 7):
-        if ellp != N:
-            diagnostics["generator_checks"][ellp] = generator_check(rep, ellp)
+    diagnostics["generator_checks"] = _generator_checks(rep, [q for q in (2, 3, 5, 7) if q != N])
     return rep
 
 
@@ -363,26 +382,35 @@ def generator_check(report: EisensteinReport, ellp: int) -> bool:
     coefficient is a unit.  The answer is asserted to coincide with
     Mazur's good-prime criterion.
     """
-    if ellp == report.N:
+    return _generator_checks(report, [ellp])[ellp]
+
+
+def _generator_checks(report: EisensteinReport, primes: list[int]) -> dict[int, bool]:
+    """``generator_check`` at each of ``primes``, as one batch: one
+    ``hecke_apply`` for all of them, and one solve of every shift against
+    the power basis."""
+    if report.N in primes:
         raise ValueError("ellp must not equal N")
     if report._workspace is None:
         raise ValueError("report carries no workspace; recompute eisenstein_local_factor")
     space: ManinSpace = report._workspace["space"]
     mod = space.modulus
     dimW = report._workspace["Y"].shape[0]
-    Bq_W = _eisenstein_shift(space, ellp, report._workspace["W"])
-    # solve sum_i c_i Y^i = Bq_W
-    x = _power_basis_factor(report._workspace).solve(Bq_W.reshape(-1))
+    shifts = _eisenstein_shifts(space, primes, report._workspace["W"], report._workspace["rows"])
+    # solve sum_i c_i Y^i = T_ellp - ellp - 1, one column per prime
+    x = _power_basis_factor(report._workspace).solve(shifts.reshape(len(primes), -1).T)
     if x is None:
         raise ConsistencyError("Hecke action is not polynomial in the generator")
-    if x[0] % mod.pM != 0:
+    if (x[0] % mod.pM).any():
         raise ConsistencyError("T_ellp - ellp - 1 has nonzero constant coordinate")
-    is_gen = mod.is_unit(int(x[1])) if dimW > 1 else False
-    good = is_good_prime(ellp, report.N, report.p)
-    if is_gen != good:
-        raise MismatchError(
-            f"generator criterion ({is_gen}) != good prime criterion ({good}) "
-            f"for ellp = {ellp} at (N, p) = ({report.N}, {report.p})"
-        )
-    return is_gen
-
+    verdicts = {}
+    for i, ellp in enumerate(primes):
+        is_gen = mod.is_unit(int(x[1, i])) if dimW > 1 else False
+        good = is_good_prime(ellp, report.N, report.p)
+        if is_gen != good:
+            raise MismatchError(
+                f"generator criterion ({is_gen}) != good prime criterion ({good}) "
+                f"for ellp = {ellp} at (N, p) = ({report.N}, {report.p})"
+            )
+        verdicts[ellp] = is_gen
+    return verdicts

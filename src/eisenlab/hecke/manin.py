@@ -37,7 +37,7 @@ space.  ``hecke_full`` sums the rows of expr into the (g+1) x (g+1) T_ell,
 which the stabilized power needs; ``hecke_on_plus`` keeps it read-only,
 once per space.  ``hecke_apply`` returns T_q W for a few columns W
 without building T_q: P W is an exact int64 scatter of the rows of W,
-then one product by expr^T.
+then one product by expr^T, shared by every prime of one call.
 """
 
 from __future__ import annotations
@@ -266,21 +266,26 @@ class ManinSpace:
             self._operators[ell] = T
         return self._operators[ell]
 
-    def hecke_apply(self, q: int, W: np.ndarray) -> np.ndarray:
+    def hecke_apply(self, q, W: np.ndarray) -> np.ndarray:
         """T_q @ W for columns W in the basis of V+, without building T_q.
 
-        T_q W is expr^T C with C = P W, a scatter of the rows of W by one
-        int64 ``np.add.at``.  Each Heilbronn matrix permutes P^1 and a
-        column is an orbit of at most 4 points, so an entry of C sums at
-        most 4 * #H terms below p^M: exact in int64.
+        ``q`` is a prime or a sequence of primes; for several, the blocks
+        T_q W come side by side, in order.  T_q W is expr^T C with C = P W,
+        a scatter of the rows of W by one int64 ``np.add.at`` per prime, and
+        the blocks C share one product by expr^T.  Each Heilbronn matrix
+        permutes P^1 and a column is an orbit of at most 4 points, so an
+        entry of C sums at most 4 * #H terms below p^M: exact in int64.
         """
         mod = self.modulus
-        cols, signs = self._images(q)
         W = np.asarray(W, dtype=np.int64) % mod.pM
         w = W.shape[1]
-        C = np.zeros(len(self._expr) * w, dtype=np.int64)
-        np.add.at(C, (cols[:, :, None] * w + np.arange(w)).ravel(), (signs[:, :, None] * W).ravel())
-        return matmul_mod(self._expr.T, C.reshape(-1, w), mod)
+        blocks = []
+        for prime in np.atleast_1d(q):
+            cols, signs = self._images(int(prime))
+            C = np.zeros(len(self._expr) * w, dtype=np.int64)
+            np.add.at(C, (cols[:, :, None] * w + np.arange(w)).ravel(), (signs[:, :, None] * W).ravel())
+            blocks.append(C.reshape(-1, w))
+        return matmul_mod(self._expr.T, np.hstack(blocks), mod)
 
 
 def build_manin_space(N: int, modulus: Modulus) -> ManinSpace:

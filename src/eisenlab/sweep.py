@@ -18,7 +18,7 @@ from .hecke.eisenstein import (
     component_slopes,
     eisenstein_local_factor,
 )
-from .invariants import check_pair, lecouturier_check, merel_report, zeta_report
+from .invariants import check_pair, is_good_prime, lecouturier_check, merel_report, zeta_report
 from .records import ResultRecord, append_records, encode_valuation, existing_keys
 
 # (N, p) rows where the paper's full N < 10000 tables report rank != ord;
@@ -273,6 +273,30 @@ def _rederivation_failures(rec: ResultRecord, tag: str) -> list[str]:
     return out
 
 
+def _good_prime_failures(rec: ResultRecord, tag: str) -> list[str]:
+    """The lines for a Hecke row whose ``ell_used`` is not a good prime for
+    (N, p), or whose ``diagnostics.generator_checks`` does not hold exactly
+    the primes 2, 3, 5, 7 other than N, each with Mazur's verdict: T_ell' -
+    ell' - 1 generates the Eisenstein ideal iff ell' is a good prime.  The
+    pair must be valid, with p | N - 1."""
+    out = []
+    ell = rec.ell_used
+    if ell is None:
+        out.append(f"{tag}: ell_used is missing")
+    elif not (sympy.isprime(ell) and ell != rec.N and is_good_prime(ell, rec.N, rec.p)):
+        out.append(f"{tag}: ell_used = {ell} is not a good prime for (N, p)")
+    checks = rec.diagnostics.get("generator_checks")
+    if not isinstance(checks, dict):
+        return out + [f"{tag}: diagnostics.generator_checks is missing"]
+    want = {str(q): is_good_prime(q, rec.N, rec.p) for q in (2, 3, 5, 7) if q != rec.N}
+    if checks.keys() != want.keys():
+        out.append(f"{tag}: generator_checks holds {sorted(checks)}, not {sorted(want)}")
+    for q in sorted(checks.keys() & want.keys()):
+        if checks[q] is not want[q]:
+            out.append(f"{tag}: generator_checks[{q}] = {checks[q]!r} but is_good_prime gives {want[q]}")
+    return out
+
+
 def verify_records(records: list[ResultRecord], recheck_lecouturier: bool = False) -> VerificationReport:
     """Cross-check the proved equivalences on computed rows.
 
@@ -282,10 +306,12 @@ def verify_records(records: list[ResultRecord], recheck_lecouturier: bool = Fals
     v_p(f(0)) = t, and the stored t_seq, np_vertices and components), one
     line naming the field per mismatch, or one for a row that cannot be
     re-derived; (g) on every row, N is prime, p is a prime > 3,
-    t = v_p(N - 1), and a row with t = 0 has e None or 0.  Informational:
-    (c) e = 2 iff ord_1 = 2 (conjectural); (d) tally of rows with
-    e != ord_1 against the published exception list.  Rows with t = 0 or
-    no Hecke data are not counted in ``checked``.
+    t = v_p(N - 1), and a row with t = 0 has e None or 0; (k) on a valid
+    pair, ell_used is a good prime for (N, p), and the stored generator
+    checks are exactly Mazur's verdicts at 2, 3, 5, 7 other than N.
+    Informational: (c) e = 2 iff ord_1 = 2 (conjectural); (d) tally of rows
+    with e != ord_1 against the published exception list.  Rows with t = 0
+    or no Hecke data are not counted in ``checked``.
     """
     fatal: list[str] = []
     info: list[str] = []
@@ -300,6 +326,8 @@ def verify_records(records: list[ResultRecord], recheck_lecouturier: bool = Fals
             continue
         checked += 1
         fatal += _rederivation_failures(rec, tag)
+        if not pair_failures:
+            fatal += _good_prime_failures(rec, tag)
         ord1 = rec.ord_1()
         ord1_num = None if ord1 is None else (ord1.bound if isinstance(ord1, AtLeast) else ord1)
         is_pow = rec.merel_is_power_s.get("1")

@@ -25,7 +25,7 @@ from eisenlab.invariants import (
     ord_zeta,
 )
 from eisenlab.massey.selftest import run_selftest
-from eisenlab.records import ResultRecord, read_records
+from eisenlab.records import ResultRecord, decode_valuation, read_records
 from eisenlab.sweep import (
     KNOWN_RANK_ORD_EXCEPTIONS,
     compute_record,
@@ -221,6 +221,23 @@ def test_sweep_rows_match_records_fixture():
     assert not problems, "\n".join(problems)
     assert len(rows) == 168
     print(f"records fixture: {len(rows)} rows identical", flush=True)
+
+
+def test_fixture_rows_obey_t_sequence_laws():
+    # ROADMAP item 12's laws (i) and (j) on every fixture row, each tying the
+    # Hecke t-sequence to an invariant computed without Hecke operators:
+    # (i) t_2 is the largest s <= t at which Merel's number is a p^s-th
+    # power, or 0; (j) ord_s(zeta) = #{i : t_i >= s} for 2 <= s <= t
+    rows = load_fixture().values()
+    pairs = 0
+    for row in rows:
+        t, t_seq, tag = row["t"], row["t_seq"], (row["N"], row["p"])
+        powers = [s for s in range(1, t + 1) if row["merel_is_power_s"][str(s)]]
+        assert t_seq[1] == max(powers, default=0), tag
+        for s in range(2, t + 1):
+            assert decode_valuation(row["ord_zeta_s"][str(s)]) == sum(ti >= s for ti in t_seq), (tag, s)
+            pairs += 1
+    assert (len(rows), pairs) == (733, 126)
 
 
 def test_criterion_09_t_sequence_oracle():

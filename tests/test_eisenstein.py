@@ -13,6 +13,8 @@ from eisenlab.corering import (
     kernel_of_free_summand,
     matmul_mod,
     newton_polygon,
+    restrict_by_readoff,
+    restrict_operator,
     valuation_p,
 )
 from eisenlab.corering.newton import _fp_factor, unit_window_factor
@@ -292,17 +294,26 @@ def test_each_hecke_operator_built_once_per_space(monkeypatch):
 @pytest.mark.parametrize("p", [5, 13])
 def test_hecke_apply_matches_full_operator(p):
     # T_q W applied without T_q equals the full T_q times W, on the W each
-    # report keeps, for every N < 2000 of the sweep and every q it may use
+    # report keeps, for every N < 2000 of the sweep and every q it may use,
+    # one prime at a time and all four in one call; W is the identity on
+    # the rows the report keeps, and T_q|W read off them is what the
+    # elimination gives
     from eisenlab.sweep import sweep_primes
 
     checked = 0
     for N in sweep_primes(p, 2000):
         rep = eisenstein_local_factor(N, p)
-        space, W = rep._workspace["space"], rep._workspace["W"]
+        space, W, rows = (rep._workspace[key] for key in ("space", "W", "rows"))
+        mod = space.modulus
+        assert np.array_equal(W[rows], np.eye(W.shape[1], dtype=np.int64)), N
+        wants = []
         for q in (2, 3, 5, 7):
-            want = matmul_mod(space.hecke_full(q), W, space.modulus)
+            want = matmul_mod(space.hecke_full(q), W, mod)
             assert np.array_equal(space.hecke_apply(q, W), want), (N, p, q)
+            assert np.array_equal(restrict_by_readoff(want, W, rows, mod), restrict_operator(want, W, mod))
+            wants.append(want)
             checked += 1
+        assert np.array_equal(space.hecke_apply((2, 3, 5, 7), W), np.hstack(wants)), N
     assert checked == 4 * len(sweep_primes(p, 2000))
 
 
@@ -528,3 +539,40 @@ def test_generator_checks_share_one_power_basis_factor(monkeypatch):
     assert rep._workspace["Y"].shape == (dimW, dimW) and built == [(dimW * dimW, dimW)]
     assert generator_check(rep, rep.ell_used) is True
     assert len(built) == 1
+    # the batch gives each prime the verdict its one-prime check gives
+    assert {q: generator_check(rep, q) for q in (2, 3, 5, 7)} == rep.diagnostics["generator_checks"]
+
+
+def test_records_path_restricts_without_eliminating(monkeypatch):
+    # every restriction to W on the records path is a read-off: no
+    # restrict_operator call, and every remaining elimination is a kernel's
+    # (unit_echelon) or a FullPivotFactor layer's.  With one elimination per
+    # restriction and every layer built, this record would make 30.
+    from eisenlab.corering import linalg
+
+    calls = {"eliminations": 0, "echelons": 0, "layers": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("restrict_operator called on the records path")
+
+    init = linalg.FullPivotFactor.__init__
+
+    def counted_init(self, A, mod):
+        init(self, A, mod)
+        calls["layers"] += len(self._layers)
+
+    monkeypatch.setattr(linalg, "_unit_gauss_jordan", counting("eliminations", linalg._unit_gauss_jordan))
+    monkeypatch.setattr(linalg, "unit_echelon", counting("echelons", linalg.unit_echelon))
+    monkeypatch.setattr(linalg.FullPivotFactor, "__init__", counted_init)
+    for module in (linalg, eisenstein):
+        monkeypatch.setattr(module, "restrict_operator", refuse, raising=False)
+    rec = compute_record(3001, 5)
+    assert rec.e == 6 and sorted(rec.diagnostics["generator_checks"]) == ["2", "3", "5", "7"]
+    assert calls["eliminations"] == calls["echelons"] + calls["layers"] < 30, calls

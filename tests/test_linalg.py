@@ -16,6 +16,7 @@ from eisenlab.corering import (
     kernel_of_free_summand,
     kernel_spanning_set,
     matmul_mod,
+    restrict_by_readoff,
     restrict_operator,
     unit_echelon,
     valuation_p,
@@ -545,6 +546,53 @@ def test_restrict_operator_matches_unblocked(pm, k, extra, kind, seed):
         assert np.array_equal(_mulmod(basis, got, pM), _mulmod(T, basis, pM))
 
 
+def _identity_on(gen, n, k, pM):
+    """Random n x k basis that is the identity on k rows drawn anywhere, in
+    random order: (basis, rows) with basis[rows] = I."""
+    rows = gen.permutation(n)[:k]
+    basis = gen.integers(0, pM, (n, k))
+    basis[rows] = np.eye(k, dtype=np.int64)
+    return basis, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pm=st.sampled_from([(2**31 - 1, 1), (5, 10), (5, 13)]),
+    k=st.sampled_from([1, 2, 5, 10, 33]),
+    extra=st.integers(0, 40),
+    kind=st.sampled_from(["preserved", "not preserved", "one entry off the span"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_readoff_matches_restrict_operator(pm, k, extra, kind, seed):
+    # coordinates read off the identity rows against both eliminations: the
+    # same matrix for an image in the span, the same error for one outside
+    # it, even one that leaves the span by p^(M-1) in a single entry
+    mod = Modulus(*pm)
+    p, pM = mod.p, mod.pM
+    n = k + extra
+    gen = np.random.default_rng(seed)
+    basis, rows = _identity_on(gen, n, k, pM)
+    X = gen.integers(0, pM, (k, k))
+    image = gen.integers(0, pM, (n, k)) if kind == "not preserved" else _mulmod(basis, X, pM)
+    off_span = extra > 0 and kind == "one entry off the span"
+    if off_span:
+        r = np.setdiff1d(np.arange(n), rows)[int(gen.integers(0, extra))]
+        image[r, int(gen.integers(0, k))] += p ** (mod.M - 1)
+    got = _outcome(restrict_by_readoff, image, basis, rows, mod)
+    assert _same(got, _outcome(restrict_operator, image, basis, mod))
+    assert _same(got, _outcome(_restrict_operator_unblocked, image, basis, mod))
+    if kind == "preserved" or (kind == "one entry off the span" and not off_span):
+        assert np.array_equal(got, X)
+    if off_span:
+        assert got == ("raised", ArithmeticError, "operator does not preserve the subspace")
+    # the read-off needs basis[rows] = I, and refuses a basis off it by
+    # p^(M-1) in one entry
+    bad = basis.copy()
+    bad[rows[int(gen.integers(0, k))], int(gen.integers(0, k))] += p ** (mod.M - 1)
+    with pytest.raises(ValueError, match="not the identity"):
+        restrict_by_readoff(_mulmod(bad, X, pM), bad, rows, mod)
+
+
 # -- FullPivotFactor: factor once, solve many ----------------------------------
 
 
@@ -595,6 +643,7 @@ def test_factor_solves_many_like_fresh_solves(pm, m, n, seed):
     assert K.shape[0] == n
     for col in K.T.tolist():
         assert _apply(A, col, pM) == [0] * m
+    bs, xs = [], []
     for trial in range(4):
         if trial % 2 == 0:  # in the column span by construction
             b = np.array(_apply(A, gen.integers(0, pM, n).tolist(), pM), dtype=np.int64)
@@ -608,6 +657,16 @@ def test_factor_solves_many_like_fresh_solves(pm, m, n, seed):
         if x is not None:
             assert np.array_equal(x, fresh)
             assert _apply(A, x.tolist(), pM) == (b % pM).tolist()
+        bs.append(b)
+        xs.append(x)
+    # a matrix of right-hand sides solves column by column, or gives None
+    # when one column is outside the span
+    for cols in ([0, 2], [0, 1, 2, 3]):
+        X = F.solve(np.stack([bs[i] for i in cols], axis=1))
+        if any(xs[i] is None for i in cols):
+            assert X is None
+        else:
+            assert np.array_equal(X, np.stack([xs[i] for i in cols], axis=1))
 
 
 def _span(gens, pM, n):
@@ -776,6 +835,37 @@ def test_factor_matches_full_pivot_reference_on_circulant(p, M):
         base[j % n] += math.comb(r, j) * (-1) ** (r - j)
     A = np.array([[base[(i - k) % n] % mod.pM for k in range(n)] for i in range(n)], dtype=np.int64)
     _matches_reference(A, mod, np.random.default_rng(p * 100 + M))
+
+
+@pytest.mark.parametrize("p,M", [(2**31 - 1, 1), (5, 13)])
+def test_factor_stops_at_first_layer_with_nothing_left(p, M):
+    # the layers stop once no open column holds an entry; the rows left over
+    # must then vanish mod p^(M - layers), and one that is divisible by p
+    # but not by p^M is outside the span
+    mod = Modulus(p, M)
+    pM = mod.pM
+    gen = np.random.default_rng(M)
+    unit = gen.integers(0, pM, (7, 3))
+    unit[:3] = _unit_rank(gen, 3, 3, pM)  # three unit pivots, four rows left over
+    graded = np.diag([1, p**2 % pM, 0])  # pivots of valuation 0 and 2, a zero column
+    cases = [(np.zeros((4, 3), dtype=np.int64), 0), (unit, 1), (graded, 1 if M == 1 else 3)]
+    for A, layers in cases:
+        F = FullPivotFactor(A, mod)
+        assert len(F._layers) == layers and (layers < M or M == 1)
+        ref_solve = _full_pivot_reference(A, mod)[1]
+        m, n = A.shape
+        bs = [_apply(A, gen.integers(0, pM, n).tolist(), pM) for _ in range(2)]
+        for row in range(m):
+            for nudge in (1, p ** (M - 1)):  # p^(M-1) passes every per-layer test
+                b = list(bs[0])
+                b[row] = (b[row] + nudge) % pM
+                bs.append(b)
+        for b in bs:
+            x, want = F.solve(np.array(b, dtype=np.int64)), ref_solve(b)
+            assert (x is None) == (want is None), (A.tolist(), b)
+            if x is not None:
+                assert _apply(A, x.tolist(), pM) == b
+        assert any(ref_solve(b) is None for b in bs)
 
 
 def _free_columns_at(gen, m, n, free, pM):

@@ -13,6 +13,7 @@ import eisenlab
 from eisenlab import sweep
 from eisenlab.cli import main
 from eisenlab.corering import linalg
+from eisenlab.invariants import is_good_prime
 from eisenlab.records import ResultRecord, append_records, read_records
 from eisenlab.sweep import (
     compute_record,
@@ -249,12 +250,19 @@ def test_cli_sweep_stats_verify(tmp_path, capsys):
 
 def test_cli_verify_json_encodes_exception_ords(tmp_path, capsys):
     # one rank != ord_1 row with ord_1 an AtLeast, one with an int; the
-    # ords are tampered, so each row's Hecke data still re-derives
+    # ords are tampered, so each row's Hecke data still re-derives, and the
+    # row moved to N = 41 carries the generator checks of (41, 5)
     rec = compute_record(31, 5)
+    checks_41 = {str(q): is_good_prime(q, 41, 5) for q in (2, 3, 5, 7)}
     rows = [
         rec,
         dataclasses.replace(rec, ord_zeta_s={**rec.ord_zeta_s, "1": {"geq": 3}}),
-        dataclasses.replace(rec, N=41, ord_zeta_s={**rec.ord_zeta_s, "1": 3}),
+        dataclasses.replace(
+            rec,
+            N=41,
+            ord_zeta_s={**rec.ord_zeta_s, "1": 3},
+            diagnostics={**rec.diagnostics, "generator_checks": checks_41},
+        ),
     ]
     out = str(tmp_path / "rows.jsonl")
     append_records(out, rows)
@@ -346,6 +354,73 @@ def test_verify_ties_t_to_N():
     assert verify_records([one]).fatal_failures == [
         "(N,p)=(1,5): t = 0 but v_p(N - 1) is undefined (valuation of 0 is not an integer)"
     ]
+
+
+def _set(*path_value):
+    *path, value = path_value
+
+    def edit(row):
+        for key in path[:-1]:
+            row = row[key]
+        row[path[-1]] = value
+
+    return edit
+
+
+def _drop(*path):
+    def edit(row):
+        for key in path[:-1]:
+            row = row[key]
+        del row[path[-1]]
+
+    return edit
+
+
+# at (181, 5) the good primes below 10 are 2, 3, 4, 5, 8 and 9
+_GOOD_PRIME_TAMPERED = {
+    "ell bad": (_set("ell_used", 7), ["ell_used = 7 is not a good prime for (N, p)"]),
+    "ell not prime": (_set("ell_used", 4), ["ell_used = 4 is not a good prime for (N, p)"]),
+    "ell is N": (_set("ell_used", 181), ["ell_used = 181 is not a good prime for (N, p)"]),
+    "ell missing": (_set("ell_used", None), ["ell_used is missing"]),
+    "verdict flipped": (
+        _set("diagnostics", "generator_checks", "7", True),
+        ["generator_checks[7] = True but is_good_prime gives False"],
+    ),
+    "verdict not a bool": (
+        _set("diagnostics", "generator_checks", "2", 1),
+        ["generator_checks[2] = 1 but is_good_prime gives True"],
+    ),
+    "prime dropped": (
+        _drop("diagnostics", "generator_checks", "7"),
+        ["generator_checks holds ['2', '3', '5'], not ['2', '3', '5', '7']"],
+    ),
+    "prime added": (
+        _set("diagnostics", "generator_checks", "11", False),
+        ["generator_checks holds ['11', '2', '3', '5', '7'], not ['2', '3', '5', '7']"],
+    ),
+    "checks missing": (_drop("diagnostics", "generator_checks"), ["diagnostics.generator_checks is missing"]),
+}
+
+
+@pytest.mark.parametrize("case", [None, *_GOOD_PRIME_TAMPERED])
+def test_cli_verify_checks_good_prime_fields(tmp_path, capsys, case):
+    # ell_used must be a good prime, and the stored generator checks exactly
+    # Mazur's verdicts at 2, 3, 5, 7: a row tampered in either exits 4 with
+    # the FATAL lines naming what is wrong
+    row = json.loads(compute_record(181, 5).to_json())
+    assert row["ell_used"] == 2
+    assert row["diagnostics"]["generator_checks"] == {"2": True, "3": True, "5": True, "7": False}
+    if case is not None:
+        _GOOD_PRIME_TAMPERED[case][0](row)
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    rc = main(["verify", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    fatal = [line for line in captured.out.splitlines() if line.startswith("  FATAL: ")]
+    want = [] if case is None else _GOOD_PRIME_TAMPERED[case][1]
+    assert fatal == [f"  FATAL: (N,p)=(181,5): {msg}" for msg in want]
+    assert rc == (4 if want else 0)
 
 
 def test_cli_verify_rejects_rows_whose_pair_is_not_valid(tmp_path, capsys):
