@@ -120,7 +120,6 @@ def cmd_sweep(args) -> int:
         args.out,
         resume=args.resume,
         workers=workers,
-        precision=args.precision,
         log=lambda msg: print(msg, flush=True),
     )
     print(f"wrote {n} new records to {args.out}")
@@ -244,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--out", required=True)
     p_sw.add_argument("--resume", action="store_true")
     p_sw.add_argument("--workers", type=int, default=None)
-    p_sw.add_argument("--precision", type=int, default=None)
     p_sw.set_defaults(func=cmd_sweep)
 
     p_st = sub.add_parser("stats", help="rank distribution r(d) vs heuristic g(d)")

@@ -23,30 +23,29 @@ int64 from overflowing; it is at least 1 for p^M < 2^31 (1 at 2^31 - 1,
 column are reduced at each pivot; the unit test reads entries mod p, which
 is right on unreduced ones, so the pivots and the result are those of the
 reduce-every-step elimination.  It returns the panels, so its row
-operations can be replayed on a right-hand side.  Two kinds of system use
-it:
+operations can be replayed on a right-hand side.
 
-* systems whose cokernel is known to be free.  ``unit_echelon``,
-  ``kernel_of_free_summand`` and ``restrict_operator`` run it once and
-  raise unless the rows left without a pivot vanish, which certifies that
-  assumption.  ``restrict_operator`` takes T @ basis, not T, so a caller
-  can apply T without building it.  A basis that is the identity on some
-  rows, as a ``kernel_of_free_summand`` basis is on its free rows, needs
-  no elimination: ``restrict_by_readoff`` reads T's matrix off those rows
-  of T @ basis and checks it with one product, and ``restrict_operator``
-  is its reference;
-* arbitrary linear systems, decided by ``FullPivotFactor``: factor once,
-  then solve many right-hand sides, a vector or a matrix of them at a
-  time, or read off a kernel spanning set.  The factor is a stack of
-  valuation layers: layer v runs the core mod p^(M-v) on what earlier
-  layers left, divided by p, so its pivots have valuation v.  The stack
-  ends at the first layer with nothing left to eliminate, after L layers,
-  and a solve asks the rows left over to vanish mod p^(M-L) in one test,
-  not one layer at a time.  A layer keeps its panels and its pivot rows,
-  not a lower triangle of multipliers; a solve replays the panels layer by
-  layer and then back-substitutes with one product per layer.
-  ``howell_solve``, ``howell_membership`` and ``kernel_spanning_set`` are
-  one-shot wrappers around it.
+Every system is solved through one front door, ``FullPivotFactor``: factor
+once, then solve many right-hand sides, a vector or a matrix of them at a
+time, or read off a kernel spanning set.  The factor is a stack of
+valuation layers: layer v runs the core mod p^(M-v) on what earlier layers
+left, divided by p, so its pivots have valuation v.  The stack ends at the
+first layer with nothing left to eliminate, after L layers, and a solve
+asks the rows left over to vanish mod p^(M-L) in one test, not one layer
+at a time.  A layer keeps its panels and its pivot rows, not a lower
+triangle of multipliers; a solve replays the panels layer by layer and
+then back-substitutes with one product per layer.  A factor whose pivots
+are all units certifies that the row space and the kernel are free direct
+summands; its kernel is then the identity on the free columns.
+``kernel_of_free_summand`` and ``restrict_operator`` are a factor behind
+that certificate: the kernel, and a solve against the factored basis of
+T @ basis (not T, so a caller can apply T without building it).  A basis
+that is the identity on some rows, as a kernel is on its free columns,
+needs no factor at all: ``restrict_by_readoff`` reads T's matrix off
+those rows of T @ basis and checks it with one product, and
+``restrict_operator`` is its reference.  ``unit_echelon`` is the core's
+reduced echelon form, and ``howell_solve``, ``howell_membership`` and
+``kernel_spanning_set`` are one-shot wrappers around a factor.
 
 Entries are residues in [0, p^M) with p^M < 2^31, a limit only this
 module knows.  A product of two entries fits int64, as the eliminations
@@ -214,7 +213,7 @@ class FullPivotFactor:
             cols = cols[rest]
             B = B[k:, rest] // p
         self.rank = len(self.valuations)
-        self._free = cols
+        self.free = cols  # the columns without a pivot, ascending
 
     def solve(self, b) -> np.ndarray | None:
         """A witness x with A x = b, or None when b is not in the column span.
@@ -251,8 +250,11 @@ class FullPivotFactor:
 
         One generator per free column and one generator p^(M-v) * e_k per
         pivot of positive valuation v, each completed by back-substitution.
+        Back-substitution writes pivot rows only, so the first ``free.size``
+        columns are the identity on the rows ``free``; when every pivot is a
+        unit there are no others, and they are a basis of a free summand.
         """
-        seeds = [(self._free, 1)] + [(piv, mod_v.pM) for mod_v, _, piv, _, _ in self._layers[1:]]
+        seeds = [(self.free, 1)] + [(piv, mod_v.pM) for mod_v, _, piv, _, _ in self._layers[1:]]
         rows = np.concatenate([cols for cols, _ in seeds])
         X = np.zeros((self._shape[1], rows.size), dtype=np.int64)
         X[rows, np.arange(rows.size)] = np.concatenate([np.full(cols.size, e) for cols, e in seeds])
@@ -347,10 +349,10 @@ def _delay_room(pM: int) -> int:
     return ((1 << 63) - 1 - pM) // (pM - 1) ** 2 - 1
 
 
-def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None):
+def _unit_gauss_jordan(A: np.ndarray, mod: Modulus):
     """Gauss-Jordan of A in place with unit pivots only; returns the pivot
-    columns, found among the first ``stop`` columns (all by default), and
-    the panels that replay its row operations (see ``_apply_panel``).
+    columns and the panels that replay its row operations (see
+    ``_apply_panel``).
 
     Each column takes the first row at or below the pivot row whose entry is
     a unit, so the result is the unit-pivot reduced echelon form.  Pivots are
@@ -375,17 +377,16 @@ def _unit_gauss_jordan(A: np.ndarray, mod: Modulus, stop: int | None = None):
     """
     p, pM = mod.p, mod.pM
     m, n = A.shape
-    stop = n if stop is None else stop
     room = _delay_room(pM)
     pivcols: list[int] = []
     free: list[int] = []  # non-pivot columns left of the current panel's end
     panels = []
-    buf = np.empty((m, 2 * min(_PANEL, stop)), dtype=np.int64)  # one G for every panel
+    buf = np.empty((m, 2 * min(_PANEL, n)), dtype=np.int64)  # one G for every panel
     r = 0
-    for c0 in range(0, stop, _PANEL):
+    for c0 in range(0, n, _PANEL):
         if r >= m:
             break
-        c1 = min(c0 + _PANEL, stop)
+        c1 = min(c0 + _PANEL, n)
         w = c1 - c0
         r0, swaps, pc = r, [], []
         # G holds rows r0, r0 + 1, ... only: row i of G is row r0 + i of A
@@ -459,32 +460,33 @@ def kernel_of_free_summand(P, mod: Modulus) -> np.ndarray:
     """Kernel basis (columns) of P when ker(P) is a free direct summand.
 
     Used for stabilized powers of topologically nilpotent operators, where
-    image and kernel split the ambient module; every pivot is then a unit
-    and the returned basis extends to a basis of the whole module.
+    image and kernel split the ambient module.  The certificate is that
+    every pivot of P's ``FullPivotFactor`` is a unit; ArithmeticError
+    otherwise.  The basis is then the identity on the free columns and
+    extends to a basis of the whole module.
     """
-    R, pivcols, freecols = unit_echelon(P, mod)
-    basis = np.zeros((R.shape[1], len(freecols)), dtype=np.int64)
-    basis[freecols, np.arange(len(freecols))] = 1
-    basis[pivcols] = (-R[:, freecols]) % mod.pM
-    return basis
+    F = FullPivotFactor(P, mod)
+    if any(F.valuations):
+        raise ArithmeticError("non-unit pivot needed: row space has p-torsion")
+    return F.kernel()
 
 
 def restrict_operator(image: np.ndarray, basis: np.ndarray, mod: Modulus) -> np.ndarray:
     """Matrix of an operator T on the column span of ``basis`` (a free
     summand), given ``image`` = T @ basis.
 
-    Solves basis @ X = image with unit pivots and raises unless T preserves
-    the span.  Taking the image, not T, lets a caller apply T without
-    building it.
+    Factors the basis, which must have a unit pivot in every column, and
+    solves basis @ X = image against it; raises unless T preserves the
+    span.  Taking the image, not T, lets a caller apply T without building
+    it.
     """
-    basis = _as_matrix(basis, mod)
-    k = basis.shape[1]
-    A = np.hstack([basis, _as_matrix(image, mod)])
-    if len(_unit_gauss_jordan(A, mod, stop=k)[0]) < k:
+    F = FullPivotFactor(basis, mod)
+    if F.free.size or any(F.valuations):
         raise ArithmeticError("basis does not have unit pivots")
-    if A[k:, k:].any():
+    X = F.solve(_as_matrix(image, mod))
+    if X is None:
         raise ArithmeticError("operator does not preserve the subspace")
-    return A[:k, k:].copy()
+    return X
 
 
 def restrict_by_readoff(image: np.ndarray, basis: np.ndarray, rows, mod: Modulus) -> np.ndarray:

@@ -10,24 +10,26 @@ intersection removes exactly those.
 
 Each generalized kernel is ker B^K for B = T_q - q - 1 on a space of rank n
 over Z/p^M, and K >= n * M always suffices.  It is taken at K = 32 when the
-kernel there certifies itself, being a free summand of rank below 32 (see
-``_summand_kernel``), which on the 733 pairs p in {5, 7, 11, 13},
-N < 10000 it always does where n * M > 32; otherwise at the first power of
-two K >= n * M.  Both give the same basis.
+kernel there certifies itself, its factor having only unit pivots and
+nullity below 32 (see ``_summand_kernel``), which on the 733 pairs p in
+{5, 7, 11, 13}, N < 10000 it always does where n * M > 32; otherwise at
+the first power of two K >= n * M.  Both give the same basis.
 
 W contains the Eisenstein boundary line, on which every T_q - q - 1 acts as
 zero, so the characteristic polynomial of (T_ell - ell - 1)|W is y * f(y)
 with f the distinguished polynomial presenting the cuspidal quotient:
 rank e = deg f, f = y^e mod p, and v_p(f(0)) = v_p(N - 1).
 
-No restriction to W eliminates.  W is kept the identity on a set of rows R
-(a kernel basis is, on its free rows, and W ker is on R[free rows of ker]),
-so the matrix of T|W is (T W)[R], checked by one product
-(``restrict_by_readoff``).  Each report ends with Mazur's criterion at
-ell' in {2, 3, 5, 7}: T_ell' - ell' - 1 generates the local ideal iff ell'
-is a good prime.  The four checks run as one batch: one ``hecke_apply``
-for all four primes, four read-offs, and one solve of the four shifts
-against the power basis I, Y, ..., Y^e.
+Every kernel is read off one ``FullPivotFactor`` of the power, which also
+names the rows on which the kernel is the identity: its free columns.  No
+restriction to W eliminates.  W is kept the identity on a set of rows R
+(the first kernel is, on its factor's free columns F, and W ker is on
+R[F] for the free columns F of ker's factor), so the matrix of T|W is
+(T W)[R], checked by one product (``restrict_by_readoff``).  Each report
+ends with Mazur's criterion at ell' in {2, 3, 5, 7}: T_ell' - ell' - 1
+generates the local ideal iff ell' is a good prime.  The four checks run
+as one batch: one ``hecke_apply`` for all four primes, four read-offs, and
+one solve of the four shifts against the power basis I, Y, ..., Y^e.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import sympy
 from ..corering.linalg import (
     FullPivotFactor,
     berkowitz_charpoly,
-    kernel_of_free_summand,
     matmul_mod,
     restrict_by_readoff,
 )
@@ -126,15 +127,17 @@ def smallest_good_prime(N: int, p: int) -> int:
 _SHORT_EXPONENT = 32
 
 
-def _summand_kernel(B: np.ndarray, mod: Modulus) -> np.ndarray:
-    """Basis of G = ker B^K, the summand of V = (Z/p^M)^n on which B is
-    topologically nilpotent, for K at least n * M.
+def _summand_kernel(B: np.ndarray, mod: Modulus) -> tuple[np.ndarray, np.ndarray]:
+    """Basis W of G = ker B^K, the summand of V = (Z/p^M)^n on which B is
+    topologically nilpotent, for K at least n * M, and the rows on which W
+    is the identity: the free columns of the power's factor.
 
     By Fitting's lemma V = G + G', with B nilpotent mod p on G and invertible
     on G'; with d = rank G, (B|G)^(d M) = 0, so ker B^K = G once K >= d * M,
     and n * M always suffices.  B is squared up to K = 32 first, and the
-    kernel there is returned when it certifies itself: when ker B^32 is a
-    free summand F of rank r < 32.  Then F = G, since
+    kernel there is returned when it certifies itself: when every pivot of
+    B^32's ``FullPivotFactor`` is a unit, so that ker B^32 is a free summand
+    F, of rank r < 32.  Then F = G, since
     - ker B^32 lies in G;
     - B^32 maps a complement of F injectively into V, and that map splits
       because Z/p^M is self-injective; so F mod p is the whole kernel of
@@ -143,33 +146,25 @@ def _summand_kernel(B: np.ndarray, mod: Modulus) -> np.ndarray:
       min(32, d);
     - so r < 32 forces d < 32 and r >= d; F is a free summand of G, so
       r <= d, and a free summand of G of rank d is G.
-    Otherwise (the kernel at 32 is not a free summand, or r >= 32) squaring
+    Otherwise (a pivot of positive valuation at 32, or r >= 32) squaring
     goes on from the same power up to the first power of two K >= n * M,
-    and the kernel is taken there.  When n * M <= 32 that is the only
-    kernel.  Either way the row space of the power is the annihilator of
-    G, so the kernel basis, read off its unique unit-pivot RREF, does not
-    depend on which K certified it.
+    and the kernel is taken there, where Fitting's lemma makes every pivot
+    a unit.  When n * M <= 32 that is the only kernel.  Either way the row
+    space of the power is the annihilator of G, so the kernel basis, read
+    off its unique unit-pivot RREF, does not depend on which K certified it.
     """
     target = max(1, B.shape[0] * mod.M)
     P, K = B % mod.pM, 1
     while K < target:
         P, K = matmul_mod(P, P, mod), 2 * K
         if K == _SHORT_EXPONENT and K < target:
-            try:
-                F = kernel_of_free_summand(P, mod)
-            except ArithmeticError:  # p-torsion: not a free summand
-                continue
-            if F.shape[1] < K:
-                return F
-    return kernel_of_free_summand(P, mod)
-
-
-def _identity_rows(basis: np.ndarray) -> np.ndarray:
-    """Rows R with basis[R] = I: for each column, the first row that is the
-    unit vector there.  A ``kernel_of_free_summand`` basis has one for every
-    column, its free row (a pivot row may be one too, and serves as well)."""
-    unit_rows = np.count_nonzero(basis, axis=1) == 1
-    return np.argmax((basis == 1) & unit_rows[:, None], axis=0)
+            F = FullPivotFactor(P, mod)
+            if not any(F.valuations) and F.free.size < K:
+                return F.kernel(), F.free
+    F = FullPivotFactor(P, mod)
+    if any(F.valuations):
+        raise ConsistencyError(f"ker B^{K} has a pivot of positive valuation: not a free summand")
+    return F.kernel(), F.free
 
 
 def _eisenstein_shifts(space: ManinSpace, qs, W: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -222,18 +217,17 @@ def _localize(
     stability of the dimension is not sufficient; the certificate is.
     Refinements act on the small intermediate space, so only the first
     kernel is computed at full size.  W stays the identity on ``rows``:
-    W ker is the identity on rows[free rows of ker].
+    W ker is the identity on rows[ker_rows] when ker[ker_rows] = I.
     """
-    W = _summand_kernel(B_plus, mod)
-    rows = _identity_rows(W)
+    W, rows = _summand_kernel(B_plus, mod)
     audit = [(ell, W.shape[1])]
     cert = _certify(B_plus, W, rows, mod, t)
     q = 2
     while cert is None and q < q_bound and W.shape[1] > 1:
         if q != space.N and q != ell:
-            ker = _summand_kernel(_eisenstein_shifts(space, [q], W, rows)[0], mod)
+            ker, ker_rows = _summand_kernel(_eisenstein_shifts(space, [q], W, rows)[0], mod)
             if ker.shape[1] < W.shape[1]:
-                W, rows = matmul_mod(W, ker, mod), rows[_identity_rows(ker)]
+                W, rows = matmul_mod(W, ker, mod), rows[ker_rows]
                 cert = _certify(B_plus, W, rows, mod, t)
             audit.append((q, W.shape[1]))
         q = sympy.nextprime(q)

@@ -34,10 +34,11 @@ and certifies the whole operator on them, once, where it can fail:
 boundary . T_ell = (ell + 1) * boundary, read off as the sum over h of
 sign * (expr . boundary)[column], with expr . boundary computed once per
 space.  ``hecke_full`` sums the rows of expr into the (g+1) x (g+1) T_ell,
-which the stabilized power needs; ``hecke_on_plus`` keeps it read-only,
-once per space.  ``hecke_apply`` returns T_q W for a few columns W
-without building T_q: P W is an exact int64 scatter of the rows of W,
-then one product by expr^T, shared by every prime of one call.
+which the stabilized power needs; ``hecke_on_plus`` returns it read-only
+and keeps no copy, since a report builds it once.  ``hecke_apply``
+returns T_q W for a few columns W without building T_q: P W is an exact
+int64 scatter of the rows of W, then one product by expr^T, shared by
+every prime of one call.
 """
 
 from __future__ import annotations
@@ -156,7 +157,6 @@ class ManinSpace:
         self.genus = genus_x0(N)
         self._inv = np.zeros(N, dtype=np.int64)
         self._inv[powers] = powers[-np.arange(N - 1)]
-        self._operators: dict[int, np.ndarray] = {}  # ell -> read-only T_ell
         self._build_relations()
         self._build_boundary()
 
@@ -259,12 +259,10 @@ class ManinSpace:
         return out.T % self.modulus.pM
 
     def hecke_on_plus(self, ell: int) -> np.ndarray:
-        """``hecke_full(ell)``, built once per space and returned read-only."""
-        if ell not in self._operators:
-            T = self.hecke_full(ell)
-            T.setflags(write=False)
-            self._operators[ell] = T
-        return self._operators[ell]
+        """``hecke_full(ell)``, returned read-only."""
+        T = self.hecke_full(ell)
+        T.setflags(write=False)
+        return T
 
     def hecke_apply(self, q, W: np.ndarray) -> np.ndarray:
         """T_q @ W for columns W in the basis of V+, without building T_q.

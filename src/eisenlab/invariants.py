@@ -35,10 +35,15 @@ from .corering.linalg import howell_membership
 from .corering.zmod import AtLeast, Modulus, valuation_p
 
 
-def check_pair(N: int, p: int) -> None:
-    """Raise ValueError unless N is prime and p is a prime > 3."""
+def check_p(p: int) -> None:
+    """Raise ValueError unless p is a prime > 3."""
     if p <= 3 or not sympy.isprime(p):
         raise ValueError(f"p = {p} must be a prime > 3")
+
+
+def check_pair(N: int, p: int) -> None:
+    """Raise ValueError unless N is prime and p is a prime > 3."""
+    check_p(p)
     if not sympy.isprime(N):
         raise ValueError(f"N = {N} must be prime")
 

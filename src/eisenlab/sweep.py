@@ -18,7 +18,7 @@ from .hecke.eisenstein import (
     component_slopes,
     eisenstein_local_factor,
 )
-from .invariants import check_pair, is_good_prime, lecouturier_check, merel_report, zeta_report
+from .invariants import check_p, check_pair, is_good_prime, lecouturier_check, merel_report, zeta_report
 from .records import ResultRecord, append_records, encode_valuation, existing_keys
 
 # (N, p) rows where the paper's full N < 10000 tables report rank != ord;
@@ -35,7 +35,8 @@ KNOWN_RANK_ORD_EXCEPTIONS = {
 
 
 def sweep_primes(p: int, max_N: int):
-    """Primes N < max_N with N = 1 mod p."""
+    """Primes N < max_N with N = 1 mod p; ValueError unless p is a prime > 3."""
+    check_p(p)  # N = k p + 1 never reaches max_N for p <= 0
     out = []
     k = 1
     while True:
@@ -119,8 +120,8 @@ def pool_size(workers: int | None) -> int:
 
 
 def _worker(args) -> ResultRecord:
-    N, p, precision = args
-    return compute_record(N, p, with_hecke=True, precision=precision)
+    N, p = args
+    return compute_record(N, p, with_hecke=True)
 
 
 def _computed(tasks: list, workers: int):
@@ -139,7 +140,6 @@ def run_sweep(
     out_path: str,
     resume: bool = False,
     workers: int | None = None,
-    precision: int | None = None,
     log=None,
 ) -> int:
     """Compute records for all primes N = 1 mod p below max_N.
@@ -155,7 +155,7 @@ def run_sweep(
     if not todo:
         return 0
     written = 0
-    for rec in _computed([(N, p, precision) for N in todo], workers):
+    for rec in _computed([(N, p) for N in todo], workers):
         append_records(out_path, [rec])
         written += 1
         if log:

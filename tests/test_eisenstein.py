@@ -273,8 +273,9 @@ def test_other_published_rank_rows():
 
 
 def test_each_hecke_operator_built_once_per_space(monkeypatch):
-    # only T_ell, which the stabilized power needs, is built in full, once;
-    # every other T_q is applied to W without being built
+    # only T_ell, which the stabilized power needs, is built in full, once
+    # per record, and returned read-only; every other T_q is applied to W
+    # without being built
     from eisenlab.hecke.manin import ManinSpace
 
     built = []
@@ -286,7 +287,6 @@ def test_each_hecke_operator_built_once_per_space(monkeypatch):
     space = rep._workspace["space"]
     assert built == [(id(space), rep.ell_used)]
     T = space.hecke_on_plus(rep.ell_used)
-    assert space.hecke_on_plus(rep.ell_used) is T and len(built) == 1
     with pytest.raises(ValueError):
         T[0, 0] = 1
 
@@ -475,29 +475,27 @@ _FITTING_CASES = {
 
 @pytest.mark.parametrize("case", list(_FITTING_CASES))
 def test_summand_kernel_on_planted_fitting_structure(case, monkeypatch):
-    nil, m, M, calls_expected = _FITTING_CASES[case]
+    nil, m, M, factors_expected = _FITTING_CASES[case]
     mod = Modulus(5, M)
     B, G = _planted_fitting(nil(mod.p), m, mod, seed=len(case))
-    calls = []
-    kernel = eisenstein.kernel_of_free_summand
+    factors = []
 
-    def counted(P, mod):
-        try:
-            out = kernel(P, mod)
-        except ArithmeticError:
-            calls.append("raised")
-            raise
-        calls.append(out.shape[1])
-        return out
+    class CountingFactor(FullPivotFactor):
+        def __init__(self, A, mod):
+            super().__init__(A, mod)
+            factors.append((self.valuations, self.free.size))
 
-    monkeypatch.setattr(eisenstein, "kernel_of_free_summand", counted)
-    W = eisenstein._summand_kernel(B, mod)
+    monkeypatch.setattr(eisenstein, "FullPivotFactor", CountingFactor)
+    W, rows = eisenstein._summand_kernel(B, mod)
     assert np.array_equal(W, _full_power_kernel(B, mod))
-    assert len(calls) == calls_expected, calls
-    if case == "not free at 32":
-        assert calls[0] == "raised"
+    assert np.array_equal(W[rows], np.eye(W.shape[1], dtype=np.int64))
+    assert len(factors) == factors_expected, factors
+    if case == "certified":
+        assert not any(factors[0][0]) and factors[0][1] < 32
+    if case == "not free at 32":  # the certificate rejects the factor at K = 32
+        assert any(factors[0][0])
     if case == "rank 32 at 32":
-        assert calls[0] == 32
+        assert not any(factors[0][0]) and factors[0][1] == 32
     # W spans the planted summand: each is in the span of the other
     d = G.shape[1]
     assert W.shape[1] == d
@@ -509,7 +507,8 @@ def test_summand_kernel_on_planted_fitting_structure(case, monkeypatch):
 @pytest.mark.parametrize("p", [5, 7])
 def test_summand_kernel_matches_full_power_below_2000(p):
     # the first Eisenstein summand, certified at K = 32 where n * M > 32,
-    # is the kernel taken at K >= n * M, entry for entry
+    # is the kernel taken at K >= n * M, entry for entry, and the identity
+    # on the rows returned with it
     from eisenlab.sweep import sweep_primes
 
     short = 0
@@ -518,7 +517,9 @@ def test_summand_kernel_matches_full_power_below_2000(p):
         ell = smallest_good_prime(N, p)
         T = build_manin_space(N, mod).hecke_on_plus(ell)
         B = (T - (ell + 1) * np.eye(T.shape[0], dtype=np.int64)) % mod.pM
-        assert np.array_equal(eisenstein._summand_kernel(B, mod), _full_power_kernel(B, mod)), N
+        W, rows = eisenstein._summand_kernel(B, mod)
+        assert np.array_equal(W, _full_power_kernel(B, mod)), N
+        assert np.array_equal(W[rows], np.eye(W.shape[1], dtype=np.int64)), N
         short += B.shape[0] * mod.M > 32
     assert short >= len(sweep_primes(p, 2000)) // 2
 
@@ -536,18 +537,22 @@ def test_generator_checks_share_one_power_basis_factor(monkeypatch):
     rep = eisenstein_local_factor(181, 5)
     assert sorted(rep.diagnostics["generator_checks"]) == [2, 3, 5, 7]
     dimW = rep.e + 1
-    assert rep._workspace["Y"].shape == (dimW, dimW) and built == [(dimW * dimW, dimW)]
+    # the kernels factor square powers; the power basis is dimW^2 x dimW
+    power_basis = (dimW * dimW, dimW)
+    assert rep._workspace["Y"].shape == (dimW, dimW) and built.count(power_basis) == 1
+    factors = len(built)
     assert generator_check(rep, rep.ell_used) is True
-    assert len(built) == 1
+    assert len(built) == factors
     # the batch gives each prime the verdict its one-prime check gives
     assert {q: generator_check(rep, q) for q in (2, 3, 5, 7)} == rep.diagnostics["generator_checks"]
 
 
 def test_records_path_restricts_without_eliminating(monkeypatch):
     # every restriction to W on the records path is a read-off: no
-    # restrict_operator call, and every remaining elimination is a kernel's
-    # (unit_echelon) or a FullPivotFactor layer's.  With one elimination per
-    # restriction and every layer built, this record would make 30.
+    # restrict_operator call, and every remaining elimination is a
+    # FullPivotFactor layer's (the kernels' too) or a unit_echelon's.  With
+    # one elimination per restriction and every layer built, this record
+    # would make 30.
     from eisenlab.corering import linalg
 
     calls = {"eliminations": 0, "echelons": 0, "layers": 0}

@@ -374,17 +374,16 @@ def _mulmod(A, B, pM):
     return ((np.asarray(A).astype(object) @ np.asarray(B).astype(object)) % pM).astype(np.int64)
 
 
-def _gauss_jordan_unblocked(A, mod, stop=None, swaps=None):
-    """One rank-1 Gauss-Jordan update per unit pivot, pivots taken among the
-    first ``stop`` columns (independent oracle); returns the reduced matrix
-    and the pivot columns.  Each row swap is appended to ``swaps``, when
-    given, as (pivot column, row, row)."""
+def _gauss_jordan_unblocked(A, mod, swaps=None):
+    """One rank-1 Gauss-Jordan update per unit pivot (independent oracle);
+    returns the reduced matrix and the pivot columns.  Each row swap is
+    appended to ``swaps``, when given, as (pivot column, row, row)."""
     pM, p = mod.pM, mod.p
     A = np.asarray(A, dtype=np.int64) % pM
     m, n = A.shape
     pivcols = []
     r = 0
-    for c in range(n if stop is None else stop):
+    for c in range(n):
         if r >= m:
             break
         nz = np.nonzero(A[r:, c] % p)[0]
@@ -949,23 +948,24 @@ def test_delayed_reduction_at_edge_moduli(pm, room):
 @pytest.mark.parametrize("stop", [72, 40, 7], ids=lambda s: f"stop={s}")
 @pytest.mark.parametrize("pm", [(2147483647, 1), (5, 13)], ids=["2^31-1", "5^13"])
 def test_unit_gauss_jordan_matches_unblocked(pm, stop):
-    # the whole matrix after the blocked elimination, pivots searched in the
-    # first ``stop`` columns only, is the unblocked one's, and so is its
-    # panels' replay on the original; rows above a panel take their share of
-    # its row operations as one product at its end, so the panels must have
-    # such rows with nonzero multipliers
+    # each matrix is cut at column ``stop`` (three panels, two, or part of
+    # one) and eliminated whole: the result is the unblocked one's, and so
+    # is its panels' replay on the original; rows above a panel take their
+    # share of its row operations as one product at its end, so past the
+    # first panel the panels must have such rows with nonzero multipliers
     mod = Modulus(*pm)
     pM = mod.pM
     gen = np.random.default_rng(stop)
     above = 0
     for A0 in (
         pM - 1 - gen.integers(0, 3, (80, 72)),  # dense, every entry as large as it can be
-        gen.integers(0, pM, (50, 72)),  # wide: the last panel has no pivot row left
+        gen.integers(0, pM, (50, 72)),  # wide at 72: the last panel has no pivot row left
         _free_columns_at(gen, 90, 72, _FREE_COLS, pM),  # free columns, zero rows below the rank
     ):
+        A0 = A0[:, :stop]
         A = A0.copy()
-        pivcols, panels = _unit_gauss_jordan(A, mod, stop)
-        want, want_pivcols = _gauss_jordan_unblocked(A0, mod, stop)
+        pivcols, panels = _unit_gauss_jordan(A, mod)
+        want, want_pivcols = _gauss_jordan_unblocked(A0, mod)
         assert pivcols == want_pivcols
         assert np.array_equal(A, want)
         X = A0.copy()

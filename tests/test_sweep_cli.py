@@ -234,6 +234,20 @@ def test_cli_sweep_rejects_workers_below_one(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p", ["0", "-5", "4", "9"])
+def test_cli_sweep_rejects_p_not_a_prime_above_3(tmp_path, p):
+    # for p <= 0, N = k p + 1 never reaches the bound, so the CLI runs in a
+    # subprocess with a timeout: a regression fails here instead of hanging
+    out = tmp_path / "rows.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(eisenlab.__file__).resolve().parents[1]))
+    argv = ["-m", "eisenlab.cli", "sweep", "--p", p, "--max-N", "100", "--out", str(out)]
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: p = {p} must be a prime > 3\n"
+    assert not out.exists()
+
+
 def test_cli_sweep_stats_verify(tmp_path, capsys):
     out = str(tmp_path / "rows.jsonl")
     rc = main(["sweep", "--p", "5", "--max-N", "120", "--out", out])
