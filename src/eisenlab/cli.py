@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from .hecke.eisenstein import (
@@ -20,10 +21,8 @@ from .hecke.eisenstein import (
 from .records import append_records, encode_valuation, read_records
 from .sweep import (
     compute_record,
-    pool_size,
     run_sweep,
     stats_from_records,
-    sweep_primes,
     verify_records,
 )
 
@@ -110,18 +109,26 @@ def cmd_hecke(args) -> int:
     return EXIT_OK
 
 
+def _interrupt_once(signum, frame):
+    """SIGINT handler: KeyboardInterrupt, then ignore SIGINT, so that a
+    second Ctrl-C cannot cut short the shutdown of the sweep's pool."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    raise KeyboardInterrupt
+
+
 def cmd_sweep(args) -> int:
-    workers = pool_size(args.workers)
-    targets = sweep_primes(args.p, args.max_N)
-    print(f"sweep p={args.p}, N < {args.max_N}: {len(targets)} primes", flush=True)
-    n = run_sweep(
-        args.p,
-        args.max_N,
-        args.out,
-        resume=args.resume,
-        workers=workers,
-        log=lambda msg: print(msg, flush=True),
-    )
+    previous = signal.signal(signal.SIGINT, _interrupt_once)
+    try:
+        n = run_sweep(
+            args.p,
+            args.max_N,
+            args.out,
+            resume=args.resume,
+            workers=args.workers,
+            log=lambda msg: print(msg, flush=True),
+        )
+    finally:
+        signal.signal(signal.SIGINT, previous)
     print(f"wrote {n} new records to {args.out}")
     return EXIT_OK
 

@@ -25,16 +25,19 @@ names the rows on which the kernel is the identity: its free columns.  No
 restriction to W eliminates.  W is kept the identity on a set of rows R
 (the first kernel is, on its factor's free columns F, and W ker is on
 R[F] for the free columns F of ker's factor), so the matrix of T|W is
-(T W)[R], checked by one product (``restrict_by_readoff``).  Each report
-ends with Mazur's criterion at ell' in {2, 3, 5, 7}: T_ell' - ell' - 1
-generates the local ideal iff ell' is a good prime.  The four checks run
-as one batch: one ``hecke_apply`` for all four primes, four read-offs, and
-one solve of the four shifts against the power basis I, Y, ..., Y^e.
+(T W)[R], checked by one product (``restrict_by_readoff``).  The dense
+B = T_ell - ell - 1 is read only for the first kernel and Y = B|W on it;
+refinements update Y on W alone.  Each report ends with Mazur's criterion
+at ell' in {2, 3, 5, 7}: T_ell' - ell' - 1 generates the local ideal iff
+ell' is a good prime.  The four checks run as one batch: one
+``hecke_apply`` for all four primes, four read-offs, and one solve of the
+four shifts against the power basis I, Y, ..., Y^e.  A report holds data
+only: ``generator_check`` recomputes W and Y from (N, p, ell_used, M).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -102,7 +105,6 @@ class EisensteinReport:
     np_vertices: tuple[tuple[int, int], ...]
     components: list[SlopeComponent]
     diagnostics: dict
-    _workspace: dict | None = field(default=None, repr=False, compare=False)
 
 
 def default_precision(t: int) -> int:
@@ -178,16 +180,14 @@ def _eisenstein_shifts(space: ManinSpace, qs, W: np.ndarray, rows: np.ndarray) -
     return (shifts - (np.asarray(qs)[:, None, None] + 1) * np.eye(k, dtype=np.int64)) % mod.pM
 
 
-def _certify(B_plus, W, rows, mod, t):
-    """Check that W carries exactly the Eisenstein component.
+def _certify(Y, mod, t):
+    """f if Y = (T_ell - ell - 1)|W carries exactly the Eisenstein component.
 
-    The characteristic polynomial of (T_ell - ell - 1)|W must be y * f(y)
-    with f distinguished and v_p(f(0)) = v_p(N-1); any surviving spurious
+    The characteristic polynomial of Y must be y * f(y) with f
+    distinguished and v_p(f(0)) = v_p(N-1); any surviving spurious
     component strictly inflates that valuation (its eigenvalues have
-    positive valuation), so the test is exact.
-    Returns (Y, f) or None.
+    positive valuation), so the test is exact.  Returns f or None.
     """
-    Y = restrict_by_readoff(matmul_mod(B_plus, W, mod), W, rows, mod)
     Q = berkowitz_charpoly(Y, mod)
     if not Q.is_distinguished():
         return None
@@ -196,47 +196,50 @@ def _certify(B_plus, W, rows, mod, t):
     f = PadicPoly(Q.coeffs[1:], mod)  # distinguished, as Q is and Q(0) = 0
     if mod.valuation(f.coeffs[0]) != t:
         return None
-    return Y, f
+    return f
 
 
-def _localize(
-    space: ManinSpace,
-    B_plus: np.ndarray,
-    ell: int,
-    mod: Modulus,
-    t: int,
-    q_bound: int,
-):
-    """Eisenstein-local summand of V+ with its certified local data.
+def _local_summand(N: int, p: int, ell: int, M: int):
+    """Eisenstein-local summand W of V+ mod p^M with its certified local
+    data: (space, W, rows, audit, Y, f), W the identity on ``rows`` and
+    Y = (T_ell - ell - 1)|W with charpoly y * f(y).
 
-    Starts from the generalized kernel of B_plus = T_ell - ell - 1 and
+    Starts from the generalized kernel of B = T_ell - ell - 1 and
     intersects with generalized kernels of T_q - q - 1 for ascending primes
     q until the congruence-number certificate v_p(f(0)) = v_p(N-1) holds.
     A single operator (or even several) can admit spurious kernel lines
     from eigenforms accidentally congruent at those operators alone, so
     stability of the dimension is not sufficient; the certificate is.
-    Refinements act on the small intermediate space, so only the first
-    kernel is computed at full size.  W stays the identity on ``rows``:
-    W ker is the identity on rows[ker_rows] when ker[ker_rows] = I.
+    Only the first kernel and Y on it read the dense B.  W ker is the
+    identity on rows[ker_rows], and Y' = (Y ker)[ker_rows] is B|W ker
+    exactly: as B W = W Y, B W ker = W ker Y' iff Y ker = ker Y'.
     """
-    W, rows = _summand_kernel(B_plus, mod)
+    mod = Modulus(p, M)
+    t = valuation_p(N - 1, p)
+    space = build_manin_space(N, mod)
+    T = space.hecke_on_plus(ell)
+    B = (T - (ell + 1) * np.eye(T.shape[0], dtype=np.int64)) % mod.pM
+    W, rows = _summand_kernel(B, mod)
+    Y = restrict_by_readoff(matmul_mod(B, W, mod), W, rows, mod)
     audit = [(ell, W.shape[1])]
-    cert = _certify(B_plus, W, rows, mod, t)
-    q = 2
-    while cert is None and q < q_bound and W.shape[1] > 1:
-        if q != space.N and q != ell:
+    f = _certify(Y, mod, t)
+    # a separating Hecke operator exists well below the Sturm bound ~ N/6
+    q, q_bound = 2, max(60, N // 4)
+    while f is None and q < q_bound and W.shape[1] > 1:
+        if q != N and q != ell:
             ker, ker_rows = _summand_kernel(_eisenstein_shifts(space, [q], W, rows)[0], mod)
             if ker.shape[1] < W.shape[1]:
                 W, rows = matmul_mod(W, ker, mod), rows[ker_rows]
-                cert = _certify(B_plus, W, rows, mod, t)
+                Y = restrict_by_readoff(matmul_mod(Y, ker, mod), ker, ker_rows, mod)
+                f = _certify(Y, mod, t)
             audit.append((q, W.shape[1]))
         q = sympy.nextprime(q)
-    if cert is None:
+    if f is None:
         raise ConsistencyError(
             f"Eisenstein localization failed below q = {q_bound} "
-            f"at (N, p) = ({space.N}, {mod.p}): v_p(f(0)) never reached {t}"
+            f"at (N, p) = ({N}, {p}): v_p(f(0)) never reached {t}"
         )
-    return W, rows, audit, cert
+    return space, W, rows, audit, Y, f
 
 
 def eisenstein_local_factor(
@@ -263,21 +266,11 @@ def eisenstein_local_factor(
     M = precision if precision is not None else default_precision(t)
     if M <= t:
         raise PrecisionExhausted(f"precision {M} cannot resolve v_p(N-1) = {t}")
-    mod = Modulus(p, M)
-    space = build_manin_space(N, mod)
     if ell is None:
         ell = smallest_good_prime(N, p)
     elif not is_good_prime(ell, N, p):
         raise ValueError(f"ell = {ell} is not a good prime for (N, p) = ({N}, {p})")
-
-    T_plus = space.hecke_on_plus(ell)
-    k = T_plus.shape[0]
-    B_plus = (T_plus - (ell + 1) * np.eye(k, dtype=np.int64)) % mod.pM
-
-    # a separating Hecke operator exists well below the Sturm bound ~ N/6
-    q_bound = max(60, N // 4)
-    W, rows, audit, (Y, f) = _localize(space, B_plus, ell, mod, t, q_bound)
-    e = f.degree
+    space, W, rows, audit, Y, f = _local_summand(N, p, ell, M)
 
     t_seq = []
     for v in t_sequence(f):  # t_1, ..., t_{e+1}
@@ -287,19 +280,15 @@ def eisenstein_local_factor(
     np_poly = newton_polygon(f)
     components = component_slopes(np_poly, f)
 
-    diagnostics = {
-        "f0_valuation": int(t_seq[0]),
-        "localization": audit,
-        "generator_checks": {},
-    }
-    rep = EisensteinReport(
-        N=N, p=p, ell_used=ell, M=M, t=t, e=e, f=f,
+    return EisensteinReport(
+        N=N, p=p, ell_used=ell, M=M, t=t, e=f.degree, f=f,
         t_seq=t_seq, np_vertices=np_poly.vertices, components=components,
-        diagnostics=diagnostics,
-        _workspace={"space": space, "W": W, "rows": rows, "Y": Y},
+        diagnostics={
+            "f0_valuation": int(t_seq[0]),
+            "localization": audit,
+            "generator_checks": _generator_checks(space, W, rows, Y, [q for q in (2, 3, 5, 7) if q != N]),
+        },
     )
-    diagnostics["generator_checks"] = _generator_checks(rep, [q for q in (2, 3, 5, 7) if q != N])
-    return rep
 
 
 # -- slope components --------------------------------------------------------
@@ -356,43 +345,35 @@ def component_slopes(np_poly: NewtonPolygon, f: PadicPoly) -> list[SlopeComponen
 # -- structural checks -------------------------------------------------------
 
 
-def _power_basis_factor(workspace: dict) -> FullPivotFactor:
-    """The columns I, Y, ..., Y^(dimW - 1), flattened, factored once per
-    report: every generator check solves against the same Y."""
-    if "powers" not in workspace:
-        Y, mod = workspace["Y"], workspace["space"].modulus
-        pows = [np.eye(Y.shape[0], dtype=np.int64)]
-        for _ in range(Y.shape[0] - 1):
-            pows.append(matmul_mod(pows[-1], Y, mod))
-        workspace["powers"] = FullPivotFactor(np.stack([P.reshape(-1) for P in pows], axis=1), mod)
-    return workspace["powers"]
-
-
 def generator_check(report: EisensteinReport, ellp: int) -> bool:
     """Does T_ellp - ellp - 1 generate the Eisenstein-local ideal?
 
     Expresses its action on W in the basis I, Y, ..., Y^e of the local
-    algebra (Y the chosen generator); it generates iff the linear
-    coefficient is a unit.  The answer is asserted to coincide with
-    Mazur's good-prime criterion.
+    algebra (Y = (T_ell - ell - 1)|W the chosen generator); it generates
+    iff the linear coefficient is a unit.  The answer is asserted to
+    coincide with Mazur's good-prime criterion.  W and Y are recomputed
+    from the report's (N, p, ell_used, M).
     """
-    return _generator_checks(report, [ellp])[ellp]
+    if ellp == report.N:
+        raise ValueError("ellp must not equal N")
+    if report.e == 0:
+        raise ValueError(f"(N, p) = ({report.N}, {report.p}) has no Eisenstein summand (e = 0)")
+    space, W, rows, _, Y, _ = _local_summand(report.N, report.p, report.ell_used, report.M)
+    return _generator_checks(space, W, rows, Y, [ellp])[ellp]
 
 
-def _generator_checks(report: EisensteinReport, primes: list[int]) -> dict[int, bool]:
+def _generator_checks(space: ManinSpace, W, rows, Y, primes: list[int]) -> dict[int, bool]:
     """``generator_check`` at each of ``primes``, as one batch: one
     ``hecke_apply`` for all of them, and one solve of every shift against
-    the power basis."""
-    if report.N in primes:
-        raise ValueError("ellp must not equal N")
-    if report._workspace is None:
-        raise ValueError("report carries no workspace; recompute eisenstein_local_factor")
-    space: ManinSpace = report._workspace["space"]
-    mod = space.modulus
-    dimW = report._workspace["Y"].shape[0]
-    shifts = _eisenstein_shifts(space, primes, report._workspace["W"], report._workspace["rows"])
+    the power basis I, Y, ..., Y^(dimW - 1), factored once."""
+    mod, dimW = space.modulus, Y.shape[0]
+    shifts = _eisenstein_shifts(space, primes, W, rows)
+    pows = [np.eye(dimW, dtype=np.int64)]
+    for _ in range(dimW - 1):
+        pows.append(matmul_mod(pows[-1], Y, mod))
     # solve sum_i c_i Y^i = T_ellp - ellp - 1, one column per prime
-    x = _power_basis_factor(report._workspace).solve(shifts.reshape(len(primes), -1).T)
+    basis = FullPivotFactor(np.stack([P.reshape(-1) for P in pows], axis=1), mod)
+    x = basis.solve(shifts.reshape(len(primes), -1).T)
     if x is None:
         raise ConsistencyError("Hecke action is not polynomial in the generator")
     if (x[0] % mod.pM).any():
@@ -400,11 +381,11 @@ def _generator_checks(report: EisensteinReport, primes: list[int]) -> dict[int, 
     verdicts = {}
     for i, ellp in enumerate(primes):
         is_gen = mod.is_unit(int(x[1, i])) if dimW > 1 else False
-        good = is_good_prime(ellp, report.N, report.p)
+        good = is_good_prime(ellp, space.N, mod.p)
         if is_gen != good:
             raise MismatchError(
                 f"generator criterion ({is_gen}) != good prime criterion ({good}) "
-                f"for ellp = {ellp} at (N, p) = ({report.N}, {report.p})"
+                f"for ellp = {ellp} at (N, p) = ({space.N}, {mod.p})"
             )
         verdicts[ellp] = is_gen
     return verdicts

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import os
+import queue
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -125,13 +126,29 @@ def _worker(args) -> ResultRecord:
 
 
 def _computed(tasks: list, workers: int):
-    """Records for the tasks: in order on one worker, as they finish on a pool."""
+    """Records for the tasks: in order on one worker, as they finish on a
+    pool.  Leaving early (a failed pair, an interrupt) terminates the workers
+    and cancels the pending pairs; a dead worker raises BrokenProcessPool."""
     if workers == 1:
         yield from map(_worker, tasks)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for fut in as_completed([pool.submit(_worker, task) for task in tasks]):
-            yield fut.result()
+    # not as_completed: an interrupt can leave a future's Condition held,
+    # and the pool's manager thread then hangs on it at exit
+    finished = queue.SimpleQueue()
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        for task in tasks:
+            pool.submit(_worker, task).add_done_callback(finished.put)
+        for _ in tasks:
+            yield finished.get().result()
+    except BaseException:
+        for proc in list(pool._processes.values()):
+            proc.terminate()
+        # join the pool's thread here, not at exit, where an interrupt
+        # of the join can leave the interpreter hung on the pool's lock
+        pool.shutdown(cancel_futures=True)
+        raise
+    pool.shutdown()
 
 
 def run_sweep(
@@ -147,9 +164,12 @@ def run_sweep(
     Appends JSON lines as tasks complete (single writer); with resume=True,
     keys already present in the output file are skipped.  Returns the
     number of newly written records.  ``workers=None`` uses every core.
+    ``log`` gets a header, once the inputs are valid, and a line per record.
     """
     workers = pool_size(workers)
     targets = sweep_primes(p, max_N)
+    if log:
+        log(f"sweep p={p}, N < {max_N}: {len(targets)} primes")
     done = existing_keys(out_path) if resume else set()
     todo = [N for N in targets if (N, p) not in done]
     if not todo:
@@ -187,7 +207,8 @@ def stats_from_records(records: list[ResultRecord]) -> StatsTable:
     if len(ps) != 1:
         raise ValueError(f"records mix several p: {sorted(ps)}")
     p = ps.pop()
-    ranked = [rec for rec in records if rec.e is not None]
+    # the rows verify_records checks: a row with t = 0 has no Eisenstein rank
+    ranked = [rec for rec in records if rec.e is not None and rec.t > 0]
     if not ranked:
         raise ValueError("no records with Hecke rank data")
     n = len(ranked)

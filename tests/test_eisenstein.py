@@ -229,7 +229,7 @@ def test_t_sequence_invariant_under_generator_rescaling():
     rng2 = np.random.default_rng(7)
     for (N, p) in [(181, 5), (751, 5), (31, 5)]:
         rep = eisenstein_local_factor(N, p)
-        Y = rep._workspace["Y"]
+        Y = eisenstein._local_summand(N, p, rep.ell_used, rep.M)[4]
         mod = rep.f.modulus
         d = Y.shape[0]
         base = t_sequence(berkowitz_charpoly(Y, mod))
@@ -280,12 +280,10 @@ def test_each_hecke_operator_built_once_per_space(monkeypatch):
 
     built = []
     hecke_full = ManinSpace.hecke_full
-    monkeypatch.setattr(
-        ManinSpace, "hecke_full", lambda self, ell: built.append((id(self), ell)) or hecke_full(self, ell)
-    )
+    monkeypatch.setattr(ManinSpace, "hecke_full", lambda self, ell: built.append(ell) or hecke_full(self, ell))
     rep = eisenstein_local_factor(181, 5)
-    space = rep._workspace["space"]
-    assert built == [(id(space), rep.ell_used)]
+    assert built == [rep.ell_used]
+    space = eisenstein._local_summand(181, 5, rep.ell_used, rep.M)[0]
     T = space.hecke_on_plus(rep.ell_used)
     with pytest.raises(ValueError):
         T[0, 0] = 1
@@ -303,7 +301,7 @@ def test_hecke_apply_matches_full_operator(p):
     checked = 0
     for N in sweep_primes(p, 2000):
         rep = eisenstein_local_factor(N, p)
-        space, W, rows = (rep._workspace[key] for key in ("space", "W", "rows"))
+        space, W, rows = eisenstein._local_summand(N, p, rep.ell_used, rep.M)[:3]
         mod = space.modulus
         assert np.array_equal(W[rows], np.eye(W.shape[1], dtype=np.int64)), N
         wants = []
@@ -324,7 +322,7 @@ def test_hecke_apply_catches_a_dropped_heilbronn_matrix(monkeypatch):
     from eisenlab.hecke import manin
 
     rep = eisenstein_local_factor(181, 5)
-    space, W = rep._workspace["space"], rep._workspace["W"]
+    space, W = eisenstein._local_summand(181, 5, rep.ell_used, rep.M)[:2]
     full = {q: heilbronn_matrices(q) for q in (2, 3, 5, 7)}
     inputs = {
         "hecke_apply": lambda q: space.hecke_apply(q, W),
@@ -408,6 +406,12 @@ def test_components_match_hensel_window_reference():
 
 
 # -- the Eisenstein summand certified at the short exponent --------------------
+
+
+def _dense_B(N, ell, mod):
+    """The dense T_ell - ell - 1 on V+ mod p^M."""
+    T = build_manin_space(N, mod).hecke_on_plus(ell)
+    return (T - (ell + 1) * np.eye(T.shape[0], dtype=np.int64)) % mod.pM
 
 
 def _full_power_kernel(B, mod):
@@ -515,8 +519,7 @@ def test_summand_kernel_matches_full_power_below_2000(p):
     for N in sweep_primes(p, 2000):
         mod = Modulus(p, default_precision(valuation_p(N - 1, p)))
         ell = smallest_good_prime(N, p)
-        T = build_manin_space(N, mod).hecke_on_plus(ell)
-        B = (T - (ell + 1) * np.eye(T.shape[0], dtype=np.int64)) % mod.pM
+        B = _dense_B(N, ell, mod)
         W, rows = eisenstein._summand_kernel(B, mod)
         assert np.array_equal(W, _full_power_kernel(B, mod)), N
         assert np.array_equal(W[rows], np.eye(W.shape[1], dtype=np.int64)), N
@@ -539,12 +542,60 @@ def test_generator_checks_share_one_power_basis_factor(monkeypatch):
     dimW = rep.e + 1
     # the kernels factor square powers; the power basis is dimW^2 x dimW
     power_basis = (dimW * dimW, dimW)
-    assert rep._workspace["Y"].shape == (dimW, dimW) and built.count(power_basis) == 1
-    factors = len(built)
-    assert generator_check(rep, rep.ell_used) is True
-    assert len(built) == factors
-    # the batch gives each prime the verdict its one-prime check gives
+    assert eisenstein._local_summand(181, 5, rep.ell_used, rep.M)[4].shape == (dimW, dimW)
+    assert built.count(power_basis) == 1
+    # the batch gives each prime the verdict its one-prime check gives, and
+    # each one-prime check factors its own power basis once
     assert {q: generator_check(rep, q) for q in (2, 3, 5, 7)} == rep.diagnostics["generator_checks"]
+    assert built.count(power_basis) == 1 + 4
+
+
+def test_carried_Y_is_the_dense_restriction_on_the_final_W():
+    # Y is read off the dense B once, on the first kernel, and then carried
+    # through each refinement on W alone; on the final W it is what the
+    # dense B gives, for every report of a p = 5, 13 sweep below 2000 and
+    # for pairs whose first kernel holds spurious lines
+    from eisenlab.sweep import sweep_primes
+
+    pairs = [(N, p) for p in (5, 13) for N in sweep_primes(p, 2000)] + [(3001, 5), (3671, 5), (751, 5)]
+    refined = set()
+    for N, p in pairs:
+        rep = eisenstein_local_factor(N, p)
+        space, W, rows, audit, Y, f = eisenstein._local_summand(N, p, rep.ell_used, rep.M)
+        assert audit == rep.diagnostics["localization"] and f.coeffs == rep.f.coeffs, (N, p)
+        mod = space.modulus
+        B = _dense_B(N, rep.ell_used, mod)
+        assert np.array_equal(Y, restrict_by_readoff(matmul_mod(B, W, mod), W, rows, mod)), (N, p)
+        if W.shape[1] < audit[0][1]:
+            refined.add((N, p))
+    assert {(3001, 5), (3671, 5), (751, 5)} <= refined
+
+
+def _leaves(obj):
+    """``obj`` and every value reachable from it through dicts, lists,
+    tuples and object attributes (``__dict__`` or ``__slots__``)."""
+    yield obj
+    if isinstance(obj, dict):
+        inner = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple)):
+        inner = obj
+    else:
+        slots = getattr(type(obj), "__slots__", ())
+        inner = [*getattr(obj, "__dict__", {}).values(), *(getattr(obj, a) for a in slots)]
+    for item in inner:
+        yield from _leaves(item)
+
+
+def test_report_holds_data_only():
+    # a report keeps no matrix and no Manin space: what generator_check
+    # needs it recomputes from (N, p, ell_used, M)
+    from eisenlab.hecke.manin import ManinSpace
+
+    for N, p in [(13, 5), (31, 5), (181, 5), (751, 5), (3001, 5)]:
+        rep = eisenstein_local_factor(N, p)
+        leaves = list(_leaves(rep))
+        assert any(isinstance(x, PadicPoly) for x in leaves) == (rep.e > 0)
+        assert not any(isinstance(x, (np.ndarray, ManinSpace)) for x in leaves), (N, p)
 
 
 def test_records_path_restricts_without_eliminating(monkeypatch):

@@ -2,15 +2,17 @@ import ctypes
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import eisenlab
-from eisenlab import sweep
+from eisenlab import cli, sweep
 from eisenlab.cli import main
 from eisenlab.corering import linalg
 from eisenlab.invariants import is_good_prime
@@ -57,15 +59,16 @@ def test_run_sweep_and_resume(tmp_path):
     # (order-insensitive comparison)
     out2 = tmp_path / "p5b.jsonl"
     run_sweep(5, 200, str(out2), workers=1)
+    assert _canonical(out) == _canonical(out2)
 
-    def canonical(path):
-        rows = []
-        for rec in read_records(str(path)):
-            rec.elapsed = None
-            rows.append(rec.to_json())
-        return sorted(rows)
 
-    assert canonical(out) == canonical(out2)
+def _canonical(path):
+    """The records in ``path`` as sorted JSON lines, without their timing."""
+    rows = []
+    for rec in read_records(str(path)):
+        rec.elapsed = None
+        rows.append(rec.to_json())
+    return sorted(rows)
 
 
 def test_resume_rejects_malformed_middle_line(tmp_path):
@@ -94,6 +97,13 @@ def test_stats_fold(tmp_path):
     assert table.g[1] == "0.800"
     # recomputing from disk matches in-memory (pure fold)
     assert stats_from_records(read_records(str(out))).r == table.r
+    # rows where p does not divide N - 1 have no rank to count, and verify
+    # does not check them either
+    for N in ("13", "17"):
+        assert main(["hecke", "--N", N, "--p", "5", "--out", str(out), "--json"]) == 0
+    rows = read_records(str(out))
+    assert len(rows) == 12 and verify_records(rows).checked == table.n
+    assert stats_from_records(rows) == table
 
 
 def test_stats_rejects_mixed_p(tmp_path):
@@ -501,14 +511,15 @@ def _blas_threads():
     return fn()
 
 
-class _ProbingPool(ProcessPoolExecutor):
-    """The sweep's pool, asked for a worker's BLAS thread count before it shuts down."""
+_sweep_worker = sweep._worker
 
-    seen = []
 
-    def __exit__(self, *exc):
-        _ProbingPool.seen.append(self.submit(_blas_threads).result(timeout=60))
-        return super().__exit__(*exc)
+def _probing_worker(args):
+    """The sweep's worker, noting in each record the BLAS thread count of
+    the process that computed it."""
+    rec = _sweep_worker(args)
+    rec.flags.append(f"blas-threads={_blas_threads()} pid={os.getpid()}")
+    return rec
 
 
 def test_import_pins_one_blas_thread():
@@ -533,10 +544,142 @@ def test_import_pins_one_blas_thread():
 def test_sweep_workers_use_one_blas_thread(tmp_path, monkeypatch):
     if linalg._openblas_function(_GET_THREADS) is None:
         pytest.skip("numpy is not linked against OpenBLAS")
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _ProbingPool)
-    _ProbingPool.seen.clear()
+    monkeypatch.setattr(sweep, "_worker", _probing_worker)
     assert run_sweep(5, 50, str(tmp_path / "blas.jsonl"), workers=2) == 3
-    assert _ProbingPool.seen == [1]
+    seen = [flag.split() for rec in read_records(str(tmp_path / "blas.jsonl")) for flag in rec.flags]
+    assert {threads for threads, _ in seen} == {"blas-threads=1"}
+    assert f"pid={os.getpid()}" not in {pid for _, pid in seen}
+
+
+def _failing_worker(args):
+    """A planted sweep worker: it logs each call to a file, fails at
+    N = 11, the first pair, and holds every other pair until a release
+    file appears, then logs the release."""
+    log, release = os.environ["EISENLAB_TEST_CALL_LOG"], os.environ["EISENLAB_TEST_RELEASE"]
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(f"{args[0]}\n")
+    if args[0] == 11:
+        raise ArithmeticError("planted failure at N = 11")
+    while not os.path.exists(release):
+        time.sleep(0.01)
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(f"released-{args[0]}\n")
+    return _sweep_worker(args)
+
+
+def test_sweep_stops_its_workers_on_a_failure(tmp_path, monkeypatch):
+    # the first failed pair ends the sweep while the other pairs are held:
+    # no pending pair is started (each worker takes at most one held pair,
+    # so only the first workers + 1 tasks can start), and the held ones
+    # are terminated, so releasing them afterwards logs nothing.  A valve
+    # releases them after 10 s, so a pool that waits for its pairs fails
+    # the test instead of hanging it.
+    calls, release = tmp_path / "calls.log", tmp_path / "release"
+    monkeypatch.setenv("EISENLAB_TEST_CALL_LOG", str(calls))
+    monkeypatch.setenv("EISENLAB_TEST_RELEASE", str(release))
+    monkeypatch.setattr(sweep, "_worker", _failing_worker)
+    valve = threading.Timer(10.0, release.touch)
+    valve.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="planted failure"):
+            run_sweep(5, 8000, str(tmp_path / "rows.jsonl"), workers=2)
+        elapsed = time.perf_counter() - start
+    finally:
+        valve.cancel()
+    release.touch()
+    time.sleep(0.5)
+    started = calls.read_text(encoding="utf-8").split()
+    assert elapsed < 10.0
+    assert len(sweep_primes(5, 8000)) == 246
+    assert "11" in started
+    assert set(started) <= {"11", "31", "41"}, started  # the first three pairs, none released
+
+
+def test_sweep_reports_a_worker_killed_outright(tmp_path):
+    # a worker killed by SIGKILL (as the out-of-memory killer does) ends
+    # the sweep with BrokenProcessPool; run in its own session under a
+    # timeout, since a pool that replaces the worker waits forever
+    out = tmp_path / "rows.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(eisenlab.__file__).resolve().parents[1]))
+    code = (
+        "import os, signal\n"
+        "from eisenlab import sweep\n"
+        "real = sweep._worker\n"
+        "def dying(args):\n"
+        "    if args[0] == 11:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return real(args)\n"
+        "sweep._worker = dying\n"
+        f"sweep.run_sweep(5, 200, {str(out)!r}, workers=2)\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # the session, workers included
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert proc.returncode == 1
+    assert "BrokenProcessPool" in err.splitlines()[-1]
+
+
+def test_cli_sweep_stops_on_two_sigints_and_resumes(tmp_path):
+    # two SIGINTs to the sweep's own process, 50 ms apart, once it has
+    # written its first record (a pool that waits for its pending pairs
+    # hangs here): it exits, leaves whole records (and at most a torn last
+    # line), and --resume completes it to what a fresh sweep writes
+    out = tmp_path / "rows.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(eisenlab.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "eisenlab.cli", "sweep", "--p", "5", "--max-N", "4000", "--out", str(out), "--workers", "2"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        assert proc.stdout.readline() == "sweep p=5, N < 4000: 134 primes\n"
+        assert " e=" in proc.stdout.readline()  # a record line
+        os.kill(proc.pid, signal.SIGINT)
+        time.sleep(0.05)
+        os.kill(proc.pid, signal.SIGINT)
+        proc.communicate(timeout=20)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # the session, workers included
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert proc.returncode == -signal.SIGINT
+    lines = out.read_text(encoding="utf-8").split("\n")  # the last is "" or torn
+    done = [ResultRecord.from_json(line) for line in lines[:-1]]
+    assert 1 <= len(done) < 134
+    resumed = subprocess.run([*argv, "--resume"], env=env, capture_output=True, text=True, timeout=300)
+    assert resumed.returncode == 0, resumed.stderr
+    assert resumed.stdout.endswith(f"wrote {134 - len(done)} new records to {out}\n")
+    fresh = tmp_path / "fresh.jsonl"
+    assert run_sweep(5, 4000, str(fresh), workers=2) == 134
+    assert _canonical(out) == _canonical(fresh)
+
+
+def test_cli_sweep_ignores_sigint_after_the_first(tmp_path, monkeypatch):
+    # the first SIGINT raises KeyboardInterrupt; a second one while the
+    # sweep unwinds (and shuts its pool down) is ignored, and the caller's
+    # handler is back afterwards
+    seen = []
+
+    def interrupted_sweep(*args, **kwargs):
+        try:
+            signal.raise_signal(signal.SIGINT)
+        except KeyboardInterrupt:
+            signal.raise_signal(signal.SIGINT)  # raises again if not ignored
+            seen.append(signal.getsignal(signal.SIGINT))
+            raise
+
+    monkeypatch.setattr(cli, "run_sweep", interrupted_sweep)
+    before = signal.getsignal(signal.SIGINT)
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--p", "5", "--max-N", "100", "--out", str(tmp_path / "rows.jsonl")])
+    assert seen == [signal.SIG_IGN]
+    assert signal.getsignal(signal.SIGINT) is before
 
 
 def test_cli_out_flag_appends_record(tmp_path):
