@@ -327,14 +327,29 @@ def _composed(swaps: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
 def _replay(X: np.ndarray, r0: int, rows, E, mod: Modulus, cols) -> None:
     """X[rows, cols] += E @ X[pivot rows, cols] mod p^M in place, the pivot
     rows r0, r0 + 1, ... taken out first, in slices of _CHUNK rows.  ``cols``
-    is ``...``, a slice, or an index array gathered one slice at a time."""
+    is ``...``, a slice, or an index array gathered one slice at a time.
+
+    On ``matmul_mod``'s direct path, when k (p^M - 1)^2 + p^M < 2^53 for the
+    k pivot rows, the X block is added to the float64 product before the one
+    conversion and the one reduction: with every operand reduced to
+    |x| < p^M, each partial sum is an integer below 2^53 in magnitude.
+    """
+    pM = mod.pM
     at = (lambda rr: np.ix_(rr, cols)) if isinstance(cols, np.ndarray) else (lambda rr: (rr, cols))
     pivrows = at(np.arange(r0, r0 + E.shape[1]))
     piv = X[pivrows]
     X[pivrows] = 0
+    fused = E.shape[1] * (pM - 1) ** 2 + pM < 1 << 53
+    if fused:
+        piv = _reduced(piv, pM).astype(np.float64)
     for t in range(0, rows.size, _CHUNK):
         rr = at(rows[t : t + _CHUNK])
-        X[rr] = (X[rr] + matmul_mod(E[t : t + _CHUNK], piv, mod)) % mod.pM
+        if fused:
+            Y = _reduced(E[t : t + _CHUNK], pM).astype(np.float64) @ piv
+            Y += _reduced(X[rr], pM)
+            X[rr] = Y.astype(np.int64) % pM
+        else:
+            X[rr] = (X[rr] + matmul_mod(E[t : t + _CHUNK], piv, mod)) % pM
 
 
 def _delay_room(pM: int) -> int:

@@ -25,6 +25,19 @@ each row on the column it was reached through, a triangular order.  These
 hypotheses are checked, and the quotient rank must be exactly g+1; together
 this certifies that V+ is free of the expected rank.
 
+The solution is expr, the map writing every column over the g+1 free ones.
+It is kept sparse, as CSR: per column, increasing basis indices with
+nonzero residues mod p^M (at (20011, 5) 0.4% of a dense expr is nonzero).
+A row's other columns are free or its children's pivots, so a free column
+enters the pivot column of each row it meets, weighted by -(its
+coefficient)/(the pivot), and from there every ancestor's, the weight
+multiplied at each step up by the parent row's -(coefficient)/(pivot) at
+the child's pivot column.  The fill walks all these paths at once, one
+array step per tree level, each product of two residues (below 2^62)
+reduced.  A free column meets at most two rows, so a (column, basis index)
+pair is reached at most twice, by both paths at their common ancestors:
+one sort by that pair and a segment sum of at most two residues merge them.
+
 Points are indexed 0 <-> (0:1) and 1+d <-> (1:d).  T_ell acts through
 Merel's (1994) family of Heilbronn matrices of determinant ell: the image
 of a basis symbol under each matrix h is a signed column, and expr writes
@@ -32,13 +45,16 @@ the columns over the basis, so T_ell = expr^T P with P the signed
 incidence of (column, symbol) pairs.  ``_images`` computes these images
 and certifies the whole operator on them, once, where it can fail:
 boundary . T_ell = (ell + 1) * boundary, read off as the sum over h of
-sign * (expr . boundary)[column], with expr . boundary computed once per
-space.  ``hecke_full`` sums the rows of expr into the (g+1) x (g+1) T_ell,
-which the stabilized power needs; ``hecke_on_plus`` returns it read-only
-and keeps no copy, since a report builds it once.  ``hecke_apply``
-returns T_q W for a few columns W without building T_q: P W is an exact
-int64 scatter of the rows of W, then one product by expr^T, shared by
-every prime of one call.
+sign * (expr . boundary)[column], with expr . boundary a sparse dot product
+per column, computed once per space: each term reduced, then at most g+1
+of them summed, below (g+1) p^M.  ``hecke_full`` gathers the sparse rows of
+the image columns into the (g+1) x (g+1) T_ell, which the stabilized power
+needs; ``hecke_on_plus`` returns it read-only and keeps no copy, since a
+report builds it once.  ``hecke_apply`` returns T_q W for a few columns W
+without building T_q: P W is an exact int64 scatter of the rows of W, then
+expr^T (P W) is a gather of its rows by the map's entries in basis order,
+times their residues, summed per basis index, shared by every prime of one
+call.  No ncols x (g+1) array exists.
 """
 
 from __future__ import annotations
@@ -48,7 +64,6 @@ from functools import cache
 import numpy as np
 
 from ..corering.dlog import build_dlog_table
-from ..corering.linalg import matmul_mod
 from ..corering.zmod import Modulus
 
 
@@ -78,12 +93,14 @@ def heilbronn_matrices(n: int) -> list[tuple[int, int, int, int]]:
 
 
 def _tree_solve(cols: np.ndarray, vals: np.ndarray, ncols: int, p: int, pM: int):
-    """(expr, free): the quotient of (Z/pM)^ncols by relation rows, solved
-    along a spanning tree of their graph.
+    """((indptr, indices, data), free): the quotient of (Z/pM)^ncols by
+    relation rows, solved along a spanning tree of their graph.
 
     Row k holds vals[k, j] (an integer, 0 where absent) at the distinct
     columns cols[k, j].  free lists the free columns in increasing order and
-    expr gives every column over them (identity rows at the free columns).
+    the CSR map gives every column over them: column c is the sum of
+    data[e] times free column indices[e] over indptr[c] <= e < indptr[c + 1],
+    with increasing indices and nonzero residues (a free column is itself).
     A zero row, or one exactly +- a kept row, is dropped.  ArithmeticError is
     raised unless each column meets at most two rows, a row holds a column
     no other row holds with a unit coefficient (the root), every row is
@@ -112,13 +129,13 @@ def _tree_solve(cols: np.ndarray, vals: np.ndarray, ncols: int, p: int, pM: int)
     # breadth-first levels; pivot[k] is the column row k is reached through
     pivot = np.full(len(rows), -1)
     pivot[private[0, 0]] = cols[tuple(private[0])]
-    levels = [private[0, :1]]
-    while levels[-1].size:
-        near, via = partner[levels[-1]], cols[levels[-1]]
+    level = private[0, :1]
+    while level.size:
+        near, via = partner[level], cols[level]
         new = near >= 0
         new[new] = pivot[near[new]] < 0
         pivot[near[new]] = via[new]  # a row reached twice in one level keeps one
-        levels.append(near[new][pivot[near[new]] == via[new]])
+        level = near[new][pivot[near[new]] == via[new]]
     if np.any(pivot < 0):
         raise ArithmeticError("relation rows are not connected")
     at_pivot = (cols == pivot[:, None]) & live
@@ -127,17 +144,49 @@ def _tree_solve(cols: np.ndarray, vals: np.ndarray, ncols: int, p: int, pM: int)
         raise ArithmeticError("a relation row is not a unit at its pivot")
 
     free = np.flatnonzero(np.bincount(pivot, minlength=ncols) == 0)
-    expr = np.zeros((ncols, len(free)), dtype=np.int64)
-    expr[free, np.arange(len(free))] = 1
     low = int(pivot_vals.min())
     span = range(low, int(pivot_vals.max()) + 1)
     neg_inv = np.array([-pow(u, -1, pM) % pM if u % p else 0 for u in span])[pivot_vals - low]
-    others = np.where(at_pivot, 0, vals)
-    for level in reversed(levels):
-        # a row's other columns are free or pivots of its children, a level down
-        acc = sum(expr[cols[level, j]] * others[level, j, None] for j in range(3))
-        expr[pivot[level]] = acc % pM * neg_inv[level, None] % pM
-    return expr, free
+    # the root's pivot column is private; every other row's pivot column is
+    # shared with its parent, whose pivot column's expression holds it with
+    # coefficient up[k] (unused at the root)
+    parent = np.where(count[pivot] == 2, index_sum[pivot] - np.arange(len(rows)), -1)
+    col_sum = np.bincount(cols[live], weights=vals[live], minlength=ncols).astype(np.int64)
+    up = neg_inv[parent] * ((col_sum[pivot] - pivot_vals) % pM) % pM
+
+    # a row's other columns are free or its children's pivots, so a free
+    # column enters the pivot column of each row it meets and of every
+    # ancestor of that row: walk all of those paths up the tree at once
+    free_index = np.full(ncols, -1)
+    free_index[free] = np.arange(len(free))
+    row, j = np.nonzero(live & (free_index[cols] >= 0))
+    at, weight = free_index[cols[row, j]], neg_inv[row] * vals[row, j] % pM
+    terms = [(free, np.arange(len(free)), np.ones(len(free), dtype=np.int64))]
+    while row.size:
+        terms.append((pivot[row], at, weight))
+        weight, row = weight * up[row] % pM, parent[row]
+        at, weight, row = at[row >= 0], weight[row >= 0], row[row >= 0]
+    # a free column meets at most two rows, so a (column, free index) pair
+    # is reached at most twice: by both paths, at their common ancestors
+    column, at, weight = (np.concatenate(t) for t in zip(*terms))
+    key = column * len(free) + at
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    data = np.add.reduceat(weight[order], first) % pM
+    key, data = key[first][data != 0], data[data != 0]
+    indptr = np.searchsorted(key, np.arange(ncols + 1) * len(free))
+    return (indptr, key % len(free), data), free
+
+
+def _segment_sums(terms: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Sums of terms[indptr[i] : indptr[i + 1]] along axis 0 in int64, 0 for
+    an empty segment."""
+    out = np.zeros((len(indptr) - 1,) + terms.shape[1:], dtype=np.int64)
+    nonempty = np.flatnonzero(np.diff(indptr))
+    if nonempty.size:
+        out[nonempty] = np.add.reduceat(terms, indptr[nonempty], axis=0)
+    return out
 
 
 class ManinSpace:
@@ -207,7 +256,7 @@ class ManinSpace:
 
     def _build_relations(self):
         rep, sign, rep_points, cols, vals = self._relations()
-        expr, free = _tree_solve(cols, vals, len(rep_points), self.modulus.p, self.modulus.pM)
+        (indptr, indices, data), free = _tree_solve(cols, vals, len(rep_points), self.modulus.p, self.modulus.pM)
         if len(free) != self.genus + 1:
             raise ArithmeticError(
                 f"plus quotient has rank {len(free)}, expected {self.genus + 1}"
@@ -216,7 +265,13 @@ class ManinSpace:
         self.relation_rank = len(rep_points) - self.dim
         self._rep = rep
         self._sign = sign
-        self._expr = expr
+        self._indptr, self._indices, self._data = indptr, indices, data
+        # the same entries by basis index, for expr^T
+        by_basis = np.argsort(indices, kind="stable")
+        self._t_indptr = np.searchsorted(indices[by_basis], np.arange(self.dim + 1))
+        self._t_cols = np.repeat(np.arange(len(rep_points)), np.diff(indptr))[by_basis]
+        self._t_data = data[by_basis]
+        self._t_longest = int(np.diff(self._t_indptr).max())
         basis = rep_points[free]
         self._basis_c = np.where(basis == 0, 0, 1)
         self._basis_d = np.where(basis == 0, 1, basis - 1)
@@ -227,7 +282,8 @@ class ManinSpace:
         mod = self.modulus
         c, d = self._basis_c % self.N, self._basis_d % self.N
         self.boundary = ((c == 0).astype(np.int64) - (d == 0)) % mod.pM
-        self._column_boundary = matmul_mod(self._expr, self.boundary, mod)  # of every column
+        terms = self._data * self.boundary[self._indices] % mod.pM
+        self._column_boundary = _segment_sums(terms, self._indptr) % mod.pM  # of every column
         # entries are 0 or +-1, so a nonzero functional has a unit pivot, and
         # its kernel, the cuspidal part of V+, is free of rank genus
         if not self.boundary.any():
@@ -251,12 +307,26 @@ class ManinSpace:
         return cols, signs
 
     def hecke_full(self, ell: int) -> np.ndarray:
-        """Matrix of T_ell on V+ (rank g+1), certified on the boundary."""
+        """Matrix of T_ell on V+ (rank g+1), certified on the boundary.
+
+        Column k of T_ell sums the map's sparse rows at the image columns of
+        basis symbol k, signed: one gather of their entries and one int64
+        scatter-add into T_ell.  An entry (i, k) takes at most one term per
+        Heilbronn matrix, since a column holds basis index i at most once,
+        and each term is a residue times +-1: it stays below #H * p^M in
+        magnitude, exact in int64, and is reduced where an image reached it.
+        """
         cols, signs = self._images(ell)
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for col, sign in zip(cols, signs):
-            out += self._expr[col] * sign[:, None]
-        return out.T % self.modulus.pM
+        h, k = np.nonzero(signs)
+        # e runs over the entries of each image column in turn
+        start = self._indptr[cols[h, k]]
+        length = self._indptr[cols[h, k] + 1] - start
+        e = np.arange(length.sum()) + np.repeat(start - np.cumsum(length) + length, length)
+        at = self._indices[e] * self.dim + np.repeat(k, length)
+        out = np.zeros(self.dim * self.dim, dtype=np.int64)
+        np.add.at(out, at, np.repeat(signs[h, k], length) * self._data[e])
+        out[at] %= self.modulus.pM  # the entries no image reaches are 0
+        return out.reshape(self.dim, self.dim)
 
     def hecke_on_plus(self, ell: int) -> np.ndarray:
         """``hecke_full(ell)``, returned read-only."""
@@ -269,21 +339,33 @@ class ManinSpace:
 
         ``q`` is a prime or a sequence of primes; for several, the blocks
         T_q W come side by side, in order.  T_q W is expr^T C with C = P W,
-        a scatter of the rows of W by one int64 ``np.add.at`` per prime, and
-        the blocks C share one product by expr^T.  Each Heilbronn matrix
-        permutes P^1 and a column is an orbit of at most 4 points, so an
-        entry of C sums at most 4 * #H terms below p^M: exact in int64.
+        a scatter of the rows of W by one int64 ``np.add.at`` per prime into
+        one C for all of them.  Each Heilbronn matrix permutes P^1 and a
+        column is an orbit of at most 4 points, so an entry of C sums at
+        most 4 * #H terms below p^M: exact in int64.  C is reduced, and
+        expr^T C gathers C's rows by the map's entries in basis order, times
+        their residues, each term below (p^M - 1)^2, and sums them per basis
+        index.  Basis index i sums its L_i entries: unreduced when the
+        longest, L, has L (p^M - 1)^2 < 2^63, else each term is reduced
+        first and the sum stays below L p^M.
         """
-        mod = self.modulus
-        W = np.asarray(W, dtype=np.int64) % mod.pM
-        w = W.shape[1]
-        blocks = []
-        for prime in np.atleast_1d(q):
+        pM = self.modulus.pM
+        W = np.asarray(W, dtype=np.int64) % pM
+        primes = np.atleast_1d(q)
+        w, width = W.shape[1], W.shape[1] * len(primes)
+        C = np.zeros((len(self._indptr) - 1) * width, dtype=np.int64)
+        for b, prime in enumerate(primes):
             cols, signs = self._images(int(prime))
-            C = np.zeros(len(self._expr) * w, dtype=np.int64)
-            np.add.at(C, (cols[:, :, None] * w + np.arange(w)).ravel(), (signs[:, :, None] * W).ravel())
-            blocks.append(C.reshape(-1, w))
-        return matmul_mod(self._expr.T, np.hstack(blocks), mod)
+            np.add.at(C, (cols[:, :, None] * width + b * w + np.arange(w)).ravel(), (signs[:, :, None] * W).ravel())
+        C %= pM
+        # in place: fresh arrays of this size cost page faults on every call
+        terms = C.reshape(-1, width)[self._t_cols]
+        terms *= self._t_data[:, None]
+        if self._t_longest * (pM - 1) ** 2 >= 1 << 63:
+            terms %= pM
+        out = _segment_sums(terms, self._t_indptr)
+        out %= pM
+        return out
 
 
 def build_manin_space(N: int, modulus: Modulus) -> ManinSpace:

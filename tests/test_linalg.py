@@ -21,7 +21,7 @@ from eisenlab.corering import (
     unit_echelon,
     valuation_p,
 )
-from eisenlab.corering.linalg import _PANEL, _apply_panel, _delay_room, _narrow, _replay, _unit_gauss_jordan
+from eisenlab.corering.linalg import _CHUNK, _PANEL, _apply_panel, _delay_room, _narrow, _replay, _unit_gauss_jordan
 
 rng = np.random.default_rng(417)
 
@@ -1007,6 +1007,43 @@ def test_panel_swaps_replay_as_one_gather(pm):
                 Y[[r, sel]] = Y[[sel, r]]
             r0, _, rows, E = panel
             _replay(Y, r0, rows, E, mod, ...)
+            assert np.array_equal(X, Y)
+
+
+def _two_reduction_replay(X, r0, rows, E, mod, cols):
+    """``_replay`` as it was before its direct path added X inside the float64
+    product: the product reduced by ``matmul_mod``, then the sum reduced."""
+    at = (lambda rr: np.ix_(rr, cols)) if isinstance(cols, np.ndarray) else (lambda rr: (rr, cols))
+    pivrows = at(np.arange(r0, r0 + E.shape[1]))
+    piv = X[pivrows]
+    X[pivrows] = 0
+    for t in range(0, rows.size, _CHUNK):
+        rr = at(rows[t : t + _CHUNK])
+        X[rr] = (X[rr] + matmul_mod(E[t : t + _CHUNK], piv, mod)) % mod.pM
+
+
+@pytest.mark.parametrize("pm", [(7, 3), (5, 13), (2147483647, 1)], ids=["7^3", "5^13", "2^31-1"])
+def test_fused_replay_matches_two_reductions(pm):
+    # 7^3 takes the fused direct path, 5^13 and 2^31 - 1 the split one; X is
+    # also given unreduced, as a solve's right-hand side is at a deeper layer
+    mod = Modulus(*pm)
+    pM = mod.pM
+    gen = np.random.default_rng(pM % 1013)
+    m, k = 300, 32
+    assert (k * (pM - 1) ** 2 + pM < 1 << 53) == (pm == (7, 3))
+    rows = np.setdiff1d(np.arange(m), np.arange(20, 20 + k))
+    E = _narrow(pM - 1 - gen.integers(0, 3, (rows.size, k)), pM)
+    for X0 in (
+        pM - 1 - gen.integers(0, 3, (m, 12)),
+        gen.integers(0, pM, m),
+        gen.integers(-(1 << 62), 1 << 62, (m, 12)),  # inexact in float64 unless reduced
+    ):
+        for cols in (..., slice(3, None), np.array([0, 5, 7])):
+            if X0.ndim == 1 and cols is not ...:
+                continue
+            X, Y = X0.copy(), X0.copy()
+            _replay(X, 20, rows, E, mod, cols)
+            _two_reduction_replay(Y, 20, rows, E, mod, cols)
             assert np.array_equal(X, Y)
 
 

@@ -155,8 +155,29 @@ def _reference_build(space):
     }
 
 
-def _assert_quotient_map(expr, free, rows, pM):
-    """expr is the identity at the free columns and kills every row."""
+def _densify(column_map, n):
+    """The column-to-basis map (indptr, indices, data) as a dense ncols x n
+    array, after checking its form: per column, increasing basis indices
+    with nonzero residues."""
+    indptr, indices, data = column_map
+    column = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    assert np.all((indices >= 0) & (indices < n))
+    assert np.all(np.diff(column * n + indices) > 0)
+    expr = np.zeros((len(indptr) - 1, n), dtype=np.int64)
+    expr[column, indices] = data
+    return expr
+
+
+def _expr(sp, dtype=np.int64):
+    """The space's column-to-basis map, dense."""
+    return _densify((sp._indptr, sp._indices, sp._data), sp.dim).astype(dtype)
+
+
+def _assert_quotient_map(column_map, free, rows, pM):
+    """The map (see ``_densify``) holds residues, is the identity at the free
+    columns and kills every row."""
+    assert np.all((column_map[2] > 0) & (column_map[2] < pM))
+    expr = _densify(column_map, len(free))
     assert np.array_equal(expr[free], np.eye(len(free), dtype=np.int64))
     for row in rows:
         image = sum(v * expr[col] for col, v in row)
@@ -179,7 +200,7 @@ def test_array_folding_matches_per_point_loops():
         basis = np.where(sp._basis_c == 0, 0, 1 + sp._basis_d)
         free = np.searchsorted(rep_points, basis)
         assert np.array_equal(rep_points[free], basis), N
-        _assert_quotient_map(sp._expr, free, want["rows"], sp.modulus.pM)
+        _assert_quotient_map((sp._indptr, sp._indices, sp._data), free, want["rows"], sp.modulus.pM)
 
 
 def _planted(rows):
@@ -212,11 +233,11 @@ def test_tree_solve_keeps_one_row_of_a_signed_pair():
     # rows 0 and 1 are each other's negatives with their entries reordered;
     # column 4 meets no row
     rows = [[(0, 1), (1, 1), (2, -1)], [(2, 1), (0, -1), (1, -1)], [(2, 1), (3, 2)], []]
-    expr, free = _tree_solve(*_planted(rows), 5, 5, 125)
+    column_map, free = _tree_solve(*_planted(rows), 5, 5, 125)
     assert len(free) == 5 - 2
     pivots = _markowitz_eliminate([{c: v % 125 for c, v in row} for row in rows], 5, 125)
     assert len(pivots) == 2
-    _assert_quotient_map(expr, free, rows, 125)
+    _assert_quotient_map(column_map, free, rows, 125)
     # the pair is not dropped when the second row is not exactly -1 times the first
     rows[1] = [(2, 2), (0, -2), (1, -2)]
     with pytest.raises(ArithmeticError, match="more than two"):
@@ -290,13 +311,14 @@ def test_composite_N_rejected(N):
         build_manin_space(N, Modulus(5, 2))
 
 
-def _t_images(sp, ell, c, d):
+def _t_images(sp, ell, c, d, dtype=np.int64):
     """Columns: T_ell of each Manin symbol (c[k]:d[k]), in the basis of V+,
-    summed from its Heilbronn images."""
-    out = np.zeros((sp.dim, len(c)), dtype=np.int64)
+    summed from its Heilbronn images in ``dtype``."""
+    expr = _expr(sp, dtype)
+    out = np.zeros((sp.dim, len(c)), dtype=expr.dtype)
     for a, b, cc, dd in heilbronn_matrices(ell):
         i = sp._index(c * a + d * cc, c * b + d * dd)
-        out += sp._expr[sp._rep[i]].T * sp._sign[i]
+        out += expr[sp._rep[i]].T * sp._sign[i]
     return out % sp.modulus.pM
 
 
@@ -357,3 +379,31 @@ def test_charpoly_on_cuspidal_plus_x0_37():
     T2 = _hecke_on_cuspidal_plus(sp, 2)
     cp = berkowitz_charpoly(T2, mod)
     assert cp.coeffs == [0, 2, 1]  # y^2 + 2y
+
+
+@pytest.mark.parametrize("pm", [(5, 5), (5, 13), (2**31 - 1, 1)], ids=["5^5", "5^13", "2^31-1"])
+@pytest.mark.parametrize("N", [11, 37, 389, 1571])
+def test_sparse_hecke_matches_python_int_reference(N, pm):
+    # T_q from the densified map in Python ints, which cannot overflow: the
+    # int64 segment sums of hecke_full and hecke_apply must agree at the
+    # edge moduli, where a term of expr^T C is near 2^62
+    mod = Modulus(*pm)
+    pM = mod.pM
+    sp = build_manin_space(N, mod)
+    W = pM - 1 - np.random.default_rng(N).integers(0, 3, (sp.dim, 3))
+    primes = [2, 3, 5, 7]
+    want = []
+    for q in primes:
+        T = _t_images(sp, q, sp._basis_c, sp._basis_d, object)
+        assert np.array_equal(sp.hecke_full(q), T.astype(np.int64)), (N, q)
+        want.append(T.dot(W.astype(object)) % pM)
+    got = sp.hecke_apply(primes, W)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.hstack(want).astype(np.int64)), N
+
+
+def test_space_holds_no_dense_map():
+    # a dense ncols x (g+1) expr alone was 64 MiB here
+    sp = build_manin_space(20011, Modulus(5, 5))
+    held = sum(v.nbytes for v in vars(sp).values() if isinstance(v, np.ndarray))
+    assert held < 2 << 20, held
