@@ -12,12 +12,6 @@ import json
 import signal
 import sys
 
-from .hecke.eisenstein import (
-    ConsistencyError,
-    MismatchError,
-    NoGoodPrime,
-    PrecisionExhausted,
-)
 from .records import append_records, encode_valuation, read_records
 from .sweep import (
     compute_record,
@@ -30,15 +24,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 EXIT_VERIFY = 4
-
-_COMPUTE_ERRORS = (
-    NoGoodPrime,
-    PrecisionExhausted,
-    ConsistencyError,
-    MismatchError,
-    ValueError,
-    ArithmeticError,
-)
 
 
 def _fmt_ord(v) -> str:
@@ -85,27 +70,18 @@ def _print_record_human(rec, full: bool):
             print(f"  derived: the Massey power <M>^{n + 1} does not vanish mod p")
 
 
-def cmd_invariants(args) -> int:
-    rec = compute_record(args.N, args.p, with_hecke=False, s_max=args.s_max)
-    if args.out:
-        append_records(args.out, [rec])
-    if args.json:
-        print(rec.to_json())
-    else:
-        _print_record_human(rec, full=False)
-    return EXIT_OK
-
-
-def cmd_hecke(args) -> int:
+def cmd_record(args) -> int:
+    """``invariants`` and ``hecke``: one record, with the Hecke data only for
+    ``hecke``; each subparser sets the options the other one lacks."""
     rec = compute_record(
-        args.N, args.p, with_hecke=True, ell=args.ell, precision=args.precision
+        args.N, args.p, with_hecke=args.with_hecke, ell=args.ell, precision=args.precision, s_max=args.s_max
     )
     if args.out:
         append_records(args.out, [rec])
     if args.json:
         print(rec.to_json())
     else:
-        _print_record_human(rec, full=rec.t > 0)
+        _print_record_human(rec, full=args.with_hecke)
     return EXIT_OK
 
 
@@ -233,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--s-max", type=int, default=None, dest="s_max")
     p_inv.add_argument("--out", default=None, help="append the JSON record here")
     p_inv.add_argument("--json", action="store_true")
-    p_inv.set_defaults(func=cmd_invariants)
+    p_inv.set_defaults(func=cmd_record, with_hecke=False, ell=None, precision=None)
 
     p_hec = sub.add_parser("hecke", help="Eisenstein-local Hecke data (rank, polygon)")
     p_hec.add_argument("--N", type=int, required=True)
@@ -242,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hec.add_argument("--precision", type=int, default=None)
     p_hec.add_argument("--out", default=None)
     p_hec.add_argument("--json", action="store_true")
-    p_hec.set_defaults(func=cmd_hecke)
+    p_hec.set_defaults(func=cmd_record, with_hecke=True, s_max=None)
 
     p_sw = sub.add_parser("sweep", help="compute records for all N = 1 mod p below a bound")
     p_sw.add_argument("--p", type=int, required=True)
@@ -277,7 +253,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except _COMPUTE_ERRORS as exc:
+    except (ValueError, ArithmeticError) as exc:  # every Hecke failure is an ArithmeticError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except OSError as exc:

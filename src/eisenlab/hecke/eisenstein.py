@@ -55,24 +55,24 @@ from ..corering.newton import (
     newton_polygon,
     t_sequence,
 )
-from ..corering.zmod import AtLeast, Modulus, PadicPoly, valuation_p
+from ..corering.zmod import Modulus, PadicPoly, valuation_p
 from ..invariants import check_pair, is_good_prime
 from .manin import ManinSpace, build_manin_space
 
 
-class NoGoodPrime(Exception):
+class NoGoodPrime(ArithmeticError):
     """No good prime exists below the search bound."""
 
 
-class PrecisionExhausted(Exception):
+class PrecisionExhausted(ArithmeticError):
     """A required valuation read at or above the working precision."""
 
 
-class MismatchError(Exception):
+class MismatchError(ArithmeticError):
     """Generator criterion disagrees with the good-prime condition."""
 
 
-class ConsistencyError(Exception):
+class ConsistencyError(ArithmeticError):
     """Pipeline invariant failed (localization did not converge)."""
 
 
@@ -117,10 +117,25 @@ def default_precision(t: int) -> int:
 _GOOD_PRIME_BOUND = 1000
 
 
+def _ell_objection(ell: int, N: int, p: int) -> str | None:
+    """Why ``ell`` cannot be the good prime for (N, p), or None if it can: a
+    prime, and when p | N - 1, one other than N that meets Mazur's criterion."""
+    if not sympy.isprime(ell):
+        return "must be a prime"
+    if N % p == 1 and (ell == N or not is_good_prime(ell, N, p)):
+        return f"is not a good prime for (N, p) = ({N}, {p})"
+    return None
+
+
+def _generator_check_primes(N: int) -> list[int]:
+    """The primes at which a report records Mazur's generator check."""
+    return [q for q in (2, 3, 5, 7) if q != N]
+
+
 def smallest_good_prime(N: int, p: int) -> int:
     ell = 2
     while ell < _GOOD_PRIME_BOUND:
-        if ell != N and is_good_prime(ell, N, p):
+        if _ell_objection(ell, N, p) is None:
             return ell
         ell = sympy.nextprime(ell)
     raise NoGoodPrime(f"no good prime below {_GOOD_PRIME_BOUND} for (N, p) = ({N}, {p})")
@@ -156,7 +171,7 @@ def _summand_kernel(B: np.ndarray, mod: Modulus) -> tuple[np.ndarray, np.ndarray
     off its unique unit-pivot RREF, does not depend on which K certified it.
     """
     target = max(1, B.shape[0] * mod.M)
-    P, K = B % mod.pM, 1
+    P, K = B, 1  # matmul_mod and FullPivotFactor reduce entries outside [0, p^M)
     while K < target:
         P, K = matmul_mod(P, P, mod), 2 * K
         if K == _SHORT_EXPONENT and K < target:
@@ -217,8 +232,8 @@ def _local_summand(N: int, p: int, ell: int, M: int):
     mod = Modulus(p, M)
     t = valuation_p(N - 1, p)
     space = build_manin_space(N, mod)
-    T = space.hecke_on_plus(ell)
-    B = (T - (ell + 1) * np.eye(T.shape[0], dtype=np.int64)) % mod.pM
+    B = space.hecke_on_plus(ell).copy()  # T_ell is already reduced: shift its diagonal
+    np.fill_diagonal(B, (np.diagonal(B) - ell - 1) % mod.pM)
     W, rows = _summand_kernel(B, mod)
     Y = restrict_by_readoff(matmul_mod(B, W, mod), W, rows, mod)
     audit = [(ell, W.shape[1])]
@@ -254,8 +269,8 @@ def eisenstein_local_factor(
     and the trivial report (e = 0) is returned without building symbols.
     """
     check_pair(N, p)
-    if ell is not None and not sympy.isprime(ell):
-        raise ValueError(f"ell = {ell} must be a prime")
+    if ell is not None and (objection := _ell_objection(ell, N, p)):
+        raise ValueError(f"ell = {ell} {objection}")
     t = valuation_p(N - 1, p)
     if t == 0:
         return EisensteinReport(
@@ -268,27 +283,27 @@ def eisenstein_local_factor(
         raise PrecisionExhausted(f"precision {M} cannot resolve v_p(N-1) = {t}")
     if ell is None:
         ell = smallest_good_prime(N, p)
-    elif not is_good_prime(ell, N, p):
-        raise ValueError(f"ell = {ell} is not a good prime for (N, p) = ({N}, {p})")
     space, W, rows, audit, Y, f = _local_summand(N, p, ell, M)
-
-    t_seq = []
-    for v in t_sequence(f):  # t_1, ..., t_{e+1}
-        if isinstance(v, AtLeast):
-            raise PrecisionExhausted(f"t-sequence entry beyond precision at ({N}, {p})")
-        t_seq.append(int(v))
-    np_poly = newton_polygon(f)
-    components = component_slopes(np_poly, f)
+    t_seq, vertices, components = _polygon_data(f)
 
     return EisensteinReport(
         N=N, p=p, ell_used=ell, M=M, t=t, e=f.degree, f=f,
-        t_seq=t_seq, np_vertices=np_poly.vertices, components=components,
+        t_seq=t_seq, np_vertices=vertices, components=components,
         diagnostics={
-            "f0_valuation": int(t_seq[0]),
+            "f0_valuation": t_seq[0],
             "localization": audit,
-            "generator_checks": _generator_checks(space, W, rows, Y, [q for q in (2, 3, 5, 7) if q != N]),
+            "generator_checks": _generator_checks(space, W, rows, Y, _generator_check_primes(N)),
         },
     )
+
+
+def _polygon_data(f: PadicPoly):
+    """The t-sequence t_1, ..., t_{e+1}, the Newton polygon's vertices and the
+    slope components of f.  Every t_i is an int: t_1 = AtLeast(M) needs
+    f(0) = 0 mod p^M, and then the polygon misses i = 0 and
+    ``component_slopes`` raises."""
+    polygon = newton_polygon(f)
+    return t_sequence(f), polygon.vertices, component_slopes(polygon, f)
 
 
 # -- slope components --------------------------------------------------------

@@ -6,7 +6,7 @@ sorted keys, ordered by (p, N).  The tests compare freshly computed records
 with it field by field; it is never regenerated at test time.  A change that
 means to alter a record regenerates the file and lists each changed row.
 
-Run from the repository root (about two minutes on two cores):
+Run from the repository root (about 31 s on two cores of a 2-vCPU VM):
 
     PYTHONPATH=src python tests/make_records_fixture.py [--workers 2] [--out PATH]
 """

@@ -5,8 +5,8 @@ about 45 s on a 2-vCPU VM), and so does the comparison of the N < 2000 rows
 with the golden records fixture; criterion 8 sweeps all 733 pairs with
 p in {5, 7, 11, 13}, N < 10000, checks every row against that fixture and
 the verifier, and reproduces the published statistics tables for p = 11, 13.
-It is opt-in via EISENLAB_FULL_STATS=1 (about 2 minutes on the same VM, with
-two workers).
+It is opt-in via EISENLAB_FULL_STATS=1 (about 31 s on the same VM, with two
+workers).
 """
 
 import json

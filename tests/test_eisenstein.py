@@ -34,6 +34,12 @@ from eisenlab.invariants import is_good_prime
 from eisenlab.sweep import compute_record, verify_records
 
 
+@pytest.mark.parametrize("cls", ["NoGoodPrime", "PrecisionExhausted", "MismatchError", "ConsistencyError"])
+def test_hecke_failures_are_arithmetic_errors(cls):
+    # the CLI and the verifier catch every Hecke failure as an ArithmeticError
+    assert issubclass(getattr(eisenstein, cls), ArithmeticError)
+
+
 def test_trivial_when_p_does_not_divide():
     rep = eisenstein_local_factor(13, 5)
     assert rep.e == 0 and rep.f is None and rep.components == []
@@ -506,6 +512,23 @@ def test_summand_kernel_on_planted_fitting_structure(case, monkeypatch):
     for X, Y in ((W, G), (G, W)):
         F = FullPivotFactor(Y, mod)
         assert all(F.solve(col) is not None for col in X.T)
+
+
+@pytest.mark.parametrize("N, p, M", [(31, 5, 4), (181, 5, 4), (3001, 5, 7), (11, 5, 1)])
+def test_summand_kernel_reduces_its_input(N, p, M):
+    # B is squared and factored without reducing it first: a B whose
+    # diagonal is shifted below 0, as T_ell - ell - 1 is before reduction,
+    # gives the same kernel and rows as B mod p^M; n * M = 12, 60, 1750 and
+    # 2, on both sides of the K = 32 certificate
+    mod = Modulus(p, M)
+    B = _dense_B(N, smallest_good_prime(N, p), mod)
+    shifted = B.copy()
+    i = np.arange(B.shape[0])
+    shifted[i, i] -= mod.pM * np.arange(1, B.shape[0] + 1)
+    assert (shifted[i, i] < 0).all()
+    W, rows = eisenstein._summand_kernel(B, mod)
+    W_shifted, rows_shifted = eisenstein._summand_kernel(shifted, mod)
+    assert np.array_equal(W_shifted, W) and np.array_equal(rows_shifted, rows)
 
 
 @pytest.mark.parametrize("p", [5, 7])

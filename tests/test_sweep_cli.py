@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import eisenlab
+import eisenlab.hecke.eisenstein as eisenstein
 from eisenlab import cli, sweep
 from eisenlab.cli import main
 from eisenlab.corering import linalg
+from eisenlab.corering.newton import NewtonPolygon
 from eisenlab.invariants import is_good_prime
 from eisenlab.records import ResultRecord, append_records, read_records
 from eisenlab.sweep import (
@@ -167,6 +169,17 @@ def test_cli_compute_error(capsys):
     rc = main(["hecke", "--N", "32", "--p", "5"])  # N not prime
     assert rc == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_reports_a_hecke_failure_as_a_compute_error(capsys, monkeypatch):
+    # a failure inside the Hecke pipeline is one error line and exit 3
+    def fail(*args):
+        raise eisenstein.MismatchError("planted")
+
+    monkeypatch.setattr(eisenstein, "_generator_checks", fail)
+    assert main(["hecke", "--N", "181", "--p", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: planted\n"
 
 
 def test_cli_verify_rejects_non_integer_valuation(tmp_path, capsys):
@@ -352,6 +365,19 @@ def test_cli_verify_rederives_hecke_data(tmp_path, capsys, case):
     assert rc == 4
     start = f"  FATAL: (N,p)=(181,5): {_TAMPERED[case][2]}"
     assert any(line.startswith(start) for line in fatal), fatal
+
+
+def test_verify_reports_a_hecke_failure_in_the_rederivation(monkeypatch):
+    # a Hecke failure while re-deriving a row is its one FATAL line
+    rec = compute_record(181, 5)
+
+    def fail(*args):
+        raise eisenstein.MismatchError("planted")
+
+    monkeypatch.setattr(NewtonPolygon, "segments", fail)
+    assert verify_records([rec]).fatal_failures == [
+        "(N,p)=(181,5): f_coeffs at precision 4 cannot be re-derived (MismatchError: planted)"
+    ]
 
 
 def test_verify_ties_t_to_N():
