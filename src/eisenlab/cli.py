@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import signal
 import sys
 
 from .records import append_records, encode_valuation, read_records
@@ -85,26 +84,15 @@ def cmd_record(args) -> int:
     return EXIT_OK
 
 
-def _interrupt_once(signum, frame):
-    """SIGINT handler: KeyboardInterrupt, then ignore SIGINT, so that a
-    second Ctrl-C cannot cut short the shutdown of the sweep's pool."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    raise KeyboardInterrupt
-
-
 def cmd_sweep(args) -> int:
-    previous = signal.signal(signal.SIGINT, _interrupt_once)
-    try:
-        n = run_sweep(
-            args.p,
-            args.max_N,
-            args.out,
-            resume=args.resume,
-            workers=args.workers,
-            log=lambda msg: print(msg, flush=True),
-        )
-    finally:
-        signal.signal(signal.SIGINT, previous)
+    n = run_sweep(
+        args.p,
+        args.max_N,
+        args.out,
+        resume=args.resume,
+        workers=args.workers,
+        log=lambda msg: print(msg, flush=True),
+    )
     print(f"wrote {n} new records to {args.out}")
     return EXIT_OK
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import queue
+import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -154,6 +156,13 @@ def _computed(tasks: list, workers: int):
     pool.shutdown()
 
 
+def _interrupt_once(signum, frame):
+    """SIGINT handler: KeyboardInterrupt, then ignore SIGINT, so that a
+    second Ctrl-C cannot cut short the shutdown of the sweep's pool."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    raise KeyboardInterrupt
+
+
 def run_sweep(
     p: int,
     max_N: int,
@@ -169,10 +178,9 @@ def run_sweep(
     number of newly written records.  ``workers=None`` uses every core.
     ``log`` gets a header, once the inputs are valid, and a line per record.
 
-    A known limit: a second SIGINT while the pool shuts down after the first
-    can leave the interpreter hung at exit (4 of 300 interrupted runs).
-    ``eisenlab sweep`` ignores SIGINT after the first; a library caller that
-    may be interrupted twice should install such a handler around the call.
+    A caller in the main thread whose SIGINT handler is Python's default
+    gets ``_interrupt_once`` for the length of the call; any other caller
+    keeps its own handling of SIGINT.
     """
     workers = pool_size(workers)
     targets = sweep_primes(p, max_N)
@@ -182,12 +190,23 @@ def run_sweep(
     todo = [N for N in targets if (N, p) not in done]
     if not todo:
         return 0
+    # asyncio.Runner's rule for taking over SIGINT
+    guard = (
+        threading.current_thread() is threading.main_thread()
+        and signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    )
+    if guard:
+        signal.signal(signal.SIGINT, _interrupt_once)
     written = 0
-    for rec in _computed([(N, p) for N in todo], workers):
-        append_records(out_path, [rec])
-        written += 1
-        if log:
-            log(f"  {rec.N}: e={rec.e} ord_1={rec.ord_zeta_s.get('1')} [{rec.elapsed}s]")
+    try:
+        for rec in _computed([(N, p) for N in todo], workers):
+            append_records(out_path, [rec])
+            written += 1
+            if log:
+                log(f"  {rec.N}: e={rec.e} ord_1={rec.ord_zeta_s.get('1')} [{rec.elapsed}s]")
+    finally:
+        if guard:
+            signal.signal(signal.SIGINT, signal.default_int_handler)
     return written
 
 

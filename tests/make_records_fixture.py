@@ -6,7 +6,11 @@ sorted keys, ordered by (p, N).  The tests compare freshly computed records
 with it field by field; it is never regenerated at test time.  A change that
 means to alter a record regenerates the file and lists each changed row.
 
-Run from the repository root (about 31 s on two cores of a 2-vCPU VM):
+``sweep_table`` computes the rows this script writes; the acceptance suite
+calls it once per test session and checks every row it returns against the
+file.
+
+Run from the repository root (about 33 s on two cores of a 2-vCPU VM):
 
     PYTHONPATH=src python tests/make_records_fixture.py [--workers 2] [--out PATH]
 """
@@ -60,17 +64,25 @@ def mismatches(rec: ResultRecord, fixture: dict[tuple[int, int], dict]) -> list[
     ]
 
 
+def sweep_table(directory: str, workers: int = 2) -> dict[int, list[ResultRecord]]:
+    """Sweep every p in FIXTURE_PRIMES to FIXTURE_BOUND into records files
+    in ``directory`` and read the rows back, keyed by p."""
+    table = {}
+    for p in FIXTURE_PRIMES:
+        path = os.path.join(directory, f"p{p}.jsonl")
+        run_sweep(p, FIXTURE_BOUND, path, workers=workers)
+        table[p] = read_records(path)
+    return table
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--out", default=FIXTURE)
     args = ap.parse_args(argv)
-    rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        for p in FIXTURE_PRIMES:
-            path = os.path.join(tmp, f"p{p}.jsonl")
-            run_sweep(p, FIXTURE_BOUND, path, workers=args.workers)
-            rows += [fixture_row(rec) for rec in read_records(path)]
+        table = sweep_table(tmp, workers=args.workers)
+    rows = [fixture_row(rec) for recs in table.values() for rec in recs]
     rows.sort(key=lambda row: (row["p"], row["N"]))
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "wb") as raw, gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as fh:

@@ -1,16 +1,14 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
-Criteria 1-7 and 9-11 run in the default suite (the whole tier-1 suite takes
-about 45 s on a 2-vCPU VM), and so does the comparison of the N < 2000 rows
-with the golden records fixture; criterion 8 sweeps all 733 pairs with
-p in {5, 7, 11, 13}, N < 10000, checks every row against that fixture and
-the verifier, and reproduces the published statistics tables for p = 11, 13.
-It is opt-in via EISENLAB_FULL_STATS=1 (about 31 s on the same VM, with two
-workers).
+Every criterion runs in the default suite.  The ``table`` fixture sweeps all
+733 pairs with p in {5, 7, 11, 13}, N < 10000, once per test session (about
+33 s on a 2-vCPU VM, with two workers); criteria 4, 5, 6 and 8 and the
+verifier check read their rows from it.  Criterion 8 checks every row
+against the golden records fixture and the verifier, and reproduces the
+published statistics tables for p = 11, 13.
 """
 
 import json
-import os
 import time
 
 import numpy as np
@@ -25,16 +23,15 @@ from eisenlab.invariants import (
     ord_zeta,
 )
 from eisenlab.massey.selftest import run_selftest
-from eisenlab.records import ResultRecord, decode_valuation, read_records
+from eisenlab.records import ResultRecord, decode_valuation
 from eisenlab.sweep import (
     KNOWN_RANK_ORD_EXCEPTIONS,
     compute_record,
-    run_sweep,
     stats_from_records,
     sweep_primes,
     verify_records,
 )
-from make_records_fixture import FIXTURE_BOUND, FIXTURE_PRIMES, load_fixture, mismatches
+from make_records_fixture import FIXTURE_PRIMES, load_fixture, mismatches, sweep_table
 
 GOLDEN_RANK_ORD = {
     # criterion 2: (N, p) -> (e, ord_1 or None if unchecked here)
@@ -53,11 +50,7 @@ GOLDEN_POLYGON = {
     (6451, 5): (3, None, None, (1, 2)),
 }
 
-SWEEP_BOUND = 2000
-SWEEP_PRIMES = (5, 7, 11, 13)
-
 _report_cache: dict = {}
-_sweep_cache: dict = {}
 
 
 def _golden_report(N, p, ell=None):
@@ -67,13 +60,10 @@ def _golden_report(N, p, ell=None):
     return _report_cache[key]
 
 
-def _sweep(p) -> list[ResultRecord]:
-    if p not in _sweep_cache:
-        rows = []
-        for N in sweep_primes(p, SWEEP_BOUND):
-            rows.append(compute_record(N, p))
-        _sweep_cache[p] = rows
-    return _sweep_cache[p]
+@pytest.fixture(scope="session")
+def table(tmp_path_factory) -> dict[int, list[ResultRecord]]:
+    """The sweep's rows for every p in FIXTURE_PRIMES, N < 10000, keyed by p."""
+    return sweep_table(str(tmp_path_factory.mktemp("table")))
 
 
 def _announce(num, text):
@@ -132,21 +122,22 @@ def test_golden_record_2663_11():
     assert rec.ord_zeta_s == {"1": 1, "2": 1, "3": 1}
 
 
-def test_criterion_04_congruence_number_law():
+def test_criterion_04_congruence_number_law(table):
     start = time.perf_counter()
-    rows = _sweep(5)
+    rows = table[5]
     for rec in rows:
         assert rec.t_seq[0] == rec.t, (rec.N, rec.t_seq, rec.t)
         assert rec.diagnostics["f0_valuation"] == rec.t, rec.N
     elapsed = time.perf_counter() - start
     assert elapsed < 30 * 60
-    _announce(4, f"v_p(f(0)) = v_p(N-1) on all {len(rows)} records, p=5, N<2000 [{elapsed:.0f}s]")
+    assert len(rows) == 306
+    _announce(4, f"v_p(f(0)) = v_p(N-1) on all {len(rows)} records, p=5, N<10000 [{elapsed:.0f}s]")
 
 
-def test_criterion_05_equivalence_battery():
+def test_criterion_05_equivalence_battery(table):
     checked = 0
     for p in (5, 7):
-        for rec in _sweep(p):
+        for rec in table[p]:
             is_pow = rec.merel_is_power_s["1"]
             ord1 = rec.ord_1()
             ord1_ge2 = not isinstance(ord1, int) or ord1 >= 2
@@ -156,45 +147,38 @@ def test_criterion_05_equivalence_battery():
             for s in range(1, rec.t + 1):
                 assert lecouturier_check(rec.N, p, s), (rec.N, p, s)
             checked += 1
+    assert checked == 509
     _announce(5, f"e >= 2 iff Merel power iff ord_1 >= 2, plus log identities, on {checked} records")
 
 
-def test_criterion_06_rank_two_conjecture():
+def test_criterion_06_rank_two_conjecture(table):
     checked = 0
-    for p in SWEEP_PRIMES:
-        for rec in _sweep(p):
+    for p in FIXTURE_PRIMES:
+        for rec in table[p]:
             ord1 = rec.ord_1()
             ord1_num = ord1 if isinstance(ord1, int) else None
             assert (rec.e == 2) == (ord1_num == 2), (rec.N, p, rec.e, ord1)
             checked += 1
-    _announce(6, f"e = 2 iff ord_1 = 2 with zero exceptions on {checked} records, p in {SWEEP_PRIMES}, N<2000")
+    assert checked == 733
+    _announce(6, f"e = 2 iff ord_1 = 2 with zero exceptions on {checked} records, p in {FIXTURE_PRIMES}, N<10000")
 
 
 def test_criterion_07_sample_space_counts():
     start = time.perf_counter()
-    counts = {p: len(sweep_primes(p, 10000)) for p in SWEEP_PRIMES}
+    counts = {p: len(sweep_primes(p, 10000)) for p in FIXTURE_PRIMES}
     assert counts == {5: 306, 7: 203, 11: 125, 13: 99}
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _announce(7, f"#P(10000) = {counts} [{elapsed:.2f}s]")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("EISENLAB_FULL_STATS"),
-    reason="full N<10000 statistics reproduction is opt-in (EISENLAB_FULL_STATS=1)",
-)
-def test_criterion_08_full_sweep_statistics(tmp_path):
+def test_criterion_08_full_sweep_statistics(table):
     published = {
         11: {1: "0.912", 2: "0.080", 3: "0.008"},
         13: {1: "0.929", 2: "0.061", 3: "0.010"},
     }
     fixture = load_fixture()
-    rows = {}
-    for p in FIXTURE_PRIMES:
-        path = str(tmp_path / f"p{p}.jsonl")
-        run_sweep(p, FIXTURE_BOUND, path, workers=2)
-        rows[p] = read_records(path)
-    every = [rec for p in FIXTURE_PRIMES for rec in rows[p]]
+    every = [rec for p in FIXTURE_PRIMES for rec in table[p]]
     assert sorted(rec.key for rec in every) == sorted(fixture)
     problems = [line for rec in every for line in mismatches(rec, fixture)]
     assert not problems, "\n".join(problems)
@@ -203,24 +187,13 @@ def test_criterion_08_full_sweep_statistics(tmp_path):
     assert report.checked == len(every) == 733
     assert {(N, p) for N, p, _, _ in report.rank_ord_exceptions} == KNOWN_RANK_ORD_EXCEPTIONS
     for p, want in published.items():
-        table = stats_from_records(rows[p])
-        assert table.r == want, (p, table.r)
+        stats = stats_from_records(table[p])
+        assert stats.r == want, (p, stats.r)
     _announce(
         8,
         f"all {len(every)} rows match the records fixture and the verifier; "
         "full-sweep r(d) tables for p = 11, 13 match published values",
     )
-
-
-def test_sweep_rows_match_records_fixture():
-    # not a numbered criterion: every N < 2000 row the suite computes is
-    # pinned, field by field, to the golden records fixture
-    fixture = load_fixture()
-    rows = [rec for p in SWEEP_PRIMES for rec in _sweep(p)]
-    problems = [line for rec in rows for line in mismatches(rec, fixture)]
-    assert not problems, "\n".join(problems)
-    assert len(rows) == 168
-    print(f"records fixture: {len(rows)} rows identical", flush=True)
 
 
 def test_fixture_rows_obey_t_sequence_laws():
@@ -305,10 +278,10 @@ def test_verifier_on_records_fixture():
     print(f"verifier: all {report.checked} fixture rows re-derived", flush=True)
 
 
-def test_verifier_on_sweep_records():
+def test_verifier_on_sweep_records(table):
     # not a numbered criterion: end-to-end check that the verifier accepts
     # the sweep output and tallies the known rank/ord exceptions
-    rows = [rec for p in SWEEP_PRIMES for rec in _sweep(p)]
+    rows = [rec for p in FIXTURE_PRIMES for rec in table[p]]
     report = verify_records(rows)
     assert report.ok, report.fatal_failures
     assert report.checked == len(rows)

@@ -13,7 +13,7 @@ import pytest
 
 import eisenlab
 import eisenlab.hecke.eisenstein as eisenstein
-from eisenlab import cli, sweep
+from eisenlab import sweep
 from eisenlab.cli import main
 from eisenlab.corering import linalg
 from eisenlab.corering.newton import NewtonPolygon
@@ -123,6 +123,14 @@ def test_stats_rejects_no_records(tmp_path, capsys):
     path.write_text("")
     assert main(["stats", "--in", str(path)]) == 3
     assert capsys.readouterr().err == "error: no records\n"
+    # rows written by `invariants` carry no rank to count
+    path = tmp_path / "invariants.jsonl"
+    assert main(["invariants", "--N", "31", "--p", "5", "--out", str(path), "--json"]) == 0
+    capsys.readouterr()
+    assert main(["stats", "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no records with Hecke rank data\n"
 
 
 def test_verify_on_small_sweep(tmp_path):
@@ -180,6 +188,14 @@ def test_cli_reports_a_hecke_failure_as_a_compute_error(capsys, monkeypatch):
     assert main(["hecke", "--N", "181", "--p", "5"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: planted\n"
+
+
+def test_cli_verify_reports_a_missing_file(tmp_path, capsys):
+    assert main(["verify", "--in", str(tmp_path / "missing.jsonl")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("i/o error: ") and "missing.jsonl" in lines[0]
 
 
 def test_cli_verify_rejects_non_integer_valuation(tmp_path, capsys):
@@ -340,6 +356,9 @@ _TAMPERED = {
         "f_coeffs at precision 10000000 cannot be re-derived (ValueError: p^M = 5^10000000 does not fit",
     ),
     "t": ("t", 2, "t = 2 but v_p(N - 1) = 1"),
+    "merel-power": ("merel_is_power_s", {"1": False}, "e=3 but Merel p-th power status is False"),
+    "ord-1": ("ord_zeta_s", {"1": 1}, "e=3 but ord_1=1"),
+    "log-identities": ("lecouturier_ok", False, "discrete-log identity suite failed"),
 }
 
 
@@ -510,13 +529,21 @@ def test_cli_verify_recheck_skips_rows_whose_pair_is_not_valid(tmp_path, capsys,
     assert fatal == [f"  FATAL: (N,p)=({N},5): {msg}" for msg in shown]
 
 
-def test_cli_massey_selftest_quick(capsys):
-    rc = main(["massey-selftest", "--quick", "--json"])
+@pytest.mark.parametrize("form", ["json", "human"])
+def test_cli_massey_selftest_quick(capsys, form):
+    rc = main(["massey-selftest", "--quick", *(["--json"] if form == "json" else [])])
     assert rc == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["ok"] is True
-    assert data["seed"] == 20250809
-    assert any("k=5" in k for k in data["counts"])
+    out = capsys.readouterr().out
+    if form == "json":
+        data = json.loads(out)
+        assert data["ok"] is True
+        assert data["seed"] == 20250809
+        assert any("k=5" in k for k in data["counts"])
+        return
+    lines = out.splitlines()
+    assert lines[0] == "seed: 20250809"
+    assert len(lines) > 2 and all(line.startswith("  PASS ") for line in lines[1:-1])
+    assert lines[-1].startswith("  defining-system counts: {") and "k=5" in lines[-1]
 
 
 def test_run_sweep_multiworker(tmp_path):
@@ -687,12 +714,13 @@ def test_cli_sweep_stops_on_two_sigints_and_resumes(tmp_path):
 
 
 def test_cli_sweep_ignores_sigint_after_the_first(tmp_path, monkeypatch):
-    # the first SIGINT raises KeyboardInterrupt; a second one while the
-    # sweep unwinds (and shuts its pool down) is ignored, and the caller's
-    # handler is back afterwards
+    # run_sweep, called from the main thread with Python's default SIGINT
+    # handler: the first SIGINT raises KeyboardInterrupt; a second one while
+    # the sweep unwinds (and shuts its pool down) is ignored, and the
+    # caller's handler is back afterwards
     seen = []
 
-    def interrupted_sweep(*args, **kwargs):
+    def interrupted_worker(args):
         try:
             signal.raise_signal(signal.SIGINT)
         except KeyboardInterrupt:
@@ -700,12 +728,34 @@ def test_cli_sweep_ignores_sigint_after_the_first(tmp_path, monkeypatch):
             seen.append(signal.getsignal(signal.SIGINT))
             raise
 
-    monkeypatch.setattr(cli, "run_sweep", interrupted_sweep)
+    monkeypatch.setattr(sweep, "_worker", interrupted_worker)
     before = signal.getsignal(signal.SIGINT)
+    assert before is signal.default_int_handler
     with pytest.raises(KeyboardInterrupt):
-        main(["sweep", "--p", "5", "--max-N", "100", "--out", str(tmp_path / "rows.jsonl")])
+        run_sweep(5, 100, str(tmp_path / "rows.jsonl"), workers=1)
     assert seen == [signal.SIG_IGN]
     assert signal.getsignal(signal.SIGINT) is before
+
+
+def test_run_sweep_keeps_a_callers_sigint_handler(tmp_path, monkeypatch):
+    # a caller that handles SIGINT itself keeps its handler during the call
+    def own(signum, frame):
+        pass
+
+    seen = []
+
+    def probing_worker(args):
+        seen.append(signal.getsignal(signal.SIGINT))
+        return _sweep_worker(args)
+
+    monkeypatch.setattr(sweep, "_worker", probing_worker)
+    previous = signal.signal(signal.SIGINT, own)
+    try:
+        assert run_sweep(5, 50, str(tmp_path / "rows.jsonl"), workers=1) == 3
+        assert signal.getsignal(signal.SIGINT) is own
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert seen == [own] * 3
 
 
 def test_cli_out_flag_appends_record(tmp_path):
